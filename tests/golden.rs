@@ -1,0 +1,157 @@
+//! Golden simulator digests: every field of every `SimResult` for a fixed
+//! set of seeded design points, hashed and compared against constants
+//! recorded from the simulator's reference behaviour.
+//!
+//! The simulator's results are the ground truth every model in this
+//! repository learns from, so a performance change to the engine, the
+//! caches or the trace path must leave them bit-identical. These digests
+//! are that contract: they cover both studies × all eight benchmarks under
+//! the points' own configurations and two memory-system variants
+//! (next-line prefetch with banked SDRAM, write-through L1D), a finite
+//! trace that drains the pipeline, and full `StudyEvaluator` IPCs, which
+//! run through the evaluator's own trace path. A mismatch means simulated
+//! values changed; only a deliberate fidelity change may re-record them.
+
+use archpredict::simulate::{PointEvaluator, SimBudget, StudyEvaluator};
+use archpredict::studies::Study;
+use archpredict_sim::{simulate, simulate_with_warmup, SimConfig, SimResult, WritePolicy};
+use archpredict_stats::hash::{fnv1a_64_extend, FNV_OFFSET};
+use archpredict_stats::rng::Xoshiro256;
+use archpredict_workloads::{Benchmark, TraceGenerator};
+
+/// Seed of the sampled design points.
+const SEED: u64 = 0x0060_1DE4;
+
+/// Folds every field of `result` into `h`. The exhaustive destructuring
+/// makes a new `SimResult` field a compile error here until it is hashed.
+fn extend(h: u64, result: &SimResult) -> u64 {
+    let SimResult {
+        instructions,
+        cycles,
+        l1i_misses,
+        l1d_misses,
+        l2_misses,
+        branches,
+        mispredicts,
+        btb_misses,
+        l2_bus_busy,
+        fsb_busy,
+        fetch_stall_cycles,
+        icache_stall_cycles,
+        branch_stall_cycles,
+        btb_stall_cycles,
+    } = *result;
+    [
+        instructions,
+        cycles,
+        l1i_misses,
+        l1d_misses,
+        l2_misses,
+        branches,
+        mispredicts,
+        btb_misses,
+        l2_bus_busy,
+        fsb_busy,
+        fetch_stall_cycles,
+        icache_stall_cycles,
+        branch_stall_cycles,
+        btb_stall_cycles,
+    ]
+    .iter()
+    .fold(h, |h, field| fnv1a_64_extend(h, &field.to_le_bytes()))
+}
+
+/// A design point's configuration under the three memory variants.
+fn variants(config: SimConfig) -> [SimConfig; 3] {
+    let prefetch_banked = SimConfig {
+        prefetch_nextline: true,
+        sdram_banks: 8,
+        ..config.clone()
+    };
+    let mut write_through = config.clone();
+    write_through.l1d.write_policy = WritePolicy::WriteThrough;
+    [config, prefetch_banked, write_through]
+}
+
+/// Two seeded points per study × benchmark, each under three variants,
+/// simulated on a seeded interval of the benchmark.
+#[test]
+fn study_points_under_memory_variants() {
+    let mut rng = Xoshiro256::seed_from(SEED);
+    let mut h = FNV_OFFSET;
+    let mut simulated = 0;
+    for study in Study::ALL {
+        let space = study.space();
+        for benchmark in Benchmark::ALL {
+            let generator = TraceGenerator::new(benchmark);
+            for _ in 0..2 {
+                let index = rng.below(space.size() as u64) as usize;
+                let interval = rng.below(generator.num_intervals() as u64) as usize;
+                let config = study.config_at(&space, &space.point(index));
+                for config in variants(config) {
+                    let trace = generator.interval(interval);
+                    let result = simulate_with_warmup(&config, trace, 2_000, 8_000);
+                    h = extend(h, &result);
+                    simulated += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(simulated, 96);
+    assert_eq!(
+        h, 0x7190_8518_a6ee_4dc0,
+        "simulated values changed: {h:#018x}"
+    );
+}
+
+/// A trace shorter than the commit target: the pipeline drains and the
+/// result reports what was committed.
+#[test]
+fn finite_trace_drains() {
+    let generator = TraceGenerator::new(Benchmark::Crafty);
+    let mut h = FNV_OFFSET;
+    for config in variants(SimConfig::default()) {
+        let trace: Vec<_> = generator.interval(3).take(700).collect();
+        let result = simulate(&config, trace.into_iter(), 10_000);
+        assert_eq!(result.instructions, 700);
+        h = extend(h, &result);
+    }
+    assert_eq!(
+        h, 0xcce7_85b0_a06a_c0bd,
+        "simulated values changed: {h:#018x}"
+    );
+}
+
+/// Full evaluations through `StudyEvaluator`, two intervals each, for a
+/// few seeded points of each study: the IPC bits the oracle returns.
+#[test]
+fn study_evaluator_ipcs() {
+    let mut rng = Xoshiro256::seed_from(SEED).derive(1);
+    let mut bits = Vec::new();
+    for (study, benchmark) in [
+        (Study::MemorySystem, Benchmark::Gzip),
+        (Study::MemorySystem, Benchmark::Mcf),
+        (Study::Processor, Benchmark::Twolf),
+        (Study::Processor, Benchmark::Applu),
+    ] {
+        let generator = TraceGenerator::new(benchmark);
+        let budget = SimBudget::spread(&generator, 2, 1_000, 3_000);
+        let evaluator = StudyEvaluator::with_budget(study, benchmark, budget);
+        let space = evaluator.space();
+        for _ in 0..2 {
+            let point = space.point(rng.below(space.size() as u64) as usize);
+            bits.push(evaluator.evaluate(&point).to_bits());
+        }
+    }
+    let expected: [u64; 8] = [
+        0x3fab_8fd9_ad0a_db7c,
+        0x3fb1_9f50_18d9_6a56,
+        0x3fa3_5606_3696_1bb5,
+        0x3fa0_59a6_fd11_bade,
+        0x3fab_91bf_b534_ffd2,
+        0x3f9c_26db_1f6c_a442,
+        0x3fb7_8c8d_09dc_94a7,
+        0x3fa8_02eb_7c9e_1262,
+    ];
+    assert_eq!(bits, expected, "evaluator IPCs changed");
+}
