@@ -14,7 +14,8 @@ use archpredict::distributed::{
 use archpredict::explorer::{Explorer, ExplorerConfig};
 use archpredict::report::LearningCurve;
 use archpredict::simulate::{
-    CachedEvaluator, Oracle, RetryingOracle, SimBudget, SimError, SimResult, SimStats,
+    evaluate_indices, CachedEvaluator, Oracle, RetryingOracle, SimBudget, SimError, SimResult,
+    SimStats,
 };
 use archpredict::studies::Study;
 use archpredict_ann::{Parallelism, TrainConfig};
@@ -406,7 +407,8 @@ fn span_deadline_times_out_and_quarantines_through_retry() {
 }
 
 /// The in-process `SleepyEvaluator` honors its sleep (the knob the
-/// deadline tests rely on) without distorting values.
+/// deadline tests rely on) without distorting values. The batch runs on
+/// one thread, so its two 30 ms sleeps add up instead of overlapping.
 #[test]
 fn sleepy_evaluator_sleeps_and_keeps_values() {
     let spec = sleepy_spec(30_000);
@@ -414,7 +416,13 @@ fn sleepy_evaluator_sleeps_and_keeps_values() {
     let evaluator = spec.evaluator();
     let start = std::time::Instant::now();
     let mut stats = SimStats::default();
-    let results = evaluator.evaluate_batch(&space, &[5, 6], &mut stats);
+    let results = evaluate_indices(
+        &evaluator,
+        &space,
+        &[5, 6],
+        Parallelism::Fixed(1),
+        &mut stats,
+    );
     assert!(start.elapsed() >= Duration::from_millis(50));
     assert_eq!(results[0], Ok(SleepyEvaluator::value_at(&space.point(5))));
     assert_eq!(results[1], Ok(SleepyEvaluator::value_at(&space.point(6))));

@@ -5,9 +5,10 @@
 //! registry `CrashPoint` hook), injected schedules replay identically,
 //! and a faulted worker dispatch respawns and heals bit-exactly.
 //!
-//! Failpoint state is process-global, so every test arms its plan
-//! through [`arm`], which serializes on a lock and disarms on drop —
-//! parallel test threads never observe each other's schedules.
+//! Failpoint state is process-global, so every test holds [`serial`]'s
+//! lock for its whole body — unarmed sections included, since a refit
+//! must not run while another test's plan is installed — and arms its
+//! plan through [`arm`], which disarms on drop.
 
 use archpredict::campaign::CampaignConfig;
 use archpredict::distributed::{locate_worker_binary, ProcessPoolOracle, WorkerSpec, FP_SPAN_SEND};
@@ -20,24 +21,31 @@ use archpredict_workloads::Benchmark;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Serializes failpoint-armed sections across test threads; the guard
-/// disarms everything on drop (panic included).
+/// Serializes the tests of this file across test threads.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-struct Armed<'a>(#[allow(dead_code)] MutexGuard<'a, ()>);
+/// Takes the file-wide test lock; hold it for the whole test body.
+fn serial() -> MutexGuard<'static, ()> {
+    TEST_LOCK
+        .lock()
+        .unwrap_or_else(|poison| poison.into_inner())
+}
 
-impl Drop for Armed<'_> {
+/// An installed failpoint plan; dropping it disarms everything (panic
+/// included).
+struct Armed;
+
+impl Drop for Armed {
     fn drop(&mut self) {
         failpoint::clear();
     }
 }
 
-fn arm(seed: u64, sites: &[(&str, SiteSpec)]) -> Armed<'static> {
-    let guard = TEST_LOCK
-        .lock()
-        .unwrap_or_else(|poison| poison.into_inner());
+/// Installs a plan. Taking the [`serial`] guard by reference makes
+/// arming without holding the test lock a compile error.
+fn arm(_serial: &MutexGuard<'static, ()>, seed: u64, sites: &[(&str, SiteSpec)]) -> Armed {
     failpoint::install(seed, sites);
-    Armed(guard)
+    Armed
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -79,11 +87,13 @@ fn listing(dir: &PathBuf) -> Vec<String> {
 
 #[test]
 fn torn_write_never_touches_the_destination() {
+    let serial = serial();
     let dir = temp_dir("torn");
     let path = dir.join("artifact.json");
     persist::write_atomic(&path, "generation-one").expect("clean write");
 
     let _armed = arm(
+        &serial,
         0x7E54,
         &[(FP_WRITE_ATOMIC, SiteSpec::once(FailAction::Torn))],
     );
@@ -115,11 +125,16 @@ fn torn_write_never_touches_the_destination() {
 
 #[test]
 fn commit_entry_crash_is_a_clean_miss_and_a_refit_heals_it() {
+    let serial = serial();
     let root = temp_dir("commit_entry");
     let registry = Registry::open(&root).expect("open registry");
     let spec = quick_spec(0xA11CE);
     {
-        let _armed = arm(2, &[(FP_COMMIT_ENTRY, SiteSpec::once(FailAction::Error))]);
+        let _armed = arm(
+            &serial,
+            2,
+            &[(FP_COMMIT_ENTRY, SiteSpec::once(FailAction::Error))],
+        );
         let err = registry
             .get_or_fit_study(&spec)
             .expect_err("commit dies between object and entry");
@@ -154,11 +169,16 @@ fn commit_entry_crash_is_a_clean_miss_and_a_refit_heals_it() {
 
 #[test]
 fn commit_object_failure_leaves_nothing_durable() {
+    let serial = serial();
     let root = temp_dir("commit_object");
     let registry = Registry::open(&root).expect("open registry");
     let spec = quick_spec(0xB0B);
     {
-        let _armed = arm(3, &[(FP_COMMIT_OBJECT, SiteSpec::once(FailAction::Error))]);
+        let _armed = arm(
+            &serial,
+            3,
+            &[(FP_COMMIT_OBJECT, SiteSpec::once(FailAction::Error))],
+        );
         let err = registry
             .get_or_fit_study(&spec)
             .expect_err("commit dies before the object write");
@@ -177,6 +197,7 @@ fn commit_object_failure_leaves_nothing_durable() {
 
 #[test]
 fn injected_error_pattern_replays_identically_across_reinstalls() {
+    let serial = serial();
     let dir = temp_dir("replay");
     let spec = SiteSpec {
         action: FailAction::Error,
@@ -184,7 +205,7 @@ fn injected_error_pattern_replays_identically_across_reinstalls() {
         max_fires: None,
     };
     let run = || -> Vec<bool> {
-        let _armed = arm(0xBEEF, &[(FP_WRITE_ATOMIC, spec)]);
+        let _armed = arm(&serial, 0xBEEF, &[(FP_WRITE_ATOMIC, spec)]);
         (0..60)
             .map(|i| persist::write_atomic(&dir.join(format!("f{i}")), "x").is_err())
             .collect()
@@ -220,6 +241,7 @@ fn worker_binary() -> &'static PathBuf {
 
 #[test]
 fn span_send_fault_respawns_the_worker_and_heals_the_batch() {
+    let serial = serial();
     worker_binary();
     let spec = WorkerSpec::Sleepy {
         study: Study::MemorySystem,
@@ -245,7 +267,11 @@ fn span_send_fault_respawns_the_worker_and_heals_the_batch() {
     // injected send failure looks like a worker that died idle, so the
     // pool must reap, respawn, and retry the same span — and the healed
     // batch must be bit-identical.
-    let _armed = arm(9, &[(FP_SPAN_SEND, SiteSpec::once(FailAction::Error))]);
+    let _armed = arm(
+        &serial,
+        9,
+        &[(FP_SPAN_SEND, SiteSpec::once(FailAction::Error))],
+    );
     let mut pool = ProcessPoolOracle::with_workers(spec, 1).expect("1-worker pool");
     pool.set_span_timeout(None);
     let mut stats = SimStats::default();
