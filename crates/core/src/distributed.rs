@@ -438,11 +438,11 @@ impl WorkerSpec {
                 study,
                 benchmark,
                 budget,
-            } => SpecEvaluator::Study(StudyEvaluator::with_budget(
+            } => SpecEvaluator::Study(Box::new(StudyEvaluator::with_budget(
                 *study,
                 *benchmark,
                 budget.clone(),
-            )),
+            ))),
             WorkerSpec::Sleepy {
                 study,
                 sleep_micros,
@@ -550,8 +550,9 @@ impl WorkerSpec {
 /// of the pipe.
 #[derive(Debug)]
 pub enum SpecEvaluator {
-    /// Full detailed simulation.
-    Study(StudyEvaluator),
+    /// Full detailed simulation (boxed: it carries a trace generator and
+    /// its packed intervals).
+    Study(Box<StudyEvaluator>),
     /// The synthetic sleepy/crashy/NaN test double.
     Sleepy(SleepyEvaluator),
 }

@@ -50,13 +50,13 @@ use crate::space::{DesignPoint, DesignSpace};
 use crate::studies::Study;
 use crate::telemetry::Counter;
 use archpredict_ann::Parallelism;
-use archpredict_sim::simulate_with_warmup;
+use archpredict_sim::{lookahead, simulate_with_warmup};
 use archpredict_simpoint::SimPointPlan;
 use archpredict_stats::rng::Xoshiro256;
-use archpredict_workloads::{Benchmark, TraceGenerator};
+use archpredict_workloads::{Benchmark, PackedInterval, TraceGenerator};
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Why a single design-point evaluation failed.
@@ -387,12 +387,18 @@ impl SimBudget {
 }
 
 /// Full detailed simulation of a study's design points for one benchmark.
+///
+/// The budget's intervals are the same at every design point, so the
+/// first evaluation synthesizes each of them once into a
+/// [`PackedInterval`] and every later simulation — on any thread —
+/// replays those buffers. Construction does no simulation work.
 #[derive(Debug)]
 pub struct StudyEvaluator {
     study: Study,
     space: DesignSpace,
     generator: TraceGenerator,
     budget: SimBudget,
+    traces: OnceLock<Vec<PackedInterval>>,
 }
 
 impl StudyEvaluator {
@@ -410,6 +416,7 @@ impl StudyEvaluator {
             space: study.space(),
             generator: TraceGenerator::new(benchmark),
             budget,
+            traces: OnceLock::new(),
         }
     }
 
@@ -422,19 +429,37 @@ impl StudyEvaluator {
     pub fn budget(&self) -> &SimBudget {
         &self.budget
     }
+
+    /// The budget's intervals, packed on first use. Each holds as many
+    /// instructions as a simulation of the study's largest machine can
+    /// pull: every cardinal level list ascends, so the space's last point
+    /// has its widest fetch and deepest reorder buffer. A simulation that
+    /// reads past a buffer continues from the live generator, so results
+    /// are exact either way.
+    pub fn traces(&self) -> &[PackedInterval] {
+        self.traces.get_or_init(|| {
+            let largest = self.space.point(self.space.size() - 1);
+            let config = self.study.config_at(&self.space, &largest);
+            let len = self.budget.warmup + self.budget.measured + lookahead(&config);
+            self.budget
+                .intervals
+                .iter()
+                .map(|&i| PackedInterval::new(&self.generator, i, len as usize))
+                .collect()
+        })
+    }
 }
 
 impl PointEvaluator for StudyEvaluator {
     fn evaluate(&self, point: &DesignPoint) -> f64 {
         let config = self.study.config_at(&self.space, point);
         let sum: f64 = self
-            .budget
-            .intervals
+            .traces()
             .iter()
-            .map(|&i| {
+            .map(|trace| {
                 simulate_with_warmup(
                     &config,
-                    self.generator.interval(i),
+                    trace.replay(&self.generator),
                     self.budget.warmup,
                     self.budget.measured,
                 )
@@ -1221,6 +1246,56 @@ mod tests {
         let b = evaluator.evaluate(&p);
         assert_eq!(a, b);
         assert!(a > 0.0 && a < 4.0, "ipc {a}");
+    }
+
+    #[test]
+    fn study_evaluator_packs_once_and_replays_the_live_result() {
+        let generator = TraceGenerator::new(Benchmark::Crafty);
+        let budget = SimBudget::spread(&generator, 2, 1_000, 2_000);
+        let evaluator =
+            StudyEvaluator::with_budget(Study::Processor, Benchmark::Crafty, budget.clone());
+        let space = evaluator.space();
+        for index in [0, 7_777, space.size() - 1] {
+            let point = space.point(index);
+            let config = Study::Processor.config_at(space, &point);
+            let live: f64 = budget
+                .intervals
+                .iter()
+                .map(|&i| simulate_with_warmup(&config, generator.interval(i), 1_000, 2_000).ipc())
+                .sum();
+            assert_eq!(evaluator.evaluate(&point), live / 2.0, "point {index}");
+        }
+        let traces = evaluator.traces();
+        assert!(std::ptr::eq(traces, evaluator.traces()), "packed once");
+        assert_eq!(traces.len(), 2);
+        // Width 8 and a 160-entry ROB: 160 + (2 * 8 + 8) + 1 look-ahead.
+        assert!(traces.iter().all(|t| t.len() == 3_000 + 185));
+    }
+
+    #[test]
+    fn replay_past_a_short_buffer_simulates_identically() {
+        let generator = TraceGenerator::new(Benchmark::Gzip);
+        let config = archpredict_sim::SimConfig::default();
+        let live = simulate_with_warmup(&config, generator.interval(4), 500, 1_500);
+        // Far too short: the engine reads past the buffer into the live
+        // generator after 300 instructions.
+        let packed = PackedInterval::new(&generator, 4, 300);
+        let replayed = simulate_with_warmup(&config, packed.replay(&generator), 500, 1_500);
+        assert_eq!(replayed, live);
+    }
+
+    #[test]
+    fn largest_point_bounds_every_lookahead() {
+        for study in Study::ALL {
+            let space = study.space();
+            let largest = lookahead(&study.config_at(&space, &space.point(space.size() - 1)));
+            assert!(
+                space
+                    .iter()
+                    .all(|p| lookahead(&study.config_at(&space, &p)) <= largest),
+                "{study}"
+            );
+        }
     }
 
     #[test]

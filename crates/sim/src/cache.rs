@@ -16,13 +16,24 @@ pub struct AccessOutcome {
     pub writeback: Option<u64>,
 }
 
+/// Top bit of [`Line::meta`]: the line holds data not yet written back.
+const DIRTY: u64 = 1 << 63;
+
+/// One way of a set, in 16 bytes.
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
     tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotonic last-use stamp for LRU.
-    lru: u64,
+    /// Monotonic last-use stamp for LRU, with [`DIRTY`] folded into the
+    /// top bit. Stamps start at 1, so 0 marks an invalid way. Folding the
+    /// flags into the stamp rather than the tag keeps every tag exact,
+    /// whatever the block size.
+    meta: u64,
+}
+
+impl Line {
+    fn holds(&self, tag: u64) -> bool {
+        self.meta != 0 && self.tag == tag
+    }
 }
 
 /// A set-associative cache with true-LRU replacement.
@@ -88,21 +99,22 @@ impl Cache {
         let tag = self.tag_of(addr);
         self.lines[set * self.ways..(set + 1) * self.ways]
             .iter()
-            .any(|l| l.valid && l.tag == tag)
+            .any(|l| l.holds(tag))
     }
 
     /// Accesses `addr`. On a miss with `allocate`, fills the block (evicting
     /// LRU). `write` marks the line dirty when it ends up present.
     pub fn access(&mut self, addr: u64, write: bool, allocate: bool) -> AccessOutcome {
         self.stamp += 1;
+        debug_assert!(self.stamp < DIRTY, "LRU stamp overflow");
+        let dirty = if write { DIRTY } else { 0 };
         let set = self.set_of(addr) as usize;
         let tag = self.tag_of(addr);
         let base = set * self.ways;
         let set_lines = &mut self.lines[base..base + self.ways];
 
-        if let Some(line) = set_lines.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = self.stamp;
-            line.dirty |= write;
+        if let Some(line) = set_lines.iter_mut().find(|l| l.holds(tag)) {
+            line.meta = self.stamp | (line.meta & DIRTY) | dirty;
             self.hits += 1;
             return AccessOutcome {
                 hit: true,
@@ -116,24 +128,22 @@ impl Cache {
                 writeback: None,
             };
         }
-        // Victim: an invalid way if any, else true LRU.
+        // Victim: an invalid way (stamp 0) if any, else true LRU.
         let victim = set_lines
             .iter()
             .enumerate()
-            .min_by_key(|(_, l)| if l.valid { l.lru + 1 } else { 0 })
+            .min_by_key(|(_, l)| l.meta & !DIRTY)
             .map(|(i, _)| i)
             .expect("nonzero ways");
         let line = &mut set_lines[victim];
-        let writeback = if line.valid && line.dirty {
+        let writeback = if line.meta & DIRTY != 0 {
             Some(line.tag << self.block_shift)
         } else {
             None
         };
         *line = Line {
             tag,
-            valid: true,
-            dirty: write,
-            lru: self.stamp,
+            meta: self.stamp | dirty,
         };
         AccessOutcome {
             hit: false,
@@ -159,9 +169,10 @@ impl Cache {
         let tag = self.tag_of(addr);
         let base = set * self.ways;
         for line in &mut self.lines[base..base + self.ways] {
-            if line.valid && line.tag == tag {
-                line.valid = false;
-                return line.dirty;
+            if line.holds(tag) {
+                let dirty = line.meta & DIRTY != 0;
+                line.meta = 0;
+                return dirty;
             }
         }
         false
@@ -266,6 +277,11 @@ mod tests {
         c.access(d, false, true);
         assert!(!c.probe(a));
         assert!(c.probe(b));
+    }
+
+    #[test]
+    fn lines_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Line>(), 16);
     }
 
     #[test]

@@ -15,17 +15,31 @@
 //!   producer–consumer dependency distances;
 //! * in-order commit limited by commit width, with stores draining to the
 //!   memory hierarchy at commit time.
+//!
+//! Issue is event-driven rather than a scan of the reorder buffer. Each
+//! entry counts its producers that have not issued yet, and each producer
+//! links the entries waiting on it (an intrusive list: one link per
+//! operand, so nothing is allocated per instruction). When a producer
+//! issues, its completion cycle is known, so each waiter whose count
+//! drops to zero is scheduled for the cycle its last operand completes:
+//! into a set for the next cycle when that is at most one cycle away, and
+//! into a wake queue ordered by cycle otherwise. At the start of a cycle
+//! both release every entry due by then into the ready set, a bitmap over
+//! reorder-buffer slots, and issue walks that bitmap from the head of the
+//! buffer — oldest first — under the same width, functional-unit and port
+//! limits a full scan applies. The entries a scan would find ready, and
+//! the order it would visit them in, are exactly the ready set's, so
+//! memory accesses and results are the same. The idle-cycle skip's next
+//! event is the minimum of three heads (reorder buffer, wake queue, fetch
+//! redirect) instead of another scan.
 
 use crate::branch::{Btb, TournamentPredictor};
 use crate::config::{FuThroughput, SimConfig};
 use crate::memory::MemoryHierarchy;
 use crate::result::SimResult;
 use archpredict_workloads::{Instruction, OpClass};
-use std::collections::VecDeque;
-
-/// Completion-time ring size; must exceed ROB size + maximum dependency
-/// distance by a comfortable margin.
-const RING: usize = 8192;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Execution latencies (cycles) by op family; loads add memory time.
 const LAT_INT_ALU: u64 = 1;
@@ -37,6 +51,23 @@ const LAT_BRANCH: u64 = 1;
 
 /// Front-end bubble when a predicted-taken branch misses in the BTB.
 const BTB_BUBBLE: u64 = 2;
+
+/// End of a consumer list.
+const NIL: u32 = u32::MAX;
+
+/// Instructions the engine may pull from its trace beyond the last one it
+/// commits under `config`: a full reorder buffer, a full fetch queue, and
+/// the one instruction held back by an instruction-cache miss. A buffer of
+/// `warmup + measured + lookahead(config)` instructions therefore feeds a
+/// whole [`crate::simulate_with_warmup`] run.
+pub fn lookahead(config: &SimConfig) -> u64 {
+    u64::from(config.rob_size) + fetch_queue_cap(config) as u64 + 1
+}
+
+/// Fetch-queue capacity under `config`.
+fn fetch_queue_cap(config: &SimConfig) -> usize {
+    2 * config.width as usize + 8
+}
 
 #[derive(Debug, Clone, Copy)]
 struct Snapshot {
@@ -55,13 +86,76 @@ struct Snapshot {
 #[derive(Debug, Clone, Copy)]
 struct RobEntry {
     seq: u64,
-    op: OpClass,
     addr: u64,
-    dep1: u64, // producer sequence numbers; u64::MAX = none
-    dep2: u64,
-    issued: bool,
+    /// Completion cycle; `u64::MAX` until issued.
     complete: u64,
+    /// Latest completion cycle among the producers issued so far.
+    ready_at: u64,
+    /// Head of the list of entries waiting on this one, as
+    /// `slot << 1 | operand`; [`NIL`] when empty.
+    consumers: u32,
+    /// This entry's link in each of its producers' consumer lists.
+    next: [u32; 2],
+    /// Producers that have not issued yet.
+    waiting: u8,
+    op: OpClass,
     mispredicted: bool,
+}
+
+impl RobEntry {
+    const EMPTY: RobEntry = RobEntry {
+        seq: 0,
+        addr: 0,
+        complete: 0,
+        ready_at: 0,
+        consumers: NIL,
+        next: [NIL; 2],
+        waiting: 0,
+        op: OpClass::IntAlu,
+        mispredicted: false,
+    };
+}
+
+/// A set of reorder-buffer slots, one bit each.
+#[derive(Debug)]
+struct SlotSet {
+    words: Box<[u64]>,
+    len: usize,
+}
+
+impl SlotSet {
+    fn new(slots: usize) -> Self {
+        Self {
+            words: vec![0; slots.div_ceil(64)].into_boxed_slice(),
+            len: 0,
+        }
+    }
+
+    /// Adds `slot`, which must not be in the set.
+    fn insert(&mut self, slot: usize) {
+        self.words[slot / 64] |= 1 << (slot % 64);
+        self.len += 1;
+    }
+
+    /// Removes `slot`, which must be in the set.
+    fn remove(&mut self, slot: usize) {
+        self.words[slot / 64] &= !(1 << (slot % 64));
+        self.len -= 1;
+    }
+
+    /// Moves every slot of `other`, disjoint from this set, into it.
+    fn absorb(&mut self, other: &mut SlotSet) {
+        if other.len > 0 {
+            for (word, from) in self.words.iter_mut().zip(other.words.iter_mut()) {
+                *word |= std::mem::take(from);
+            }
+            self.len += std::mem::take(&mut other.len);
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
 }
 
 #[derive(Debug)]
@@ -75,9 +169,21 @@ pub(crate) struct Engine<I: Iterator<Item = Instruction>> {
     pending: Option<Instruction>,
     trace_done: bool,
 
-    rob: VecDeque<RobEntry>,
+    /// The reorder buffer: a ring holding sequence numbers `head..seq`,
+    /// entry `s` at slot `s & rob_mask`.
+    rob: Box<[RobEntry]>,
+    rob_mask: u64,
+    /// Sequence number of the oldest in-flight instruction.
+    head: u64,
+    /// Slots of entries whose producers have all issued, keyed by the
+    /// cycle their last operand completes, when that is more than one
+    /// cycle after they were scheduled.
+    wake: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Slots of entries that can issue from the next cycle on.
+    soon: SlotSet,
+    /// Slots of entries that can issue now.
+    ready: SlotSet,
     fetch_q: VecDeque<(Instruction, bool)>, // (instr, mispredicted)
-    complete_at: Vec<u64>,
 
     int_regs_free: u32,
     fp_regs_free: u32,
@@ -86,6 +192,7 @@ pub(crate) struct Engine<I: Iterator<Item = Instruction>> {
     branches_free: u32,
 
     cycle: u64,
+    /// Sequence number of the next instruction to dispatch.
     seq: u64,
     committed: u64,
     target: u64,
@@ -124,6 +231,7 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
     /// caches and predictors without being counted in the result.
     pub(crate) fn with_warmup(cfg: &SimConfig, trace: I, warmup: u64, measured: u64) -> Self {
         let mem = MemoryHierarchy::new(cfg);
+        let rob_slots = (cfg.rob_size as usize).next_power_of_two();
         Self {
             fu: cfg.fu_throughput(),
             predictor: TournamentPredictor::new(cfg.predictor_entries),
@@ -132,9 +240,13 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
             trace,
             pending: None,
             trace_done: false,
-            rob: VecDeque::with_capacity(cfg.rob_size as usize),
-            fetch_q: VecDeque::with_capacity(2 * cfg.width as usize + 8),
-            complete_at: vec![0; RING],
+            rob: vec![RobEntry::EMPTY; rob_slots].into_boxed_slice(),
+            rob_mask: rob_slots as u64 - 1,
+            head: 0,
+            wake: BinaryHeap::with_capacity(rob_slots),
+            soon: SlotSet::new(rob_slots),
+            ready: SlotSet::new(rob_slots),
+            fetch_q: VecDeque::with_capacity(fetch_queue_cap(cfg)),
             int_regs_free: cfg.int_regs,
             fp_regs_free: cfg.fp_regs,
             loads_free: cfg.lsq_loads,
@@ -166,15 +278,15 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
         while self.committed < self.target {
             self.cycle += 1;
             let committed = self.commit();
-            let (issued, blocked) = self.issue();
+            let issued = self.issue();
             let dispatched = self.dispatch();
             let q_before = self.fetch_q.len();
             self.fetch();
             let fetched = self.fetch_q.len() != q_before;
-            // Idle-cycle skip: when nothing moved and nothing is ready, jump
-            // to the next known event (a completion or a fetch redirect).
-            // Stall counters are advanced as if the cycles had been stepped.
-            if committed == 0 && issued == 0 && dispatched == 0 && !fetched && !blocked {
+            // Idle-cycle skip: when nothing moved, jump to the next known
+            // event (a completion, a wakeup or a fetch redirect). Stall
+            // counters are advanced as if the cycles had been stepped.
+            if committed == 0 && issued == 0 && dispatched == 0 && !fetched {
                 if let Some(next) = self.next_event() {
                     if next > self.cycle + 1 {
                         let skipped = next - 1 - self.cycle;
@@ -199,7 +311,7 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
                     mem: self.mem.stats(),
                 });
             }
-            if self.trace_exhausted() && self.rob.is_empty() && self.fetch_q.is_empty() {
+            if self.trace_exhausted() && self.rob_len() == 0 && self.fetch_q.is_empty() {
                 break;
             }
             // Forward-progress watchdog: a structural deadlock is a
@@ -250,20 +362,30 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
         self.trace_done && self.pending.is_none()
     }
 
+    fn rob_len(&self) -> u64 {
+        self.seq - self.head
+    }
+
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.rob_mask) as usize
+    }
+
     fn commit(&mut self) -> u32 {
         let mut committed = 0;
         for _ in 0..self.cfg.width {
-            if self.committed >= self.target {
+            if self.committed >= self.target || self.rob_len() == 0 {
                 break;
             }
-            let Some(front) = self.rob.front() else { break };
-            if !front.issued || front.complete > self.cycle {
+            let entry = &self.rob[self.slot(self.head)];
+            // Unissued entries complete at `u64::MAX`.
+            if entry.complete > self.cycle {
                 break;
             }
-            let entry = self.rob.pop_front().expect("checked front");
-            match entry.op {
+            let (op, addr) = (entry.op, entry.addr);
+            self.head += 1;
+            match op {
                 OpClass::Store => {
-                    self.mem.store(entry.addr, self.cycle);
+                    self.mem.store(addr, self.cycle);
                     self.stores_free += 1;
                 }
                 OpClass::Load => {
@@ -286,147 +408,152 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
         committed
     }
 
-    fn dep_ready(&self, dep: u64) -> bool {
-        dep == u64::MAX || self.complete_at[(dep % RING as u64) as usize] <= self.cycle
-    }
-
-    /// Returns `(issued, ready_but_blocked)`.
-    fn issue(&mut self) -> (u32, bool) {
+    /// Issues ready entries oldest first; returns how many issued.
+    fn issue(&mut self) -> u32 {
+        let cycle = self.cycle;
+        self.ready.absorb(&mut self.soon);
+        while let Some(&Reverse((ready_at, slot))) = self.wake.peek() {
+            if ready_at > cycle {
+                break;
+            }
+            self.wake.pop();
+            self.ready.insert(slot as usize);
+        }
+        if self.ready.is_empty() {
+            return 0;
+        }
         let mut issued = 0u32;
-        let mut blocked = false;
         let mut int_used = 0u32;
         let mut fp_used = 0u32;
         let mut mul_used = 0u32;
         let mut loads_used = 0u32;
         let mut stores_used = 0u32;
-        let cycle = self.cycle;
-        for i in 0..self.rob.len() {
-            if issued >= self.cfg.width {
-                blocked = true;
-                break;
-            }
-            let e = self.rob[i];
-            if e.issued || !self.dep_ready(e.dep1) || !self.dep_ready(e.dep2) {
-                continue;
-            }
-            let complete = match e.op {
-                OpClass::IntAlu => {
-                    if int_used >= self.fu.int_alu {
-                        blocked = true;
-                        continue;
-                    }
-                    int_used += 1;
-                    cycle + LAT_INT_ALU
-                }
-                OpClass::IntMul => {
-                    if mul_used >= self.fu.mul {
-                        blocked = true;
-                        continue;
-                    }
-                    mul_used += 1;
-                    cycle + LAT_INT_MUL
-                }
-                OpClass::FpAlu => {
-                    if fp_used >= self.fu.fp {
-                        blocked = true;
-                        continue;
-                    }
-                    fp_used += 1;
-                    cycle + LAT_FP_ALU
-                }
-                OpClass::FpMul => {
-                    if fp_used >= self.fu.fp {
-                        blocked = true;
-                        continue;
-                    }
-                    fp_used += 1;
-                    cycle + LAT_FP_MUL
-                }
-                OpClass::Load => {
-                    if loads_used >= self.cfg.load_ports {
-                        blocked = true;
-                        continue;
-                    }
-                    loads_used += 1;
-                    self.mem.load(e.addr, cycle + LAT_AGEN)
-                }
-                OpClass::Store => {
-                    if stores_used >= self.cfg.store_ports {
-                        blocked = true;
-                        continue;
-                    }
-                    stores_used += 1;
-                    cycle + LAT_AGEN
-                }
-                OpClass::Branch => {
-                    if int_used >= self.fu.int_alu {
-                        blocked = true;
-                        continue;
-                    }
-                    int_used += 1;
-                    cycle + LAT_BRANCH
-                }
+        // Age order is slot order starting at the head's slot: its word
+        // from the head's bit up, the other words in turn, then the
+        // head's word below its bit. Entries a busy unit turns away stay
+        // ready for the next cycle.
+        let words = self.ready.words.len();
+        let head = self.slot(self.head);
+        let upper = u64::MAX << (head % 64);
+        let mut unvisited = self.ready.len;
+        'walk: for step in 0..=words {
+            // `words` is a power of two, like the slot count.
+            let word = (head / 64 + step) & (words - 1);
+            let mask = match step {
+                0 => upper,
+                s if s == words => !upper,
+                _ => u64::MAX,
             };
-            let entry = &mut self.rob[i];
-            entry.issued = true;
-            entry.complete = complete;
-            self.complete_at[(entry.seq % RING as u64) as usize] = complete;
-            if entry.mispredicted && self.stalled_on_branch == Some(entry.seq) {
-                // Redirect the front end when the branch resolves, plus the
-                // frequency-derived minimum pipeline-refill penalty.
-                let penalty = self.mem.timing().mispredict_penalty;
-                self.fetch_stall_until = complete + penalty;
-                self.stall_cause = StallCause::Branch;
-                self.stalled_on_branch = None;
+            let mut bits = self.ready.words[word] & mask;
+            while bits != 0 {
+                if issued >= self.cfg.width || unvisited == 0 {
+                    break 'walk;
+                }
+                unvisited -= 1;
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                let slot = word * 64 + bit as usize;
+                let RobEntry { op, addr, .. } = self.rob[slot];
+                let complete = match op {
+                    OpClass::IntAlu if int_used < self.fu.int_alu => {
+                        int_used += 1;
+                        cycle + LAT_INT_ALU
+                    }
+                    OpClass::IntMul if mul_used < self.fu.mul => {
+                        mul_used += 1;
+                        cycle + LAT_INT_MUL
+                    }
+                    OpClass::FpAlu if fp_used < self.fu.fp => {
+                        fp_used += 1;
+                        cycle + LAT_FP_ALU
+                    }
+                    OpClass::FpMul if fp_used < self.fu.fp => {
+                        fp_used += 1;
+                        cycle + LAT_FP_MUL
+                    }
+                    OpClass::Load if loads_used < self.cfg.load_ports => {
+                        loads_used += 1;
+                        self.mem.load(addr, cycle + LAT_AGEN)
+                    }
+                    OpClass::Store if stores_used < self.cfg.store_ports => {
+                        stores_used += 1;
+                        cycle + LAT_AGEN
+                    }
+                    OpClass::Branch if int_used < self.fu.int_alu => {
+                        int_used += 1;
+                        cycle + LAT_BRANCH
+                    }
+                    _ => continue,
+                };
+                self.ready.remove(slot);
+                self.complete(slot, complete);
+                issued += 1;
             }
-            issued += 1;
         }
-        (issued, blocked)
+        issued
+    }
+
+    /// Makes the entry at `slot` issuable from cycle `ready_at` on.
+    fn schedule(&mut self, slot: usize, ready_at: u64) {
+        if ready_at <= self.cycle + 1 {
+            self.soon.insert(slot);
+        } else {
+            self.wake.push(Reverse((ready_at, slot as u32)));
+        }
+    }
+
+    /// Records that the entry at `slot` completes at `complete`, redirects
+    /// the front end if it is the mispredicted branch fetch waits on, and
+    /// schedules every consumer whose last producer this was.
+    fn complete(&mut self, slot: usize, complete: u64) {
+        let entry = &mut self.rob[slot];
+        entry.complete = complete;
+        let mut link = std::mem::replace(&mut entry.consumers, NIL);
+        if entry.mispredicted && self.stalled_on_branch == Some(entry.seq) {
+            // Redirect the front end when the branch resolves, plus the
+            // frequency-derived minimum pipeline-refill penalty.
+            let penalty = self.mem.timing().mispredict_penalty;
+            self.fetch_stall_until = complete + penalty;
+            self.stall_cause = StallCause::Branch;
+            self.stalled_on_branch = None;
+        }
+        while link != NIL {
+            let consumer_slot = (link >> 1) as usize;
+            let consumer = &mut self.rob[consumer_slot];
+            link = consumer.next[(link & 1) as usize];
+            consumer.ready_at = consumer.ready_at.max(complete);
+            consumer.waiting -= 1;
+            if consumer.waiting == 0 {
+                let ready_at = consumer.ready_at;
+                self.schedule(consumer_slot, ready_at);
+            }
+        }
     }
 
     /// Earliest future cycle at which anything can change, used to skip
     /// idle cycles. `None` when no bound is known.
     fn next_event(&self) -> Option<u64> {
+        // Called only after a cycle in which nothing issued or dispatched:
+        // nothing was scheduled, and with every issue limit at least one,
+        // nothing was left ready.
+        debug_assert!(self.ready.is_empty() && self.soon.is_empty());
         let mut t = u64::MAX;
-        if let Some(front) = self.rob.front() {
-            if front.issued {
-                t = t.min(front.complete);
-            }
+        if self.rob_len() > 0 {
+            t = self.rob[self.slot(self.head)].complete;
         }
-        for e in &self.rob {
-            if e.issued {
-                continue;
-            }
-            let dep_time = |dep: u64| -> Option<u64> {
-                if dep == u64::MAX {
-                    Some(0)
-                } else {
-                    let c = self.complete_at[(dep % RING as u64) as usize];
-                    if c == u64::MAX {
-                        None // producer not yet issued: unbounded here
-                    } else {
-                        Some(c)
-                    }
-                }
-            };
-            if let (Some(a), Some(b)) = (dep_time(e.dep1), dep_time(e.dep2)) {
-                t = t.min(a.max(b).max(self.cycle + 1));
-            }
+        if let Some(&Reverse((ready_at, _))) = self.wake.peek() {
+            t = t.min(ready_at.max(self.cycle + 1));
         }
         if self.stalled_on_branch.is_none() && self.cycle < self.fetch_stall_until {
             t = t.min(self.fetch_stall_until);
         }
-        if t == u64::MAX {
-            None
-        } else {
-            Some(t)
-        }
+        (t != u64::MAX).then_some(t)
     }
 
     fn dispatch(&mut self) -> u32 {
         let mut dispatched = 0;
         for _ in 0..self.cfg.width {
-            if self.rob.len() >= self.cfg.rob_size as usize {
+            if self.rob_len() >= u64::from(self.cfg.rob_size) {
                 break;
             }
             let Some(&(instr, mispredicted)) = self.fetch_q.front() else {
@@ -467,29 +594,53 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
                 }
             }
             self.fetch_q.pop_front();
-            let seq = self.seq;
-            self.seq += 1;
-            self.complete_at[(seq % RING as u64) as usize] = u64::MAX;
-            let dep_seq = |d: u32| {
-                if d == 0 {
-                    u64::MAX
-                } else {
-                    seq.checked_sub(d as u64).unwrap_or(u64::MAX)
-                }
-            };
-            self.rob.push_back(RobEntry {
-                seq,
-                op: instr.op,
-                addr: instr.addr,
-                dep1: dep_seq(instr.dep1),
-                dep2: dep_seq(instr.dep2),
-                issued: false,
-                complete: u64::MAX,
-                mispredicted,
-            });
+            self.allocate(instr, mispredicted);
             dispatched += 1;
         }
         dispatched
+    }
+
+    /// Places `instr` at the tail of the reorder buffer and links it to
+    /// the producers it still waits on.
+    fn allocate(&mut self, instr: Instruction, mispredicted: bool) {
+        let seq = self.seq;
+        self.seq += 1;
+        let slot = self.slot(seq);
+        let mut entry = RobEntry {
+            seq,
+            addr: instr.addr,
+            complete: u64::MAX,
+            ready_at: 0,
+            consumers: NIL,
+            next: [NIL; 2],
+            waiting: 0,
+            op: instr.op,
+            mispredicted,
+        };
+        for (operand, distance) in [instr.dep1, instr.dep2].into_iter().enumerate() {
+            // Both operands may name one producer: wait on it once.
+            if distance == 0 || (operand == 1 && distance == instr.dep1) {
+                continue;
+            }
+            // A producer that has left the reorder buffer committed, so it
+            // completed by this cycle and cannot delay this instruction.
+            let producer = match seq.checked_sub(u64::from(distance)) {
+                Some(p) if p >= self.head => p,
+                _ => continue,
+            };
+            let producer = &mut self.rob[(producer & self.rob_mask) as usize];
+            if producer.complete == u64::MAX {
+                entry.next[operand] = producer.consumers;
+                producer.consumers = (slot as u32) << 1 | operand as u32;
+                entry.waiting += 1;
+            } else {
+                entry.ready_at = entry.ready_at.max(producer.complete);
+            }
+        }
+        self.rob[slot] = entry;
+        if entry.waiting == 0 {
+            self.schedule(slot, entry.ready_at);
+        }
     }
 
     fn next_instr(&mut self) -> Option<Instruction> {
@@ -525,7 +676,7 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
             return;
         }
         self.stall_cause = StallCause::None;
-        let cap = 2 * self.cfg.width as usize + 8;
+        let cap = fetch_queue_cap(&self.cfg);
         let mut fetched = 0;
         while fetched < self.cfg.width && self.fetch_q.len() < cap {
             let Some(instr) = self.next_instr() else {
@@ -751,6 +902,31 @@ mod tests {
             rb.ipc(),
             rf.ipc()
         );
+    }
+
+    #[test]
+    fn lookahead_bounds_the_instructions_pulled() {
+        for (width, rob_size) in [(4, 128), (8, 160), (6, 96), (2, 24)] {
+            let cfg = SimConfig {
+                width,
+                rob_size,
+                ..SimConfig::default()
+            };
+            for b in Benchmark::ALL {
+                let generator = TraceGenerator::new(b);
+                let pulled = std::cell::Cell::new(0u64);
+                let trace = generator
+                    .interval(1)
+                    .inspect(|_| pulled.set(pulled.get() + 1));
+                crate::simulate_with_warmup(&cfg, trace, 500, 2_000);
+                assert!(
+                    pulled.get() <= 2_500 + lookahead(&cfg),
+                    "{}: pulled {} with width {width}, rob {rob_size}",
+                    b.name(),
+                    pulled.get()
+                );
+            }
+        }
     }
 
     #[test]

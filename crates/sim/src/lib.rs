@@ -42,6 +42,7 @@ pub mod memory;
 pub mod result;
 
 pub use config::{CacheParams, ConfigError, DerivedTiming, SimConfig, WritePolicy};
+pub use engine::lookahead;
 pub use result::SimResult;
 
 use archpredict_workloads::Instruction;

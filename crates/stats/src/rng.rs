@@ -209,13 +209,29 @@ impl Xoshiro256 {
     /// Panics if `weights` is empty or the weights do not sum to a positive
     /// finite value.
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
+        self.weighted_pick(weights.iter().copied())
+    }
+
+    /// [`Xoshiro256::weighted_index`] over weights produced by an
+    /// iterator, so callers can pick from weights stored inside other
+    /// records without collecting them. Clones of the iterator walk the
+    /// weights in the same order with the same arithmetic and fallback, so
+    /// both methods draw identical indices from identical weights.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`Xoshiro256::weighted_index`].
+    pub fn weighted_pick<I>(&mut self, weights: I) -> usize
+    where
+        I: Iterator<Item = f64> + Clone,
+    {
+        let total: f64 = weights.clone().sum();
         assert!(
             total > 0.0 && total.is_finite(),
             "weights must sum to a positive finite value"
         );
         let mut x = self.next_f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
+        for (i, w) in weights.clone().enumerate() {
             if x < w {
                 return i;
             }
@@ -223,8 +239,10 @@ impl Xoshiro256 {
         }
         // Floating-point slack: fall back to the last positive-weight entry.
         weights
-            .iter()
-            .rposition(|&w| w > 0.0)
+            .enumerate()
+            .filter(|&(_, w)| w > 0.0)
+            .last()
+            .map(|(i, _)| i)
             .expect("at least one positive weight")
     }
 }
@@ -319,6 +337,19 @@ mod tests {
         let var = sum2 / n as f64 - mean * mean;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.03, "var {var}");
+    }
+
+    #[test]
+    fn weighted_pick_draws_what_weighted_index_draws() {
+        let weights = [0.0, 0.3, 1e-300, 2.5, 0.0, 0.7];
+        let mut a = Xoshiro256::seed_from(5);
+        let mut b = a;
+        for _ in 0..1000 {
+            assert_eq!(
+                a.weighted_index(&weights),
+                b.weighted_pick(weights.iter().copied())
+            );
+        }
     }
 
     #[test]

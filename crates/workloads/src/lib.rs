@@ -32,11 +32,13 @@
 //! ```
 
 pub mod instr;
+pub mod packed;
 pub mod profile;
 pub mod spec;
 pub mod trace;
 
 pub use instr::{Instruction, OpClass};
+pub use packed::{PackedInterval, Replay};
 pub use profile::{BranchMix, MemoryMix, OpMix, Phase, WorkloadProfile};
 pub use spec::Benchmark;
 pub use trace::{IntervalTrace, TraceGenerator};

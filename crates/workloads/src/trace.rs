@@ -297,14 +297,8 @@ impl IntervalTrace<'_> {
     }
 
     fn choose_region(&mut self) -> usize {
-        let weights: Vec<f64> = self
-            .phase()
-            .memory
-            .regions
-            .iter()
-            .map(|r| r.weight)
-            .collect();
-        self.rng.weighted_index(&weights)
+        let regions = &self.generator.profile.phases[self.phase_idx].memory.regions;
+        self.rng.weighted_pick(regions.iter().map(|r| r.weight))
     }
 
     fn emit_branch(&mut self) -> Instruction {
