@@ -34,20 +34,24 @@
 //! redirect) instead of another scan.
 
 use crate::branch::{Btb, TournamentPredictor};
-use crate::config::{FuThroughput, SimConfig};
+use crate::config::SimConfig;
 use crate::memory::MemoryHierarchy;
 use crate::result::SimResult;
 use archpredict_workloads::{Instruction, OpClass};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Execution latencies (cycles) by op family; loads add memory time.
-const LAT_INT_ALU: u64 = 1;
-const LAT_INT_MUL: u64 = 8;
-const LAT_FP_ALU: u64 = 4;
-const LAT_FP_MUL: u64 = 6;
-const LAT_AGEN: u64 = 1;
-const LAT_BRANCH: u64 = 1;
+/// Per-cycle issue units: integer ALU (which also resolves branches),
+/// multiply, floating point, load port, store port.
+const UNITS: usize = 5;
+
+/// Issue unit of each op class, indexed by [`OpClass::index`].
+const UNIT: [usize; 7] = [0, 1, 2, 2, 3, 4, 0];
+
+/// Execution latency (cycles) of each op class, indexed by
+/// [`OpClass::index`]; a load's is its address generation, after which
+/// the memory hierarchy adds its own time.
+const LATENCY: [u64; 7] = [1, 8, 4, 6, 1, 1, 1];
 
 /// Front-end bubble when a predicted-taken branch misses in the BTB.
 const BTB_BUBBLE: u64 = 2;
@@ -161,7 +165,8 @@ impl SlotSet {
 #[derive(Debug)]
 pub(crate) struct Engine<I: Iterator<Item = Instruction>> {
     cfg: SimConfig,
-    fu: FuThroughput,
+    /// Issue limit per cycle of each of the [`UNITS`].
+    unit_limits: [u32; UNITS],
     mem: MemoryHierarchy,
     predictor: TournamentPredictor,
     btb: Btb,
@@ -232,8 +237,9 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
     pub(crate) fn with_warmup(cfg: &SimConfig, trace: I, warmup: u64, measured: u64) -> Self {
         let mem = MemoryHierarchy::new(cfg);
         let rob_slots = (cfg.rob_size as usize).next_power_of_two();
+        let fu = cfg.fu_throughput();
         Self {
-            fu: cfg.fu_throughput(),
+            unit_limits: [fu.int_alu, fu.mul, fu.fp, cfg.load_ports, cfg.store_ports],
             predictor: TournamentPredictor::new(cfg.predictor_entries),
             btb: Btb::new(cfg.btb_sets),
             mem,
@@ -423,11 +429,7 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
             return 0;
         }
         let mut issued = 0u32;
-        let mut int_used = 0u32;
-        let mut fp_used = 0u32;
-        let mut mul_used = 0u32;
-        let mut loads_used = 0u32;
-        let mut stores_used = 0u32;
+        let mut used = [0u32; UNITS];
         // Age order is slot order starting at the head's slot: its word
         // from the head's bit up, the other words in turn, then the
         // head's word below its bit. Entries a busy unit turns away stay
@@ -454,36 +456,16 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
                 bits &= bits - 1;
                 let slot = word * 64 + bit as usize;
                 let RobEntry { op, addr, .. } = self.rob[slot];
-                let complete = match op {
-                    OpClass::IntAlu if int_used < self.fu.int_alu => {
-                        int_used += 1;
-                        cycle + LAT_INT_ALU
-                    }
-                    OpClass::IntMul if mul_used < self.fu.mul => {
-                        mul_used += 1;
-                        cycle + LAT_INT_MUL
-                    }
-                    OpClass::FpAlu if fp_used < self.fu.fp => {
-                        fp_used += 1;
-                        cycle + LAT_FP_ALU
-                    }
-                    OpClass::FpMul if fp_used < self.fu.fp => {
-                        fp_used += 1;
-                        cycle + LAT_FP_MUL
-                    }
-                    OpClass::Load if loads_used < self.cfg.load_ports => {
-                        loads_used += 1;
-                        self.mem.load(addr, cycle + LAT_AGEN)
-                    }
-                    OpClass::Store if stores_used < self.cfg.store_ports => {
-                        stores_used += 1;
-                        cycle + LAT_AGEN
-                    }
-                    OpClass::Branch if int_used < self.fu.int_alu => {
-                        int_used += 1;
-                        cycle + LAT_BRANCH
-                    }
-                    _ => continue,
+                let unit = UNIT[op.index()];
+                if used[unit] == self.unit_limits[unit] {
+                    continue;
+                }
+                used[unit] += 1;
+                let executed = cycle + LATENCY[op.index()];
+                let complete = if op == OpClass::Load {
+                    self.mem.load(addr, executed)
+                } else {
+                    executed
                 };
                 self.ready.remove(slot);
                 self.complete(slot, complete);
