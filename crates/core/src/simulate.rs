@@ -436,7 +436,7 @@ impl StudyEvaluator {
     /// has its widest fetch and deepest reorder buffer. A simulation that
     /// reads past a buffer continues from the live generator, so results
     /// are exact either way.
-    pub fn traces(&self) -> &[PackedInterval] {
+    fn traces(&self) -> &[PackedInterval] {
         self.traces.get_or_init(|| {
             let largest = self.space.point(self.space.size() - 1);
             let config = self.study.config_at(&self.space, &largest);

@@ -16,22 +16,22 @@
 //! * in-order commit limited by commit width, with stores draining to the
 //!   memory hierarchy at commit time.
 //!
-//! Issue is event-driven rather than a scan of the reorder buffer. Each
-//! entry counts its producers that have not issued yet, and each producer
-//! links the entries waiting on it (an intrusive list: one link per
-//! operand, so nothing is allocated per instruction). When a producer
-//! issues, its completion cycle is known, so each waiter whose count
-//! drops to zero is scheduled for the cycle its last operand completes:
-//! into a set for the next cycle when that is at most one cycle away, and
-//! into a wake queue ordered by cycle otherwise. At the start of a cycle
-//! both release every entry due by then into the ready set, a bitmap over
-//! reorder-buffer slots, and issue walks that bitmap from the head of the
-//! buffer — oldest first — under the same width, functional-unit and port
-//! limits a full scan applies. The entries a scan would find ready, and
-//! the order it would visit them in, are exactly the ready set's, so
-//! memory accesses and results are the same. The idle-cycle skip's next
-//! event is the minimum of three heads (reorder buffer, wake queue, fetch
-//! redirect) instead of another scan.
+//! Issue is event-driven. Each entry counts its producers that have not
+//! issued yet, and each producer links the entries waiting on it (an
+//! intrusive list: one link per operand, so nothing is allocated per
+//! instruction). When a producer issues, its completion cycle is known,
+//! so each waiter whose count drops to zero is scheduled for the cycle
+//! its last operand completes: into a set for the next cycle when that is
+//! at most one cycle away, and into a wake queue ordered by cycle
+//! otherwise. At the start of a cycle both release every entry due by
+//! then into the ready set, a bitmap over reorder-buffer slots, and issue
+//! walks that bitmap from the head of the buffer — oldest first — under
+//! the width, functional-unit and port limits. These are exactly the
+//! entries, in exactly the order, that a scan of the whole buffer for
+//! completed operands would visit, which is what keeps memory accesses
+//! and results independent of this bookkeeping. The idle-cycle skip's
+//! next event is the minimum of three heads: reorder buffer, wake queue,
+//! fetch redirect.
 
 use crate::branch::{Btb, TournamentPredictor};
 use crate::config::SimConfig;

@@ -340,19 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_pick_draws_what_weighted_index_draws() {
-        let weights = [0.0, 0.3, 1e-300, 2.5, 0.0, 0.7];
-        let mut a = Xoshiro256::seed_from(5);
-        let mut b = a;
-        for _ in 0..1000 {
-            assert_eq!(
-                a.weighted_index(&weights),
-                b.weighted_pick(weights.iter().copied())
-            );
-        }
-    }
-
-    #[test]
     fn geometric_mean_matches_theory() {
         let mut rng = Xoshiro256::seed_from(11);
         let p = 0.25;

@@ -107,11 +107,6 @@ impl PackedInterval {
         Self { interval, instrs }
     }
 
-    /// The interval this buffer holds.
-    pub fn interval(&self) -> usize {
-        self.interval
-    }
-
     /// Instructions held.
     pub fn len(&self) -> usize {
         self.instrs.len()
@@ -128,7 +123,7 @@ impl PackedInterval {
     }
 
     /// The interval's instruction stream: the packed instructions, then
-    /// `generator.interval(self.interval())` from where they end. Equal to
+    /// the live `generator.interval(…)` from where they end. Equal to
     /// the live stream except that the packed instructions carry `bb = 0`.
     /// `generator` must be the one the buffer was packed from.
     pub fn replay<'a>(&'a self, generator: &'a TraceGenerator) -> Replay<'a> {
