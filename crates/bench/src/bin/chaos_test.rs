@@ -454,8 +454,6 @@ fn daemon_args(root: &Path) -> Vec<String> {
         "127.0.0.1:0",
         "--root",
         &root.display().to_string(),
-        "--tick-ms",
-        "1",
         "--gate-wait-ms",
         "2000",
         "--drain-ms",

@@ -124,7 +124,7 @@ fn main() {
 
     // Spawn the real daemon on an ephemeral port and scrape its address.
     let bin = locate_served_binary().expect("daemon binary");
-    let args: Vec<String> = ["--addr", "127.0.0.1:0", "--root", &root, "--tick-ms", "1"]
+    let args: Vec<String> = ["--addr", "127.0.0.1:0", "--root", &root]
         .iter()
         .map(ToString::to_string)
         .collect();

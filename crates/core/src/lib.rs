@@ -47,8 +47,8 @@
 //!   (zero fits, zero simulations) or driving a campaign exactly once.
 //! * [`serve`] — the prediction daemon behind `archpredict-served`:
 //!   HTTP/1.1 over `std::net`, multiplexing campaigns and prediction
-//!   requests, coalescing concurrent predictions into one batched
-//!   `infer` sweep per tick.
+//!   requests, coalescing concurrent predictions into batched `infer`
+//!   sweeps by group commit.
 //! * [`sampling`] — random (paper) and active-learning (§7) strategies.
 //! * [`infer`] — the batched, allocation-free, parallel inference engine
 //!   behind full-space sweeps and committee scoring.

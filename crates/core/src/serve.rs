@@ -7,8 +7,7 @@
 //! prediction requests over plain HTTP/1.1 on `std::net` (no external
 //! dependencies, the same hand-rolled-protocol discipline as the worker
 //! crate's pipe protocol), and **coalesces** concurrent predictions
-//! against the same model into one batched [`crate::infer`] sweep per
-//! tick.
+//! against the same model into batched [`crate::infer`] sweeps.
 //!
 //! # Protocol
 //!
@@ -35,15 +34,16 @@
 //!
 //! # Coalescing and bit-identity
 //!
-//! Concurrent `/predict` calls for one model elect a leader: the first
-//! arrival waits one tick for followers to pile in, concatenates all
-//! queued index lists, runs **one** [`infer::predict_indices`] sweep and
-//! scatters the results back. Because inference is per-index
-//! deterministic (each output depends only on its own index — the
-//! [`crate::infer`] determinism contract), coalesced predictions are
-//! bit-for-bit identical to what each caller would have computed alone,
-//! at any batch composition. Responses carry `SimStats`-style telemetry:
-//! model cache hit/miss, model age, and the size of the coalesced batch.
+//! Concurrent `/predict` calls for one model group-commit: each queues
+//! its job and takes the model's sweep lock, and the holder runs **one**
+//! [`infer::predict_indices`] sweep over every queued job. A lone request
+//! sweeps at once; jobs queued during a sweep form the next. Because
+//! inference is per-index deterministic (each output depends only on
+//! its own index — the [`crate::infer`] determinism contract), coalesced
+//! predictions are bit-for-bit identical to what each caller would have
+//! computed alone, at any batch composition. Responses carry
+//! `SimStats`-style telemetry: model cache hit/miss, model age, and the
+//! size of the coalesced batch.
 //!
 //! # Resource bounds and load shedding
 //!
@@ -75,9 +75,9 @@
 //!
 //! Each connection runs its handler under `catch_unwind`: a panicking
 //! handler answers that client `500`, increments `panics_caught`, and
-//! the daemon keeps serving. A panic inside a coalescing leader's sweep
-//! fails every follower in the batch with a `500` as well — no follower
-//! is left waiting on a dead leader. The dispatch path and the sweep
+//! the daemon keeps serving. A panic inside a sweep fails every request
+//! in its batch with a `500` as well, and the next request on that model
+//! sweeps normally. The dispatch path and the sweep
 //! carry [`crate::failpoint`] sites ([`FP_HANDLER`], [`FP_SWEEP`]) so
 //! chaos schedules can inject exactly these failures.
 
@@ -97,7 +97,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Upper bound on request bodies (a full-space index list is ~10 MB of
@@ -111,17 +111,18 @@ const MAX_HEADERS: usize = 64;
 /// drain, in bounded time (a fit may run for minutes between the two —
 /// the timeout is per read/write call, not per request).
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
-/// How often the (nonblocking) accept loop re-checks the shutdown and
-/// signal flags while no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// Longest the accept loop waits in `poll(2)` between flag checks: the
+/// bound for a signal that lands between the check and the `poll` call.
+#[cfg(unix)]
+const SIGNAL_BACKSTOP_MS: i32 = 200;
 
 /// Failpoint site evaluated at the top of every request dispatch. The
 /// `panic` action exercises per-connection panic isolation; `error`
 /// fails the request with a `500`.
 pub const FP_HANDLER: &str = "serve.handler";
-/// Failpoint site evaluated inside the coalescing leader's sweep, under
-/// the same `catch_unwind` isolation as the inference itself — firing
-/// `panic` here must fail every follower in the batch, not hang them.
+/// Failpoint site evaluated inside a coalesced sweep, under the same
+/// `catch_unwind` isolation as the inference itself — firing `panic`
+/// here must fail every request in the batch, not hang them.
 pub const FP_SWEEP: &str = "serve.sweep";
 
 /// Set by the SIGTERM/SIGINT handler; the accept loop treats it exactly
@@ -135,9 +136,9 @@ pub fn shutdown_signaled() -> bool {
 }
 
 /// Routes SIGTERM and SIGINT into the graceful-drain path: the handler
-/// only sets an atomic flag, which the accept loop polls every
-/// few milliseconds, so the daemon drains instead of dying mid-commit.
-/// Process-global; call once from the binary's `main`.
+/// only sets an atomic flag. Delivery interrupts the accept loop's
+/// `poll(2)`, which then sees the flag, so the daemon drains instead of
+/// dying mid-commit. Process-global; call once from the binary's `main`.
 #[cfg(unix)]
 pub fn install_signal_handlers() {
     extern "C" fn on_signal(_signum: i32) {
@@ -158,13 +159,43 @@ pub fn install_signal_handlers() {
 #[cfg(not(unix))]
 pub fn install_signal_handlers() {}
 
+/// Returns once `listener` has a connection pending, a signal handler
+/// has run (`poll` fails with `EINTR` then, even under `SA_RESTART`), or
+/// [`SIGNAL_BACKSTOP_MS`] has passed.
+#[cfg(unix)]
+fn wait_for_connection(listener: &TcpListener) {
+    /// `struct pollfd` from `<poll.h>`.
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    extern "C" {
+        /// `nfds` is `nfds_t`, an `unsigned long` on Linux.
+        fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x1;
+    let mut pollfd = PollFd {
+        fd: std::os::fd::AsRawFd::as_raw_fd(listener),
+        events: POLLIN,
+        revents: 0,
+    };
+    // SAFETY: one initialized `pollfd` (matching `nfds = 1`) that outlives
+    // the call, naming the listener's open descriptor.
+    unsafe { poll(&mut pollfd, 1, SIGNAL_BACKSTOP_MS) };
+}
+
+/// Off Unix no signal needs the accept loop: it blocks in `accept`, and a
+/// drain's self-connect wakes it.
+#[cfg(not(unix))]
+fn wait_for_connection(_listener: &TcpListener) {}
+
 /// Server policy.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Registry root the daemon loads from and fits into.
     pub registry_root: PathBuf,
-    /// How long a coalescing leader waits for followers before sweeping.
-    pub tick: Duration,
     /// Most connection threads alive at once (further accepts shed after
     /// [`ServeConfig::gate_wait`]).
     pub max_connections: usize,
@@ -182,7 +213,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             registry_root: PathBuf::from("results/registry"),
-            tick: Duration::from_millis(1),
             max_connections: 64,
             max_models: 32,
             gate_wait: Duration::from_secs(2),
@@ -212,18 +242,13 @@ impl ConnectionGate {
     /// `None` means the caller should shed the connection — the accept
     /// loop must never block indefinitely behind a saturated gate.
     fn acquire_timeout(self: &Arc<Self>, wait: Duration) -> Option<ConnectionPermit> {
-        let deadline = Instant::now() + wait;
-        let mut free = self.free.lock().expect("connection gate poisoned");
-        while *free == 0 {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            free = self
-                .freed
-                .wait_timeout(free, left)
-                .expect("connection gate poisoned")
-                .0;
+        let free = self.free.lock().expect("connection gate poisoned");
+        let (mut free, _) = self
+            .freed
+            .wait_timeout_while(free, wait, |free| *free == 0)
+            .expect("connection gate poisoned");
+        if *free == 0 {
+            return None;
         }
         *free -= 1;
         Some(ConnectionPermit {
@@ -234,19 +259,13 @@ impl ConnectionGate {
     /// Waits until every permit is back (all connection threads done) or
     /// `deadline` passes; `true` means fully idle.
     fn wait_idle(&self, deadline: Instant) -> bool {
-        let mut free = self.free.lock().expect("connection gate poisoned");
-        while *free < self.capacity {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return false;
-            }
-            free = self
-                .freed
-                .wait_timeout(free, left)
-                .expect("connection gate poisoned")
-                .0;
-        }
-        true
+        let free = self.free.lock().expect("connection gate poisoned");
+        let left = deadline.saturating_duration_since(Instant::now());
+        let (free, _) = self
+            .freed
+            .wait_timeout_while(free, left, |free| *free < self.capacity)
+            .expect("connection gate poisoned");
+        *free == self.capacity
     }
 }
 
@@ -271,13 +290,10 @@ struct ModelEntry {
     /// Logical access stamp (from [`ServerInner::clock`]) for LRU
     /// eviction.
     last_used: AtomicU64,
-    batch: Mutex<BatchState>,
-}
-
-#[derive(Default)]
-struct BatchState {
-    jobs: Vec<Job>,
-    leader_elected: bool,
+    /// Jobs waiting for the next sweep.
+    queue: Mutex<Vec<Job>>,
+    /// Held for the whole of a sweep: one sweep per model at a time.
+    sweep: Mutex<()>,
 }
 
 struct Job {
@@ -285,17 +301,9 @@ struct Job {
     slot: Arc<JobSlot>,
 }
 
-/// One job's share of a coalesced sweep, or why the sweep failed.
-type SweepShare = Result<(Vec<f64>, BatchTelemetry), String>;
-
-/// Where a follower waits for the leader's sweep to land. A leader that
-/// panics (or hits an injected sweep failure) fills every slot with the
-/// error before unwinding, so no follower is ever left waiting forever.
-#[derive(Default)]
-struct JobSlot {
-    done: Mutex<Option<SweepShare>>,
-    ready: Condvar,
-}
+/// Where a job's share of a sweep lands, or why the sweep failed. A sweep
+/// fills every slot of its batch before it releases the sweep lock.
+type JobSlot = Mutex<Option<Result<(Vec<f64>, BatchTelemetry), String>>>;
 
 /// What one coalesced sweep looked like, reported to every participant.
 #[derive(Debug, Clone, Copy)]
@@ -378,9 +386,8 @@ struct ServerInner {
     clock: AtomicU64,
     gate: Arc<ConnectionGate>,
     stats: ServeStats,
-    shutdown: AtomicBool,
-    /// Set when the drain begins; `/ready` answers 503 from then on
-    /// while `/health` stays 200 (readiness vs liveness).
+    /// Set when a drain is requested or begins; `/ready` answers 503 from
+    /// then on while `/health` stays 200 (readiness vs liveness).
     draining: AtomicBool,
 }
 
@@ -455,7 +462,6 @@ impl Server {
                 clock: AtomicU64::new(0),
                 gate,
                 stats: ServeStats::default(),
-                shutdown: AtomicBool::new(false),
                 draining: AtomicBool::new(false),
             }),
             listener,
@@ -474,29 +480,30 @@ impl Server {
     /// [`ServeConfig::gate_wait`], further connections are shed with
     /// `503` + `Retry-After` instead of queueing without bound.
     ///
-    /// The accept loop is nonblocking and polls the shutdown/signal
-    /// flags every few milliseconds, so a SIGTERM is observed promptly
-    /// even when no connection ever arrives.
+    /// Between connections the accept loop sleeps in `poll(2)` on the
+    /// listener. A connection, a shutdown request's self-connect, or a
+    /// signal wakes it at once, so an idle daemon drains promptly too.
     ///
     /// # Errors
     ///
     /// Fails only on accept-loop setup errors; per-connection errors are
     /// reported to that client and counted in `/stats`.
     pub fn run(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+        // Where `poll(2)` guards the accept, a wake-up with nothing pending
+        // must not block in it.
+        self.listener.set_nonblocking(cfg!(unix))?;
         loop {
-            if self.inner.shutdown.load(Ordering::SeqCst) || shutdown_signaled() {
+            wait_for_connection(&self.listener);
+            let accepted = self.listener.accept();
+            // Checked after the accept, so the drain's wake-up connection
+            // (or a client racing the drain) is dropped, not served.
+            if draining(&self.inner) {
                 break;
             }
-            let stream = match self.listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                    continue;
-                }
-                Err(_) => continue,
+            let Ok((stream, _)) = accepted else {
+                continue;
             };
-            // The listener is nonblocking; the per-connection socket must
+            // The listener may be nonblocking; the per-connection socket must
             // not be (its reads are bounded by IO_TIMEOUT instead).
             let _ = stream.set_nonblocking(false);
             match self.inner.gate.acquire_timeout(self.inner.config.gate_wait) {
@@ -517,13 +524,12 @@ impl Server {
         Ok(())
     }
 
-    /// Graceful drain: mark not-ready, close the listener **first** (new
-    /// connections are refused from here on), give in-flight connection
-    /// threads up to [`ServeConfig::drain_deadline`] to finish, then
-    /// flush a final stats snapshot to stderr.
+    /// Graceful drain, with readiness already at 503: close the listener
+    /// **first** (new connections are refused from here on), give
+    /// in-flight connection threads up to [`ServeConfig::drain_deadline`]
+    /// to finish, then flush a final stats snapshot to stderr.
     fn drain(self) {
         let Server { inner, listener } = self;
-        inner.draining.store(true, Ordering::SeqCst);
         drop(listener);
         let deadline = Instant::now() + inner.config.drain_deadline;
         if !inner.gate.wait_idle(deadline) {
@@ -555,11 +561,17 @@ impl ServerHandle {
     }
 
     /// Stops the daemon (graceful drain included) and joins its thread.
-    /// The accept loop polls the flag, so no network poke is needed.
     pub fn shutdown(self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        request_shutdown(&self.inner);
         let _ = self.thread.join();
     }
+}
+
+/// `POST /shutdown` and [`ServerHandle::shutdown`]: flip readiness, then
+/// wake the accept loop out of `poll(2)` with one throwaway connection.
+fn request_shutdown(inner: &ServerInner) {
+    inner.draining.store(true, Ordering::SeqCst);
+    let _ = TcpStream::connect(inner.addr);
 }
 
 /// Minimal HTTP/1.1 client for the daemon's protocol: one request, one
@@ -666,8 +678,8 @@ fn handle_connection(stream: TcpStream, inner: &ServerInner) {
     let _trace_scope = telemetry::set_trace(telemetry::fresh_trace_id());
     let _request_span = telemetry::span("serve.request");
     // Panic isolation: one request's panic answers that client with a
-    // 500 and leaves the daemon serving. The coalescing path guarantees
-    // a panicking leader fails its followers before unwinding to here.
+    // 500 and leaves the daemon serving. A panicking sweep fills every
+    // slot of its batch before unwinding to here.
     let dispatched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         dispatch(inner, &method, &path, &body)
     }));
@@ -701,9 +713,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 
 /// Whether the daemon is past the point of accepting new work.
 fn draining(inner: &ServerInner) -> bool {
-    inner.draining.load(Ordering::SeqCst)
-        || inner.shutdown.load(Ordering::SeqCst)
-        || shutdown_signaled()
+    inner.draining.load(Ordering::SeqCst) || shutdown_signaled()
 }
 
 fn health_json(inner: &ServerInner) -> Value {
@@ -742,10 +752,7 @@ fn dispatch(
         ("POST", "/fit") => handle_fit(inner, body),
         ("POST", "/predict") => handle_predict(inner, body),
         ("POST", "/shutdown") => {
-            // Flip readiness before the accept loop notices, so probes
-            // observe the drain from the first possible moment.
-            inner.draining.store(true, Ordering::SeqCst);
-            inner.shutdown.store(true, Ordering::SeqCst);
+            request_shutdown(inner);
             Ok(Value::Object(vec![("ok".into(), Value::Bool(true))]))
         }
         _ => Err(ServeError::not_found(format!(
@@ -1019,7 +1026,8 @@ fn resolve_model(
         ensemble: outcome.model,
         loaded_at: Instant::now(),
         last_used: AtomicU64::new(stamp),
-        batch: Mutex::new(BatchState::default()),
+        queue: Mutex::new(Vec::new()),
+        sweep: Mutex::new(()),
     });
     let mut models = inner.models.lock().expect("model map poisoned");
     // Bound the map: evict the least-recently-used model to make room.
@@ -1103,37 +1111,28 @@ fn handle_predict(inner: &ServerInner, body: &str) -> Result<Value, ServeError> 
     ]))
 }
 
-/// Queues one prediction job and either leads a coalesced sweep or waits
-/// for the elected leader's results (see module docs).
+/// Queues one prediction job and takes the model's sweep lock. If an
+/// earlier holder swept the job, its result is waiting; otherwise this
+/// request sweeps every queued job as one batch (see module docs).
 ///
-/// The leader runs its sweep under `catch_unwind`: on a panic (or an
-/// injected [`FP_SWEEP`] failure) every queued follower's slot is filled
-/// with the error before the leader unwinds, so followers fail with a
-/// `500` instead of waiting forever on a dead leader.
+/// The sweep runs under `catch_unwind`: on a panic (or an injected
+/// [`FP_SWEEP`] failure) every slot of the batch gets the error before the
+/// panic resumes. The unwind poisons the sweep lock, which the next
+/// request recovers, so a failed sweep cannot wedge the model.
 fn predict_coalesced(
     inner: &ServerInner,
     entry: &ModelEntry,
     indices: Vec<usize>,
 ) -> Result<(Vec<f64>, BatchTelemetry), ServeError> {
     let slot = Arc::new(JobSlot::default());
-    let is_leader = {
-        let mut state = entry.batch.lock().expect("batch state poisoned");
-        state.jobs.push(Job {
-            indices,
-            slot: Arc::clone(&slot),
-        });
-        let lead = !state.leader_elected;
-        state.leader_elected = true;
-        lead
-    };
-    if is_leader {
-        // Let concurrent callers pile onto the batch before sweeping.
-        std::thread::sleep(inner.config.tick);
-        let jobs = {
-            let mut state = entry.batch.lock().expect("batch state poisoned");
-            state.leader_elected = false;
-            std::mem::take(&mut state.jobs)
-        };
+    entry.queue.lock().expect("job queue poisoned").push(Job {
+        indices,
+        slot: Arc::clone(&slot),
+    });
+    // The lock guards no data a panicking holder could leave half-updated.
+    let _sweeping = entry.sweep.lock().unwrap_or_else(PoisonError::into_inner);
+    if slot.lock().expect("job slot poisoned").is_none() {
+        let jobs = std::mem::take(&mut *entry.queue.lock().expect("job queue poisoned"));
         let all: Vec<usize> = jobs
             .iter()
             .flat_map(|j| j.indices.iter().copied())
@@ -1142,8 +1141,8 @@ fn predict_coalesced(
             if let Some(failure) = failpoint::check(FP_SWEEP) {
                 return Err(failure.into_io_error(FP_SWEEP).to_string());
             }
-            // The leader's trace covers the whole coalesced sweep, so
-            // followers' work is attributed to the request that led it.
+            // The sweeping request's trace covers the whole batch, so the
+            // other jobs' work is attributed to the request that swept it.
             let _sweep_span = telemetry::span("serve.sweep");
             Ok(infer::predict_indices(
                 &entry.ensemble,
@@ -1154,8 +1153,7 @@ fn predict_coalesced(
         }));
         let fill_all = |message: String| {
             for job in &jobs {
-                *job.slot.done.lock().expect("job slot poisoned") = Some(Err(message.clone()));
-                job.slot.ready.notify_all();
+                *job.slot.lock().expect("job slot poisoned") = Some(Err(message.clone()));
             }
         };
         match swept {
@@ -1170,30 +1168,27 @@ fn predict_coalesced(
                 for job in jobs {
                     let span = predictions[offset..offset + job.indices.len()].to_vec();
                     offset += job.indices.len();
-                    *job.slot.done.lock().expect("job slot poisoned") = Some(Ok((span, batch)));
-                    job.slot.ready.notify_all();
+                    *job.slot.lock().expect("job slot poisoned") = Some(Ok((span, batch)));
                 }
             }
             Ok(Err(message)) => fill_all(format!("coalesced sweep failed: {message}")),
             Err(panic) => {
                 fill_all(format!(
-                    "coalescing leader panicked: {}",
+                    "coalesced sweep panicked: {}",
                     panic_message(panic.as_ref())
                 ));
-                // The leader's own connection still reports the panic
-                // (500 + panics_caught) through handle_connection.
+                // The sweeping request's own connection still reports the
+                // panic (500 + panics_caught) through handle_connection.
                 std::panic::resume_unwind(panic);
             }
         }
     }
-    let mut done = slot.done.lock().expect("job slot poisoned");
-    while done.is_none() {
-        done = slot.ready.wait(done).expect("job slot poisoned");
-    }
-    match done.take().expect("checked above") {
-        Ok(result) => Ok(result),
-        Err(message) => Err(ServeError::internal(message)),
-    }
+    let share = slot
+        .lock()
+        .expect("job slot poisoned")
+        .take()
+        .expect("a sweep fills every slot of its batch before releasing the lock");
+    share.map_err(ServeError::internal)
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! run.
 //!
 //! ```text
-//! archpredict-served [--addr 127.0.0.1:0] [--root results/registry] [--tick-ms 1]
+//! archpredict-served [--addr 127.0.0.1:0] [--root results/registry]
 //!                    [--max-connections 64] [--max-models 32]
 //!                    [--gate-wait-ms 2000] [--drain-ms 30000]
 //! ```
@@ -42,7 +42,6 @@ fn run() -> Result<(), String> {
         match arg.as_str() {
             "--addr" => addr = value("--addr")?,
             "--root" => config.registry_root = value("--root")?.into(),
-            "--tick-ms" => config.tick = millis("--tick-ms", value("--tick-ms")?)?,
             "--max-connections" => {
                 config.max_connections = value("--max-connections")?
                     .parse()
@@ -61,8 +60,8 @@ fn run() -> Result<(), String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: archpredict-served [--addr HOST:PORT] [--root DIR] [--tick-ms N] \
-                     [--max-connections N] [--max-models N] [--gate-wait-ms N] [--drain-ms N]"
+                    "usage: archpredict-served [--addr HOST:PORT] [--root DIR] [--max-connections N] \
+                     [--max-models N] [--gate-wait-ms N] [--drain-ms N]"
                 );
                 return Ok(());
             }

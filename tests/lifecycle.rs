@@ -1,21 +1,29 @@
 //! Lifecycle integration for the serving daemon: graceful SIGTERM drain
 //! with in-flight work against the real `archpredict-served` binary,
-//! per-connection panic isolation, load shedding under a saturated
-//! connection gate, and the readiness/liveness split.
+//! prompt shutdown of an idle daemon, per-connection panic isolation,
+//! group-commit sweeps and their failure path, load shedding under a
+//! saturated connection gate, and the readiness/liveness split.
 //!
 //! The real-daemon test builds `archpredict-served` on demand (same
 //! profile as this test binary) so the suite passes under plain
 //! `cargo test`. In-process tests that arm failpoints serialize on a
 //! lock because failpoint state is process-global.
 
+use archpredict::campaign::CampaignConfig;
 use archpredict::failpoint::{self, FailAction, SiteSpec};
-use archpredict::serve::{http_request, ServeConfig, Server, FP_HANDLER};
+use archpredict::infer;
+use archpredict::registry::{Registry, StudyFitSpec};
+use archpredict::serve::{http_request, ServeConfig, Server, ServerHandle, FP_HANDLER, FP_SWEEP};
+use archpredict::studies::Study;
+use archpredict_ann::Parallelism;
+use archpredict_stats::json::Value;
+use archpredict_workloads::Benchmark;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Serializes failpoint-armed sections across test threads; the guard
 /// disarms everything on drop (panic included).
@@ -53,6 +61,79 @@ fn fit_body() -> String {
     format!(
         r#"{{"study":"memory","app":"gzip","seed":"{SEED:x}","budget":{BUDGET},"batch":5,"quick":true}}"#
     )
+}
+
+/// Indices every `/predict` in this file asks for.
+const PROBE: [usize; 6] = [0, 1, 17, 999, 12_345, 23_039];
+
+fn predict_body() -> String {
+    let indices = PROBE.map(|i| i.to_string()).join(",");
+    format!(
+        r#"{{"study":"memory","app":"gzip","seed":"{SEED:x}","budget":{BUDGET},"batch":5,"quick":true,"indices":[{indices}]}}"#
+    )
+}
+
+/// Starts an in-process server on `root` and fits [`fit_body`]'s model.
+fn serve_fitted(root: &Path) -> ServerHandle {
+    let handle = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            registry_root: root.to_path_buf(),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap()
+    .spawn();
+    let (status, reply) = http_request(handle.addr(), "POST", "/fit", Some(&fit_body())).unwrap();
+    assert_eq!(status, 200, "fit failed: {}", reply.to_json());
+    handle
+}
+
+/// [`PROBE`] predicted locally from the artifact the daemon committed.
+fn local_predictions(root: &Path) -> Vec<f64> {
+    let spec = StudyFitSpec {
+        study: Study::MemorySystem,
+        benchmark: Benchmark::Gzip,
+        config: CampaignConfig {
+            seed: SEED,
+            max_samples: BUDGET,
+            batch: 5,
+            ..CampaignConfig::default()
+        },
+        quick: true,
+    };
+    let artifact = Registry::open(root)
+        .unwrap()
+        .get(&spec.key(), spec.fingerprint())
+        .unwrap()
+        .expect("the daemon committed the artifact");
+    infer::predict_indices(
+        &artifact.model,
+        &spec.study.space(),
+        &PROBE,
+        Parallelism::Auto,
+    )
+}
+
+/// Asserts a `/predict` reply is a 200 carrying exactly `local`'s bits.
+fn assert_served_bits(status: u16, reply: &Value, local: &[f64]) {
+    assert_eq!(status, 200, "predict failed: {}", reply.to_json());
+    let served: Vec<u64> = reply
+        .get("predictions")
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|v| v.as_f64().unwrap().to_bits())
+        .collect();
+    let local: Vec<u64> = local.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(served, local, "served predictions diverged");
+}
+
+fn stat(addr: SocketAddr, name: &str) -> u64 {
+    let (status, stats) = http_request(addr, "GET", "/stats", None).unwrap();
+    assert_eq!(status, 200);
+    stats.get(name).unwrap().as_u64().unwrap()
 }
 
 /// Locates `archpredict-served`, building it first if this test binary
@@ -102,7 +183,7 @@ impl Drop for DaemonGuard {
 fn spawn_daemon(root: &Path, failpoints: Option<&str>) -> (DaemonGuard, SocketAddr) {
     let mut command = Command::new(served_binary());
     command
-        .args(["--addr", "127.0.0.1:0", "--tick-ms", "1", "--root"])
+        .args(["--addr", "127.0.0.1:0", "--root"])
         .arg(root)
         .stdout(Stdio::piped());
     match failpoints {
@@ -183,6 +264,119 @@ fn sigterm_drains_in_flight_work_then_a_restart_answers_warm() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// SIGTERM reaches an idle daemon too: no connection ever arrives to
+/// wake its accept loop, and the signal alone must start the drain.
+#[test]
+fn sigterm_stops_an_idle_daemon_within_a_second() {
+    let root = temp_root("idle_term");
+    let (mut daemon, _) = spawn_daemon(&root, None);
+    signal(daemon.0.id(), "TERM");
+    let signaled = Instant::now();
+    let exit = loop {
+        if let Some(exit) = daemon.0.try_wait().expect("poll daemon") {
+            break exit;
+        }
+        assert!(
+            signaled.elapsed() < Duration::from_secs(1),
+            "idle daemon still running 1 s after SIGTERM"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(exit.success(), "SIGTERM drain must exit 0, got {exit}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// [`ServerHandle::shutdown`] on a server that never accepted a
+/// connection returns promptly.
+#[test]
+fn idle_server_handle_shuts_down_within_a_second() {
+    let root = temp_root("idle_handle");
+    let handle = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            registry_root: root.clone(),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap()
+    .spawn();
+    let started = Instant::now();
+    handle.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "idle shutdown took {:?}",
+        started.elapsed()
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Group commit: a request that finds no sweep running sweeps alone, and
+/// the requests that queue behind a running sweep share the next one —
+/// two sweeps for five requests, every reply bit-identical to local
+/// inference.
+#[test]
+fn requests_queued_behind_a_sweep_share_the_next_one() {
+    let hold = SiteSpec::once(FailAction::Delay(Duration::from_millis(300)));
+    let _armed = arm(1, &[(FP_SWEEP, hold)]);
+    let root = temp_root("coalesce");
+    let handle = serve_fitted(&root);
+    let addr = handle.addr();
+    let local = local_predictions(&root);
+    let (batches, jobs) = (stat(addr, "predict_batches"), stat(addr, "coalesced_jobs"));
+
+    let body = predict_body();
+    let replies: Vec<(u16, Value)> = std::thread::scope(|scope| {
+        let predict = || http_request(addr, "POST", "/predict", Some(&body)).unwrap();
+        let first = scope.spawn(predict);
+        // The site fires as the first sweep starts, then holds it.
+        while failpoint::fired(FP_SWEEP) == 0 {
+            assert!(!first.is_finished(), "first /predict never swept");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let queued: Vec<_> = (0..4).map(|_| scope.spawn(predict)).collect();
+        std::iter::once(first)
+            .chain(queued)
+            .map(|h| h.join().unwrap())
+            .collect()
+    });
+
+    assert_eq!(stat(addr, "predict_batches") - batches, 2);
+    assert_eq!(stat(addr, "coalesced_jobs") - jobs, 5);
+    for (status, reply) in &replies {
+        assert_served_bits(*status, reply, &local);
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A sweep that panics answers its batch with 500s and poisons the
+/// model's sweep lock; the next request recovers the lock and gets the
+/// right bits, so one failed sweep cannot wedge the model.
+#[test]
+fn panicking_sweep_fails_its_batch_and_the_model_keeps_serving() {
+    let _armed = arm(1, &[(FP_SWEEP, SiteSpec::once(FailAction::Panic))]);
+    let root = temp_root("sweep_panic");
+    let handle = serve_fitted(&root);
+    let addr = handle.addr();
+    let local = local_predictions(&root);
+    let panics = stat(addr, "panics_caught");
+
+    let body = predict_body();
+    let (status, reply) = http_request(addr, "POST", "/predict", Some(&body)).unwrap();
+    assert_eq!(
+        status,
+        500,
+        "the armed panic surfaces as a 500: {}",
+        reply.to_json()
+    );
+    assert_eq!(stat(addr, "panics_caught") - panics, 1);
+
+    let (status, reply) = http_request(addr, "POST", "/predict", Some(&body)).unwrap();
+    assert_served_bits(status, &reply, &local);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// A panicking handler answers 500, is counted, and takes down neither
 /// the daemon nor the next request.
 #[test]
@@ -193,7 +387,6 @@ fn handler_panic_is_isolated_counted_and_survivable() {
         "127.0.0.1:0",
         ServeConfig {
             registry_root: root.clone(),
-            tick: Duration::from_millis(1),
             ..ServeConfig::default()
         },
     )
@@ -248,7 +441,6 @@ fn saturated_gate_sheds_with_retry_after_and_recovers() {
         "127.0.0.1:0",
         ServeConfig {
             registry_root: root.clone(),
-            tick: Duration::from_millis(1),
             max_connections: 1,
             gate_wait: Duration::from_millis(50),
             ..ServeConfig::default()
@@ -300,7 +492,6 @@ fn ready_endpoint_reports_acceptance() {
         "127.0.0.1:0",
         ServeConfig {
             registry_root: root.clone(),
-            tick: Duration::from_millis(1),
             ..ServeConfig::default()
         },
     )

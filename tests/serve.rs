@@ -11,7 +11,6 @@ use archpredict::studies::Study;
 use archpredict_ann::Parallelism;
 use archpredict_workloads::Benchmark;
 use std::path::PathBuf;
-use std::time::Duration;
 
 fn temp_root(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -50,7 +49,6 @@ fn served_predictions_are_bit_identical_and_second_fit_is_warm() {
         "127.0.0.1:0",
         ServeConfig {
             registry_root: root.clone(),
-            tick: Duration::from_millis(1),
             ..ServeConfig::default()
         },
     )
@@ -151,7 +149,6 @@ fn predict_without_fit_refuses_and_daemon_reloads_across_restarts() {
     let root = temp_root("restart");
     let config = || ServeConfig {
         registry_root: root.clone(),
-        tick: Duration::from_millis(1),
         ..ServeConfig::default()
     };
 
@@ -185,7 +182,6 @@ fn model_map_is_bounded_and_evicted_models_reload_warm() {
         "127.0.0.1:0",
         ServeConfig {
             registry_root: root.clone(),
-            tick: Duration::from_millis(1),
             max_models: 1,
             ..ServeConfig::default()
         },

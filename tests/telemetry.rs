@@ -21,7 +21,6 @@ use archpredict_ann::{Parallelism, TrainConfig};
 use archpredict_workloads::{Benchmark, TraceGenerator};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
 
 /// Serializes trace-sink manipulation across test threads; the guard
 /// disarms the sink and scrubs the inherited env knob on drop.
@@ -232,7 +231,6 @@ fn metrics_endpoint_serves_the_unified_registry() {
         "127.0.0.1:0",
         ServeConfig {
             registry_root: root.clone(),
-            tick: Duration::from_millis(1),
             ..ServeConfig::default()
         },
     )
