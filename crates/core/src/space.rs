@@ -10,6 +10,7 @@
 #![deny(clippy::unwrap_used)]
 
 use crate::param::{Param, ParamKind, ParamValue};
+use std::sync::Arc;
 
 /// One configuration: a level index per parameter.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -125,19 +126,23 @@ impl std::fmt::Display for SpaceError {
 impl std::error::Error for SpaceError {}
 
 /// An architectural design space (e.g. Table 4.1 or 4.2).
+///
+/// The tables are immutable once built and shared by every clone, so
+/// cloning a space (each oracle and served model holds one) costs a
+/// refcount bump per table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesignSpace {
-    params: Vec<Param>,
+    params: Arc<[Param]>,
     /// Per-parameter minimax range `(lo, hi)` over the space, precomputed
     /// at construction so encoding a point does not re-fold the level
     /// lists (the batched sweep encodes millions of points). `(0, 1)` for
     /// parameters whose encoding doesn't scale (nominal, boolean).
-    ranges: Vec<(f64, f64)>,
+    ranges: Arc<[(f64, f64)]>,
     /// Mixed-radix stride per parameter: `level(index, p) =
     /// (index / strides[p]) % params[p].levels()`. Lets the hot sweep path
     /// encode straight from an index without materializing a
     /// [`DesignPoint`].
-    strides: Vec<usize>,
+    strides: Arc<[usize]>,
 }
 
 impl DesignSpace {
@@ -186,7 +191,7 @@ impl DesignSpace {
             })
             .collect();
         Ok(Self {
-            params,
+            params: params.into(),
             ranges,
             strides,
         })
@@ -365,7 +370,7 @@ impl DesignSpace {
                 *h = fnv1a_64_extend(*h, &v.to_bits().to_le_bytes());
             }
         };
-        for p in &self.params {
+        for p in self.params.iter() {
             h = fnv1a_64_extend(h, p.name().as_bytes());
             // NUL separates name from payload (parameter names never
             // contain it), so ("ab", "c") and ("a", "bc") differ.

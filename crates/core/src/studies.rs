@@ -12,6 +12,7 @@
 use crate::param::Param;
 use crate::space::{DesignPoint, DesignSpace};
 use archpredict_sim::{CacheParams, SimConfig, WritePolicy};
+use std::sync::OnceLock;
 
 const KB: f64 = 1024.0;
 
@@ -41,12 +42,16 @@ impl Study {
         Study::ALL.iter().copied().find(|s| s.name() == name)
     }
 
-    /// The study's design space.
+    /// The study's design space: a clone of one built once per process,
+    /// sharing its tables.
     pub fn space(self) -> DesignSpace {
+        static MEMORY: OnceLock<DesignSpace> = OnceLock::new();
+        static PROCESSOR: OnceLock<DesignSpace> = OnceLock::new();
         match self {
-            Study::MemorySystem => memory_space(),
-            Study::Processor => processor_space(),
+            Study::MemorySystem => MEMORY.get_or_init(memory_space),
+            Study::Processor => PROCESSOR.get_or_init(processor_space),
         }
+        .clone()
     }
 
     /// Maps a design point of this study's space to a simulator

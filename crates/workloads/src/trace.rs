@@ -10,8 +10,10 @@
 
 use crate::instr::{Instruction, OpClass};
 use crate::profile::{AccessPattern, ProfileError, WorkloadProfile};
+use crate::spec::Benchmark;
 use archpredict_stats::rng::{SplitMix64, Xoshiro256};
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 /// Maximum dependency distance encoded in a trace (bounds simulator state).
 pub const MAX_DEP_DISTANCE: u32 = 64;
@@ -44,6 +46,13 @@ const DATA_BASE: u64 = 0x1000_0000;
 /// ```
 #[derive(Debug, Clone)]
 pub struct TraceGenerator {
+    /// Immutable once built and shared by every clone.
+    tables: Arc<Tables>,
+}
+
+/// A generator's profile and the code and data layout derived from it.
+#[derive(Debug)]
+struct Tables {
     profile: WorkloadProfile,
     /// First global basic-block id of each phase.
     phase_bb_base: Vec<u32>,
@@ -52,13 +61,20 @@ pub struct TraceGenerator {
 }
 
 impl TraceGenerator {
-    /// Builds a generator for a named benchmark.
+    /// Builds a generator for a named benchmark: a clone of one built once
+    /// per process, sharing its tables.
     ///
     /// # Panics
     ///
     /// Never panics: the built-in benchmark profiles are statically valid.
-    pub fn new(benchmark: crate::spec::Benchmark) -> Self {
-        Self::from_profile(benchmark.profile()).expect("built-in profiles are valid")
+    pub fn new(benchmark: Benchmark) -> Self {
+        static BUILT: [OnceLock<TraceGenerator>; Benchmark::ALL.len()] =
+            [const { OnceLock::new() }; Benchmark::ALL.len()];
+        BUILT[benchmark as usize]
+            .get_or_init(|| {
+                Self::from_profile(benchmark.profile()).expect("built-in profiles are valid")
+            })
+            .clone()
     }
 
     /// Builds a generator from a custom profile.
@@ -84,37 +100,41 @@ impl TraceGenerator {
             region_bases.push(bases);
         }
         Ok(Self {
-            profile,
-            phase_bb_base,
-            region_bases,
+            tables: Arc::new(Tables {
+                profile,
+                phase_bb_base,
+                region_bases,
+            }),
         })
     }
 
     /// The underlying profile.
     pub fn profile(&self) -> &WorkloadProfile {
-        &self.profile
+        &self.tables.profile
     }
 
     /// Number of intervals in one complete pass of the program's phase
     /// schedule (the "whole benchmark" for SimPoint purposes).
     pub fn num_intervals(&self) -> usize {
-        self.profile.phase_schedule.len()
+        self.tables.profile.phase_schedule.len()
     }
 
     /// Phase index executed during `interval`.
     pub fn phase_of_interval(&self, interval: usize) -> usize {
-        let schedule = &self.profile.phase_schedule;
+        let schedule = &self.tables.profile.phase_schedule;
         schedule[interval % schedule.len()] as usize
     }
 
     /// Total number of distinct basic-block ids across all phases
     /// (the dimensionality of basic-block vectors).
     pub fn total_static_blocks(&self) -> u32 {
-        self.phase_bb_base
+        let tables = &self.tables;
+        tables
+            .phase_bb_base
             .last()
             .copied()
             .unwrap_or(0)
-            .saturating_add(self.profile.phases.last().map_or(0, |p| p.static_blocks))
+            .saturating_add(tables.profile.phases.last().map_or(0, |p| p.static_blocks))
     }
 
     /// Returns the (infinite) instruction stream of `interval`.
@@ -122,9 +142,9 @@ impl TraceGenerator {
     /// The stream is a pure function of `(profile.seed, interval)`.
     pub fn interval(&self, interval: usize) -> IntervalTrace<'_> {
         let phase_idx = self.phase_of_interval(interval);
-        let phase = &self.profile.phases[phase_idx];
+        let phase = &self.tables.profile.phases[phase_idx];
         let variant = (interval % VARIANTS_PER_PHASE) as u64;
-        let rng = Xoshiro256::seed_from(self.profile.seed)
+        let rng = Xoshiro256::seed_from(self.tables.profile.seed)
             .derive(0x5EED_0000 ^ ((phase_idx as u64) << 8) ^ variant);
         let mix_weights = [
             phase.mix.int_alu,
@@ -142,7 +162,7 @@ impl TraceGenerator {
             .map(|r| (cursor_rng.below(r.bytes.max(1)) / 8) * 8)
             .collect();
         IntervalTrace {
-            generator: self,
+            generator: &self.tables,
             phase_idx,
             rng,
             mix_weights,
@@ -189,7 +209,7 @@ enum BranchKind {
 /// Produced by [`TraceGenerator::interval`]. Never returns `None`.
 #[derive(Debug, Clone)]
 pub struct IntervalTrace<'a> {
-    generator: &'a TraceGenerator,
+    generator: &'a Tables,
     phase_idx: usize,
     rng: Xoshiro256,
     mix_weights: [f64; 6],
