@@ -545,23 +545,6 @@ impl Network {
         }
     }
 
-    /// Per-row forward through the unblocked textbook loops — the
-    /// reference implementation the blocked kernels are property-tested
-    /// and benchmarked against. Not for production use.
-    #[doc(hidden)]
-    pub fn predict_naive(&self, input: &[f64]) -> Vec<f64> {
-        assert_eq!(input.len(), self.inputs(), "input dimensionality");
-        let mut current = input.to_vec();
-        let mut next = Vec::new();
-        for layer in &self.layers {
-            next.clear();
-            next.resize(layer.outputs, 0.0);
-            layer.forward_naive_into(&current, &mut next);
-            std::mem::swap(&mut current, &mut next);
-        }
-        current
-    }
-
     /// [`Self::predict_into`] with the textbook one-output-at-a-time layer
     /// loop instead of the blocked kernel — structurally the pre-kernel
     /// production forward pass (scratch ping-pong, no per-layer

@@ -1,9 +1,8 @@
 //! End-to-end chaos harness for the serving stack: drives the real
-//! `archpredict-served` daemon and real `archpredict-worker` processes
-//! under concurrent fit/predict load while a **seeded** disruption
-//! schedule SIGTERMs the daemon mid-flight, SIGKILLs it outright,
-//! injects registry/persist I/O faults through the failpoint layer, and
-//! kills pool workers mid-span — then proves the stack healed:
+//! `archpredict-served` daemon under concurrent fit/predict load while a
+//! **seeded** disruption schedule SIGTERMs the daemon mid-flight,
+//! SIGKILLs it outright, and injects registry/persist I/O faults through
+//! the failpoint layer — then proves the stack healed:
 //!
 //! * every accepted request was answered or cleanly shed (clients retry
 //!   to completion; none time out),
@@ -17,8 +16,8 @@
 //!   clean-room model.
 //!
 //! Every disruption decision flows from `--seed` (daemon failpoint
-//! schedules, worker kill schedules, round kinds, kill timing), so a
-//! failing run replays exactly.
+//! schedules, round kinds, kill timing), so a failing run replays
+//! exactly.
 //!
 //! ```text
 //! cargo run --release --bin chaos_test -- [--rounds 20] [--clients 4]
@@ -27,15 +26,11 @@
 //! ```
 
 use archpredict::campaign::CampaignConfig;
-use archpredict::distributed::{
-    locate_worker_binary, ProcessPoolOracle, WorkerSpec, FP_WORKER_EVAL,
-};
-use archpredict::failpoint::{render_plan, FailAction, SiteSpec, ENV_FAILPOINTS};
+use archpredict::failpoint::{render_plan, FailAction, SiteSpec};
 use archpredict::infer;
 use archpredict::persist::FP_WRITE_ATOMIC;
 use archpredict::registry::{Registry, StudyFitSpec, FP_COMMIT_ENTRY, FP_COMMIT_OBJECT};
 use archpredict::serve::{http_request, FP_HANDLER};
-use archpredict::simulate::{Oracle, RetryPolicy, RetryingOracle, SimStats};
 use archpredict::studies::Study;
 use archpredict::telemetry::Counter;
 use archpredict_ann::Parallelism;
@@ -207,10 +202,7 @@ fn main() {
         })
         .collect();
 
-    // ---- Phase 1: worker-pool chaos (seeded mid-span worker deaths).
-    let worker_respawns = worker_chaos_phase(seed);
-
-    // ---- Phase 2: daemon chaos rounds.
+    // ---- Daemon chaos rounds.
     let bin = ensure_served_binary();
     let plan = render_plan(
         seed,
@@ -388,8 +380,7 @@ fn main() {
     let total_requests = clients as u64 * requests as u64 * rounds as u64;
     eprintln!(
         "chaos_test: PASS — {rounds} rounds ({sigterms} sigterm, {sigkills} sigkill), \
-         {total_requests} requests all answered ({} retried, {} shed, {} refits), \
-         {worker_respawns} worker respawns healed",
+         {total_requests} requests all answered ({} retried, {} shed, {} refits)",
         totals.retried.get(),
         totals.shed.get(),
         totals.refits.get(),
@@ -410,7 +401,7 @@ fn main() {
              \"requests_per_client\": {requests},\n  \"budget\": {budget},\n  \
              \"sigterm_rounds\": {sigterms},\n  \"sigkill_rounds\": {sigkills},\n  \
              \"requests_ok\": {},\n  \"requests_retried\": {},\n  \"requests_shed\": {},\n  \
-             \"refits\": {},\n  \"worker_respawns\": {worker_respawns},\n  \
+             \"refits\": {},\n  \
              \"debris_swept_on_reopen\": {},\n  \
              \"verdicts\": {{\n    \"artifacts_byte_identical\": true,\n    \
              \"predictions_bit_identical\": true,\n    \"registry_debris_free\": true\n  }},\n",
@@ -467,92 +458,17 @@ fn daemon_args(root: &Path) -> Vec<String> {
 /// Locates the served binary, building it first when this harness was
 /// built without it (`cargo run --bin chaos_test` straight from clean).
 fn ensure_served_binary() -> PathBuf {
-    ensure_binary("archpredict-served", locate_served_binary)
-}
-
-fn ensure_binary(package: &str, locate: impl Fn() -> Result<PathBuf, String>) -> PathBuf {
-    if let Ok(path) = locate() {
+    if let Ok(path) = locate_served_binary() {
         return path;
     }
     let mut build = std::process::Command::new(env!("CARGO"));
-    build.args(["build", "-p", package]);
+    build.args(["build", "-p", "archpredict-served"]);
     if !cfg!(debug_assertions) {
         build.arg("--release");
     }
     let status = build.status().expect("run cargo build");
-    assert!(status.success(), "building {package} failed");
-    locate().expect("binary after building it")
-}
-
-/// Seeded worker-pool chaos: real worker processes die mid-span under a
-/// deterministic `exit:9` schedule; the pool respawns and re-blames, the
-/// retry layer heals, and the healed batch must be bit-identical to the
-/// undisturbed in-process run. Returns the respawn count.
-fn worker_chaos_phase(seed: u64) -> u64 {
-    ensure_binary("archpredict-worker", || {
-        locate_worker_binary().map_err(|e| e.to_string())
-    });
-    let spec = WorkerSpec::Sleepy {
-        study: Study::MemorySystem,
-        sleep_micros: 100,
-        crash_index: None,
-        nan_index: None,
-    };
-    let space = spec.space();
-    let indices: Vec<usize> = (0..240).map(|i| (i * 7919) % space.size()).collect();
-
-    let mut reference_pool =
-        ProcessPoolOracle::with_workers(spec.clone(), 0).expect("in-process pool");
-    reference_pool.set_span_timeout(None);
-    let mut stats = SimStats::default();
-    let reference: Vec<u64> = reference_pool
-        .evaluate_batch(&space, &indices, &mut stats)
-        .iter()
-        .map(|r| r.expect("sleepy evaluator never fails").to_bits())
-        .collect();
-
-    // Workers inherit the kill schedule through the environment; this
-    // process never installs it locally, so only children die.
-    std::env::set_var(
-        ENV_FAILPOINTS,
-        render_plan(
-            seed,
-            &[(FP_WORKER_EVAL, site(FailAction::Exit(9), 0.05, None))],
-        ),
-    );
-    let mut chaotic_pool = ProcessPoolOracle::with_workers(spec, 2).expect("chaotic pool");
-    chaotic_pool.set_span_timeout(None);
-    let healing = RetryingOracle::with_policy(
-        chaotic_pool,
-        RetryPolicy {
-            max_attempts: 10,
-            ..RetryPolicy::default()
-        },
-    );
-    let mut stats = SimStats::default();
-    let healed: Vec<u64> = healing
-        .evaluate_batch(&space, &indices, &mut stats)
-        .iter()
-        .map(|r| r.expect("retry layer heals every worker death").to_bits())
-        .collect();
-    std::env::remove_var(ENV_FAILPOINTS);
-
-    assert_eq!(
-        healed, reference,
-        "healed worker-chaos batch diverged from the undisturbed run"
-    );
-    let respawns = healing.inner().respawns();
-    assert!(
-        respawns >= 1,
-        "worker chaos schedule killed nobody; raise the probability or change the seed"
-    );
-    eprintln!(
-        "chaos_test: worker phase healed {} evaluations through {respawns} respawns \
-         ({} retries)",
-        indices.len(),
-        stats.retries
-    );
-    respawns
+    assert!(status.success(), "building archpredict-served failed");
+    locate_served_binary().expect("binary after building it")
 }
 
 /// POSTs `/fit` until it answers 200, riding out injected faults, kills

@@ -15,13 +15,7 @@
 //! 4. the quarantine survives persist/load round-trips;
 //! 5. a pooled cross-application fit through the same faulted stack fills
 //!    every application's quota and emits an identical deterministic CSV
-//!    at every parallelism setting;
-//! 6. the distributed stack (`RetryingOracle<CachedEvaluator<`
-//!    `ProcessPoolOracle>>`) quarantines a deterministically crashing
-//!    worker **identically at 0, 1 and 2 worker processes** — same error
-//!    placements, same quarantine set, untouched batchmates — with the
-//!    aborting worker respawned each attempt. Skipped with a loud warning
-//!    if the `archpredict-worker` binary is not built.
+//!    at every parallelism setting.
 //!
 //! Usage:
 //!
@@ -262,73 +256,5 @@ fn main() {
         &crossapp_csv,
     );
 
-    // Gate 6: distributed crash/quarantine determinism. A SleepyEvaluator
-    // worker that aborts at one index must produce the same results, the
-    // same quarantine set and untouched batchmates whether the abort is a
-    // real worker-process death (1 or 2 workers) or the in-process
-    // fallback's `Err(Crashed)` (0 workers).
-    if archpredict::distributed::locate_worker_binary().is_err() {
-        eprintln!(
-            "fault_tolerance: WARNING: distributed gate skipped — archpredict-worker \
-             not found (build with `cargo build --release -p archpredict-worker`)"
-        );
-    } else {
-        use archpredict::distributed::{ProcessPoolOracle, WorkerSpec};
-        use archpredict::simulate::{Oracle, SimError};
-        let crash_index = 4_321usize;
-        let spec = WorkerSpec::Sleepy {
-            study,
-            sleep_micros: 0,
-            crash_index: Some(crash_index as u64),
-            nan_index: None,
-        };
-        let indices = [3usize, crash_index, 77, 9_000, 15_000];
-        let run = |workers: usize| {
-            let pool = ProcessPoolOracle::with_workers(spec.clone(), workers)
-                .expect("worker binary located above");
-            let oracle = RetryingOracle::new(CachedEvaluator::new(pool, space.clone()));
-            let mut stats = SimStats::default();
-            let first = oracle.evaluate_batch(&space, &indices, &mut stats);
-            let second = oracle.evaluate_batch(&space, &indices, &mut stats);
-            let respawns = oracle.inner().inner().respawns();
-            (
-                first
-                    .iter()
-                    .map(|r| r.map(f64::to_bits))
-                    .collect::<Vec<_>>(),
-                second
-                    .iter()
-                    .map(|r| r.map(f64::to_bits))
-                    .collect::<Vec<_>>(),
-                oracle.quarantined(),
-                respawns,
-            )
-        };
-        let (first_0, second_0, quarantined_0, _) = run(0);
-        assert_eq!(first_0[1], Err(SimError::Crashed));
-        assert_eq!(second_0[1], Err(SimError::Quarantined));
-        assert_eq!(quarantined_0, vec![crash_index]);
-        assert!(
-            first_0.iter().enumerate().all(|(i, r)| i == 1 || r.is_ok()),
-            "a crashing index poisoned its batchmates: {first_0:?}"
-        );
-        for workers in [1usize, 2] {
-            let (first, second, quarantined, respawns) = run(workers);
-            assert_eq!(
-                first_0, first,
-                "distributed crash results diverged at {workers} workers"
-            );
-            assert_eq!(second_0, second);
-            assert_eq!(quarantined_0, quarantined);
-            assert!(
-                respawns >= 1,
-                "the aborting worker was never respawned at {workers} workers"
-            );
-        }
-        eprintln!(
-            "  distributed crash quarantined identically at 0, 1 and 2 workers \
-             (batchmates untouched, dead workers respawned)"
-        );
-    }
     eprintln!("fault_tolerance: all gates passed");
 }

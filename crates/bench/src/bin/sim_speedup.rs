@@ -1,8 +1,7 @@
 //! Batched-simulation speedup table: the deduplicating, sharded-cache
-//! oracle against the naive point-at-a-time loop, the cached batch at
-//! 1, 2, 4, … worker threads up to the machine's core count, and the
-//! multi-process `ProcessPoolOracle` at 0/1/2/4 workers — with bit-for-bit
-//! determinism of the results checked at every thread *and* worker count
+//! oracle against the naive point-at-a-time loop, and the cached batch at
+//! 1, 2, 4, … worker threads up to the machine's core count — with
+//! bit-for-bit determinism of the results checked at every thread count
 //! (the determinism checks stay armed even on one core, where the speedup
 //! assertions are skipped).
 //!
@@ -20,7 +19,6 @@
 //! `--output-json` writes `results/sim_speedup.json` (machine-readable
 //! mirror of the CSV rows plus run metadata) alongside the CSV.
 
-use archpredict::distributed::{locate_worker_binary, ProcessPoolOracle, WorkerSpec};
 use archpredict::simulate::{
     CachedEvaluator, Oracle, PointEvaluator, SimBudget, SimStats, StudyEvaluator,
 };
@@ -150,56 +148,6 @@ fn main() {
     }
     run_cached("cached_auto".to_string(), Parallelism::Auto);
 
-    // Process-pool section: the distributed oracle over the same work
-    // list, raw (no cache), at 0 (in-process fallback), 1, 2 and 4 worker
-    // processes. Every count is checked bit-for-bit against the naive
-    // reference — that check stays armed on any host, 1-core CI included;
-    // only the speedup assertions below are core-gated.
-    let mut pool_times: Vec<(usize, f64)> = Vec::new();
-    let pool_spec = WorkerSpec::Study {
-        study,
-        benchmark,
-        budget: budget.clone(),
-    };
-    let pool_available = locate_worker_binary().is_ok();
-    if !pool_available {
-        eprintln!(
-            "sim_speedup: WARNING: skipping the process-pool section — \
-             archpredict-worker not found (build with \
-             `cargo build --release -p archpredict-worker` or set \
-             ARCHPREDICT_WORKER_BIN)"
-        );
-    } else {
-        for workers in [0usize, 1, 2, 4] {
-            let pool = ProcessPoolOracle::with_workers(pool_spec.clone(), workers)
-                .expect("worker binary located above");
-            let mut best = f64::INFINITY;
-            for run in 0..=repeats {
-                let mut stats = SimStats::default();
-                let started = Instant::now();
-                let results = pool.evaluate_batch(&space, &indices, &mut stats);
-                // Run 0 is an untimed warmup: it pays the one-off worker
-                // spawn + handshake cost so the timed runs measure the
-                // steady-state pipe protocol, same as a campaign sees.
-                if run > 0 {
-                    best = best.min(started.elapsed().as_secs_f64());
-                }
-                let values: Vec<f64> = results
-                    .into_iter()
-                    .map(|r| r.expect("fault-free evaluator"))
-                    .collect();
-                assert_eq!(
-                    reference, values,
-                    "pool_{workers} diverged from the naive results"
-                );
-                assert_eq!(pool.respawns(), 0, "pool_{workers} respawned a worker");
-            }
-            rows.push((format!("pool_{workers}"), best, baseline / best));
-            pool_times.push((workers, best));
-        }
-        eprintln!("(every worker count produced bit-for-bit identical results)");
-    }
-
     let mut table = String::from("path,seconds,speedup_vs_naive\n");
     eprintln!("{:>14} {:>10} {:>8}", "path", "seconds", "speedup");
     for (path, seconds, speedup) in &rows {
@@ -213,7 +161,7 @@ fn main() {
         json.push_str(&format!(
             "  \"benchmark\": \"{}\",\n  \"study\": \"{}\",\n  \"evaluations\": {},\n  \
              \"unique_points\": {},\n  \"dup_factor\": {},\n  \"repeats\": {},\n  \
-             \"cores\": {},\n  \"pool_section\": {},\n  \
+             \"cores\": {},\n  \
              \"determinism\": \"bit_identical_all_paths\",\n  \"rows\": [\n",
             benchmark.name(),
             study.name(),
@@ -222,7 +170,6 @@ fn main() {
             dup_factor,
             repeats,
             cores,
-            pool_available,
         ));
         for (i, (path, seconds, speedup)) in rows.iter().enumerate() {
             let comma = if i + 1 < rows.len() { "," } else { "" };
@@ -257,27 +204,5 @@ fn main() {
         );
     } else {
         eprintln!("(parallel speedup assertion skipped: needs {PARALLEL_ASSERT_MIN_CORES}+ cores and a full run)");
-    }
-    if pool_available {
-        let pool_at = |w: usize| {
-            pool_times
-                .iter()
-                .find(|&&(workers, _)| workers == w)
-                .map(|&(_, s)| s)
-                .expect("pool row measured above")
-        };
-        if cores >= PARALLEL_ASSERT_MIN_CORES && indices.len() >= SPEEDUP_ASSERT_MIN_EVALS {
-            let (pool_1, pool_4) = (pool_at(1), pool_at(4));
-            assert!(
-                pool_4 * 2.0 <= pool_1,
-                "4-worker pool ({pool_4:.4}s) should be at least 2x the single-worker \
-                 pool ({pool_1:.4}s) on {cores} cores"
-            );
-        } else {
-            eprintln!(
-                "(pool speedup assertion skipped: needs {PARALLEL_ASSERT_MIN_CORES}+ cores \
-                 and a full run; determinism was still asserted at every worker count)"
-            );
-        }
     }
 }

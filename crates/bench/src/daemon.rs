@@ -30,9 +30,9 @@ const READY_DEADLINE: Duration = Duration::from_secs(30);
 /// Environment override for the daemon binary's location.
 pub const ENV_SERVED_BIN: &str = "ARCHPREDICT_SERVED_BIN";
 
-/// Finds `archpredict-served` like the distributed oracle finds its
-/// worker: env override, then next to the current executable, then one
-/// directory up (bench binaries live in `target/<profile>/`).
+/// Finds `archpredict-served`: env override, then next to the current
+/// executable, then one directory up (bench binaries live in
+/// `target/<profile>/`).
 ///
 /// # Errors
 ///

@@ -4,17 +4,17 @@
 //! after 4 000 requests" is useless unless the same seed reproduces the
 //! same death at the same request. This module provides named **fault
 //! sites** compiled into production code paths (`persist::write_atomic`,
-//! the registry commit path, the serve request handler, distributed
-//! worker dispatch). Whether a given site fires on a given hit is a pure
-//! function of `(seed, site name, hit count)` — no wall clock, no OS
-//! randomness — so every chaos schedule is bit-for-bit reproducible.
+//! the registry commit path, the serve request handler). Whether a given
+//! site fires on a given hit is a pure function of `(seed, site name, hit
+//! count)` — no wall clock, no OS randomness — so every chaos schedule is
+//! bit-for-bit reproducible.
 //!
 //! The layer supersedes the one-off `CrashPoint` enum the registry used
 //! to carry: instead of a bespoke hook per failure mode, any site can be
 //! armed with any [`FailAction`] at any probability, programmatically
 //! ([`install`]) or via the `ARCHPREDICT_FAILPOINTS` environment
-//! variable ([`install_from_env`]) so spawned daemons and workers join
-//! the same schedule.
+//! variable ([`install_from_env`]) so spawned daemons join the same
+//! schedule.
 //!
 //! Cost when disarmed: one relaxed atomic load per site check. No site
 //! ever fires unless a plan was explicitly installed, so production
@@ -29,7 +29,7 @@
 //! Clauses are `;`-separated. `seed=<u64, 0x-hex ok>` sets the schedule
 //! seed (default 0). Every other clause is
 //! `<site>=<action>@<probability>[@<max_fires>]` where `<action>` is one
-//! of `error`, `torn`, `panic`, `abort`, `exit:<code>`, `delay:<ms>`.
+//! of `error`, `torn`, `panic`, `delay:<ms>`.
 
 use archpredict_stats::hash::fnv1a_64;
 use archpredict_stats::rng::Xoshiro256;
@@ -38,7 +38,7 @@ use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 /// Environment variable read by [`install_from_env`]; set it on a
-/// spawned daemon or worker to enroll the child in a chaos schedule.
+/// spawned daemon to enroll the child in a chaos schedule.
 pub const ENV_FAILPOINTS: &str = "ARCHPREDICT_FAILPOINTS";
 
 /// What an armed site does when it fires.
@@ -55,10 +55,6 @@ pub enum FailAction {
     Delay(Duration),
     /// The calling thread panics (`catch_unwind` isolation coverage).
     Panic,
-    /// The whole process aborts — a real `kill -9`-shaped death.
-    Abort,
-    /// The process exits with this code, skipping destructors.
-    Exit(i32),
 }
 
 /// One armed site: what to do, how often, and for how many fires.
@@ -84,8 +80,8 @@ impl SiteSpec {
 }
 
 /// What [`check`] hands back to the instrumented call site when a
-/// returnable action fires. (`Delay`/`Panic`/`Abort`/`Exit` are executed
-/// inside [`check`] itself and never surface here.)
+/// returnable action fires. (`Delay`/`Panic` are executed inside
+/// [`check`] itself and never surface here.)
 #[derive(Debug)]
 pub enum Failure {
     /// Fail the call with this error.
@@ -230,23 +226,16 @@ fn parse_action(text: &str) -> Option<FailAction> {
         "error" => Some(FailAction::Error),
         "torn" => Some(FailAction::Torn),
         "panic" => Some(FailAction::Panic),
-        "abort" => Some(FailAction::Abort),
-        _ => {
-            if let Some(code) = text.strip_prefix("exit:") {
-                code.parse().ok().map(FailAction::Exit)
-            } else if let Some(ms) = text.strip_prefix("delay:") {
-                ms.parse()
-                    .ok()
-                    .map(|ms| FailAction::Delay(Duration::from_millis(ms)))
-            } else {
-                None
-            }
-        }
+        _ => text
+            .strip_prefix("delay:")?
+            .parse()
+            .ok()
+            .map(|ms| FailAction::Delay(Duration::from_millis(ms))),
     }
 }
 
 /// Renders a plan back into `ARCHPREDICT_FAILPOINTS` clause syntax —
-/// what a chaos harness sets on the daemons and workers it spawns.
+/// what a chaos harness sets on the daemons it spawns.
 pub fn render_plan(seed: u64, sites: &[(&str, SiteSpec)]) -> String {
     let mut out = format!("seed={seed:#x}");
     for (name, spec) in sites {
@@ -254,8 +243,6 @@ pub fn render_plan(seed: u64, sites: &[(&str, SiteSpec)]) -> String {
             FailAction::Error => "error".to_string(),
             FailAction::Torn => "torn".to_string(),
             FailAction::Panic => "panic".to_string(),
-            FailAction::Abort => "abort".to_string(),
-            FailAction::Exit(code) => format!("exit:{code}"),
             FailAction::Delay(d) => format!("delay:{}", d.as_millis()),
         };
         out.push_str(&format!(";{name}={action}@{}", spec.probability));
@@ -271,9 +258,8 @@ pub fn render_plan(seed: u64, sites: &[(&str, SiteSpec)]) -> String {
 /// `(seed, site, hit count)`: hit `n` of a site fires iff
 /// `rng(seed, site, n) < probability`, identically on every run.
 ///
-/// `Delay` sleeps then returns `None`; `Panic`/`Abort`/`Exit` never
-/// return. `Error`/`Torn` hand a [`Failure`] back for the call site to
-/// realize.
+/// `Delay` sleeps then returns `None`; `Panic` never returns.
+/// `Error`/`Torn` hand a [`Failure`] back for the call site to realize.
 pub fn check(site: &str) -> Option<Failure> {
     if !ARMED.load(Ordering::Relaxed) {
         return None;
@@ -310,8 +296,6 @@ pub fn check(site: &str) -> Option<Failure> {
             None
         }
         FailAction::Panic => panic!("failpoint `{site}` fired (hit {hit})"),
-        FailAction::Abort => std::process::abort(),
-        FailAction::Exit(code) => std::process::exit(code),
     }
 }
 
@@ -441,11 +425,10 @@ mod tests {
                     max_fires: None,
                 },
             ),
-            ("distributed.worker.eval", SiteSpec::once(FailAction::Abort)),
             (
-                "site.exit",
+                "site.panic",
                 SiteSpec {
-                    action: FailAction::Exit(9),
+                    action: FailAction::Panic,
                     probability: 1.0,
                     max_fires: Some(2),
                 },
@@ -472,7 +455,8 @@ mod tests {
             "site=error@0.5@x",
             "site=error@0.5@1@extra",
             "site=delay:abc@1",
-            "site=exit:abc@1",
+            "site=abort@1",
+            "site=exit:9@1",
         ] {
             assert!(parse_plan(bad).is_err(), "`{bad}` should be rejected");
         }

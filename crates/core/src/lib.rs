@@ -26,12 +26,10 @@
 //! * [`fault`] — deterministic, seeded fault injection for exercising the
 //!   retry/quarantine stack under reproducible failure schedules.
 //! * [`failpoint`] — named, seeded fault sites compiled into the persist,
-//!   registry, serve and distributed paths; every chaos schedule is a
-//!   pure function of `(seed, site, hit count)` and therefore replayable.
-//! * [`distributed`] — the multi-process simulation oracle: a coordinator
-//!   that fork/execs `archpredict-worker` processes and speaks a
-//!   length-prefixed pipe protocol, bit-for-bit identical to the
-//!   in-process oracle at every worker count.
+//!   registry and serve paths; every chaos schedule is a pure function of
+//!   `(seed, site, hit count)` and therefore replayable.
+//! * [`distributed`] — one environment-variable name that the `perf`
+//!   benchmark refuses to run under; no code reads the variable.
 //! * [`campaign`] — the train–estimate–refine engine shared by every
 //!   driver: the canonical round loop (§3.3's procedure, steps 1–8),
 //!   generic over an [`campaign::Encoder`] and the sampling strategy,
@@ -63,8 +61,7 @@
 //!   paper's figures.
 //! * [`telemetry`] — the unified observability layer: process-wide
 //!   metric counters behind the daemon's `GET /metrics`, JSONL span
-//!   events (`ARCHPREDICT_TRACE=path`), and cross-process trace-ID
-//!   propagation through the APWK wire protocol.
+//!   events (`ARCHPREDICT_TRACE=path`), and per-request trace IDs.
 //!
 //! # Quickstart
 //!
@@ -114,7 +111,6 @@ pub mod telemetry;
 
 pub use campaign::{AppEncoder, Campaign, CampaignConfig, Encoder, PlainEncoder};
 pub use checkpoint::{CheckpointError, ExplorerState};
-pub use distributed::{ProcessPoolOracle, SleepyEvaluator, SpecEvaluator, WorkerSpec};
 pub use explorer::{ExploreError, Explorer, ExplorerConfig, Round, TrueError};
 pub use fault::{FaultConfig, FaultInjectingOracle};
 pub use param::{Param, ParamKind, ParamValue};

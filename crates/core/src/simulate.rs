@@ -25,9 +25,11 @@
 //!
 //! Real simulator backends crash, hang, and emit garbage. Batch results
 //! are therefore **per-index [`SimResult`]s**: a fault at one index
-//! ([`SimError`]) never poisons its batchmates. [`RetryingOracle`] wraps
-//! any oracle with a bounded, deterministically-seeded retry policy and a
-//! persistent quarantine set for permanently failing points;
+//! ([`SimError`]) never poisons its batchmates. That covers panics too:
+//! the fan-out catches a leaf evaluator's panic as [`SimError::Crashed`]
+//! for that index alone. [`RetryingOracle`] wraps any oracle with a
+//! bounded, deterministically-seeded retry policy and a persistent
+//! quarantine set for permanently failing points;
 //! [`crate::fault::FaultInjectingOracle`] injects seeded faults for
 //! testing the whole stack. Indices that still fail after the stack's
 //! retries are replaced with fresh draws by the campaign engine's
@@ -55,6 +57,7 @@ use archpredict_simpoint::SimPointPlan;
 use archpredict_stats::rng::Xoshiro256;
 use archpredict_workloads::{Benchmark, PackedInterval, TraceGenerator};
 use std::collections::{BTreeSet, HashMap};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -70,7 +73,8 @@ pub enum SimError {
     /// A transient infrastructure failure (I/O blip, lost worker); the
     /// same point may well succeed on retry.
     Transient,
-    /// The simulator process crashed on this configuration.
+    /// The simulator panicked on this configuration (caught by the batch
+    /// fan-out, so only this index fails).
     Crashed,
     /// The simulator returned a non-finite metric (NaN/Inf). Deterministic
     /// simulators return the same garbage again, so this is not retried.
@@ -157,10 +161,10 @@ impl SimStats {
 
     /// Adds another record's counters into this one. This is the **only**
     /// way records combine — every accumulation site (campaign rounds,
-    /// cross-app pooling, multi-task fits, distributed spans) goes through
-    /// here. The exhaustive destructuring makes field coverage a compile
-    /// error to miss: adding a field to [`SimStats`] breaks this function
-    /// (and its coverage test) until the field is merged.
+    /// cross-app pooling, multi-task fits) goes through here. The
+    /// exhaustive destructuring makes field coverage a compile error to
+    /// miss: adding a field to [`SimStats`] breaks this function (and its
+    /// coverage test) until the field is merged.
     pub fn merge(&mut self, other: &SimStats) {
         let SimStats {
             unique_simulations,
@@ -248,18 +252,6 @@ pub trait PointEvaluator: Sync {
     fn parallelism(&self) -> Parallelism {
         Parallelism::Auto
     }
-
-    /// Backends that distribute whole batches themselves — e.g. the
-    /// multi-process [`crate::distributed::ProcessPoolOracle`] — override
-    /// this to claim the span fan-out. Returning `Some(results)` (one
-    /// [`SimResult`] per index, in input order) replaces the default
-    /// scoped-thread fan-out entirely; returning `None` (the default)
-    /// keeps it. Implementations must honor the module's determinism
-    /// contract: results depend only on their own index, never on how the
-    /// batch was split.
-    fn dispatch_batch(&self, _space: &DesignSpace, _indices: &[usize]) -> Option<Vec<SimResult>> {
-        None
-    }
 }
 
 impl<E: PointEvaluator> Oracle for E {
@@ -309,21 +301,11 @@ fn fan_out<E: PointEvaluator + ?Sized>(
     indices: &[usize],
     parallelism: Parallelism,
 ) -> Vec<SimResult> {
-    // Self-distributing backends (process pools) claim the whole span
-    // fan-out; the thread policy below only governs in-process workers.
-    if let Some(results) = evaluator.dispatch_batch(space, indices) {
-        assert_eq!(
-            results.len(),
-            indices.len(),
-            "dispatch_batch must return one result per index"
-        );
-        return results;
-    }
     let workers = parallelism.worker_count_with_env(indices.len(), ENV_SIM_THREADS);
     if workers <= 1 || indices.len() < 2 {
         return indices
             .iter()
-            .map(|&i| evaluator.try_evaluate(&space.point(i)))
+            .map(|&i| evaluate_isolated(evaluator, space, i))
             .collect();
     }
     let mut results = vec![Ok(0.0); indices.len()];
@@ -332,12 +314,26 @@ fn fan_out<E: PointEvaluator + ?Sized>(
         for (slot, work) in results.chunks_mut(chunk).zip(indices.chunks(chunk)) {
             scope.spawn(move || {
                 for (out, &i) in slot.iter_mut().zip(work) {
-                    *out = evaluator.try_evaluate(&space.point(i));
+                    *out = evaluate_isolated(evaluator, space, i);
                 }
             });
         }
     });
     results
+}
+
+/// One evaluation with its panic contained: a simulator that panics (the
+/// engine's deadlock watchdog does) fails only its own index, as
+/// [`SimError::Crashed`], instead of unwinding through the whole batch.
+fn evaluate_isolated<E: PointEvaluator + ?Sized>(
+    evaluator: &E,
+    space: &DesignSpace,
+    index: usize,
+) -> SimResult {
+    panic::catch_unwind(AssertUnwindSafe(|| {
+        evaluator.try_evaluate(&space.point(index))
+    }))
+    .unwrap_or(Err(SimError::Crashed))
 }
 
 /// How much simulation one full evaluation performs.
@@ -569,11 +565,6 @@ impl<E: PointEvaluator> CachedEvaluator<E> {
             parallelism,
             hits: Counter::new("sim.cache.hits"),
         }
-    }
-
-    /// Replaces the worker policy for subsequent batch fan-outs.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
     }
 
     /// The shard holding `index`.
@@ -1102,6 +1093,79 @@ mod tests {
         assert_eq!(raw_reference, reference);
         for parallelism in [Parallelism::Fixed(4), Parallelism::Auto] {
             assert_eq!(raw_reference, raw(parallelism), "raw {parallelism:?}");
+        }
+    }
+
+    /// A simulator that panics at one design point, the way the engine's
+    /// deadlock watchdog does.
+    struct PanickingEvaluator {
+        inner: StudyEvaluator,
+        panic_at: usize,
+    }
+
+    impl PointEvaluator for PanickingEvaluator {
+        fn evaluate(&self, point: &DesignPoint) -> f64 {
+            let index = self.inner.space().index(point);
+            assert_ne!(index, self.panic_at, "simulated deadlock at {index}");
+            self.inner.evaluate(point)
+        }
+        fn instructions_per_evaluation(&self) -> u64 {
+            self.inner.instructions_per_evaluation()
+        }
+    }
+
+    #[test]
+    fn panicking_simulation_fails_only_its_own_index() {
+        let space = Study::MemorySystem.space();
+        let generator = TraceGenerator::new(Benchmark::Gzip);
+        let budget = SimBudget::spread(&generator, 2, 2_000, 4_000);
+        let evaluator = || PanickingEvaluator {
+            inner: StudyEvaluator::with_budget(
+                Study::MemorySystem,
+                Benchmark::Gzip,
+                budget.clone(),
+            ),
+            panic_at: 505,
+        };
+        let indices: Vec<usize> = (0..12).map(|i| i * 101).collect();
+        let crash = indices.iter().position(|&i| i == 505).expect("in batch");
+        let bits = |results: &[SimResult]| -> Vec<Result<u64, SimError>> {
+            results.iter().map(|r| r.map(f64::to_bits)).collect()
+        };
+        let batchmates =
+            |results: &[SimResult]| bits(&[&results[..crash], &results[crash + 1..]].concat());
+        let survivors: Vec<usize> = indices.iter().copied().filter(|&i| i != 505).collect();
+        let clean = bits(&evaluate_indices(
+            &evaluator(),
+            &space,
+            &survivors,
+            Parallelism::Fixed(1),
+            &mut SimStats::default(),
+        ));
+        for parallelism in [Parallelism::Fixed(1), Parallelism::Fixed(4)] {
+            let mut stats = SimStats::default();
+            let raw = evaluate_indices(&evaluator(), &space, &indices, parallelism, &mut stats);
+            assert_eq!(raw[crash], Err(SimError::Crashed), "{parallelism:?}");
+            assert_eq!(batchmates(&raw), clean, "raw {parallelism:?}");
+            assert_eq!(stats.failures, 1);
+
+            // Crashed is retriable and never cached, so a deterministic
+            // panic exhausts its retries and is quarantined.
+            let oracle = RetryingOracle::new(CachedEvaluator::with_parallelism(
+                evaluator(),
+                space.clone(),
+                parallelism,
+            ));
+            let mut stats = SimStats::default();
+            let first = oracle.evaluate_batch(&space, &indices, &mut stats);
+            assert_eq!(first[crash], Err(SimError::Crashed), "{parallelism:?}");
+            assert_eq!(batchmates(&first), clean, "first {parallelism:?}");
+            assert_eq!((stats.failures, stats.retries), (3, 2));
+            assert_eq!(oracle.quarantined(), vec![505]);
+            let second = oracle.evaluate_batch(&space, &indices, &mut stats);
+            assert_eq!(second[crash], Err(SimError::Quarantined), "{parallelism:?}");
+            assert_eq!(batchmates(&second), clean, "second {parallelism:?}");
+            assert_eq!(oracle.quarantined(), vec![505]);
         }
     }
 

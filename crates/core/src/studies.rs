@@ -80,28 +80,6 @@ impl Study {
             self.space(),
         )
     }
-
-    /// The distributed variant of [`Study::oracle`]: the same sharded
-    /// cache, but backed by a
-    /// [`ProcessPoolOracle`](crate::distributed::ProcessPoolOracle) that
-    /// fans cache misses out across `ARCHPREDICT_SIM_WORKERS` worker
-    /// processes (0 = plain in-process fan-out, bit-for-bit identical).
-    ///
-    /// # Errors
-    ///
-    /// Fails when workers are requested but the `archpredict-worker`
-    /// binary cannot be located (see
-    /// [`locate_worker_binary`](crate::distributed::locate_worker_binary)).
-    pub fn distributed_oracle(
-        self,
-        benchmark: archpredict_workloads::Benchmark,
-    ) -> std::io::Result<crate::simulate::CachedEvaluator<crate::distributed::ProcessPoolOracle>>
-    {
-        let pool = crate::distributed::ProcessPoolOracle::from_env(
-            crate::distributed::WorkerSpec::study(self, benchmark),
-        )?;
-        Ok(crate::simulate::CachedEvaluator::new(pool, self.space()))
-    }
 }
 
 impl std::fmt::Display for Study {

@@ -1,12 +1,12 @@
 //! Unified observability: process-wide metric counters, lightweight
-//! spans, and cross-process trace-ID propagation.
+//! spans, and trace-ID propagation.
 //!
 //! Before this module the stack's telemetry was a pile of ad-hoc
 //! plumbing: `SimStats` hand-merged at every call site, `ServeStats`
 //! hand-building its own JSON, bespoke `AtomicU64` fields on the
-//! registry and the process pool, and nothing correlating a daemon
-//! request with the registry fit, inference sweep, or worker span it
-//! triggered. This module is the one place all of that lives now:
+//! registry, and nothing correlating a daemon request with the registry
+//! fit or inference sweep it triggered. This module is the one place all
+//! of that lives now:
 //!
 //! * **Counters** ([`Counter`]) — named, monotonic, lock-free
 //!   (`fetch_add(Relaxed)` on the hot path). The process-wide registry
@@ -24,14 +24,12 @@
 //!   When no sink is installed a span is **one relaxed atomic load** —
 //!   the same disarmed-cost discipline as [`crate::failpoint`]. Each
 //!   event line is appended with a single `write` call, so concurrent
-//!   writers (the daemon and its worker processes share one log) never
-//!   interleave partial lines.
+//!   writers never interleave partial lines.
 //! * **Trace IDs** — a `u64` stamped on each daemon request
 //!   ([`fresh_trace_id`]), carried in thread-local context
-//!   ([`set_trace`] / [`current_trace`]), propagated across the APWK
-//!   wire protocol into worker processes, and written into every span
+//!   ([`set_trace`] / [`current_trace`]) and written into every span
 //!   event. One grep of the event log for a trace ID reconstructs the
-//!   request's full causal tree across processes.
+//!   request's causal tree.
 //!
 //! # Determinism contract
 //!
@@ -55,8 +53,8 @@ use std::time::{Instant, SystemTime};
 
 /// Environment variable naming the JSONL span-event log. When set (and
 /// the hosting binary calls [`install_trace_from_env`]), every span is
-/// appended to this file; workers inherit it through the environment so
-/// one file collects the whole process tree.
+/// appended to this file; a spawned daemon inherits it through the
+/// environment, so one file collects the whole process tree.
 pub const ENV_TRACE: &str = "ARCHPREDICT_TRACE";
 
 /// A named monotonic counter: the only sanctioned shape for a stats
@@ -153,10 +151,6 @@ global_counters! {
     INFER_POINTS => "infer.points",
     /// Model fits performed by registry handles.
     REGISTRY_FITS => "registry.fits",
-    /// Worker processes replaced after a crash, desync, or deadline.
-    DISTRIBUTED_RESPAWNS => "distributed.respawns",
-    /// Worker spans whose deadline expired.
-    DISTRIBUTED_TIMEOUTS => "distributed.timeouts",
     /// Faults injected by [`crate::fault::FaultInjectingOracle`].
     FAULT_INJECTED => "fault.injected",
     /// HTTP requests accepted by serving daemons.
@@ -235,11 +229,6 @@ struct TraceSink {
     file: File,
 }
 
-/// Whether a trace sink is installed (spans are being recorded).
-pub fn trace_armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
 /// The event log's path, if a sink is installed.
 pub fn trace_path() -> Option<PathBuf> {
     sink_lock().as_ref().map(|s| s.path.clone())
@@ -295,7 +284,7 @@ pub fn clear_trace() {
 }
 
 /// Appends one complete event line. A single `write_all` on an
-/// append-mode descriptor, so concurrent writers (other threads, worker
+/// append-mode descriptor, so concurrent writers (other threads, other
 /// processes sharing the file) never interleave partial lines — the
 /// event-log analogue of `persist::write_atomic`'s all-or-nothing
 /// discipline.
@@ -360,7 +349,7 @@ impl Drop for TraceScope {
 }
 
 /// Opens a span named `name` (use stable dotted names: `campaign.fit`,
-/// `registry.get_or_fit`, `serve.request`, `worker.span`). The span
+/// `registry.get_or_fit`, `serve.request`, `infer.sweep`). The span
 /// carries the thread's current trace ID and parent span, times itself
 /// monotonically, and emits one JSONL event line when dropped. With no
 /// trace sink installed this is a single relaxed atomic load and an

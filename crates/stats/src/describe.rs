@@ -119,17 +119,6 @@ impl Accumulator {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Snapshot of the accumulated statistics.
-    pub fn summary(&self) -> Summary {
-        Summary {
-            count: self.n,
-            mean: self.mean(),
-            std_dev: self.population_std_dev(),
-            min: self.min,
-            max: self.max,
-        }
-    }
 }
 
 impl FromIterator<f64> for Accumulator {
@@ -148,21 +137,6 @@ impl Extend<f64> for Accumulator {
             self.add(x);
         }
     }
-}
-
-/// Immutable snapshot of an [`Accumulator`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: u64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-    /// Minimum observation.
-    pub min: f64,
-    /// Maximum observation.
-    pub max: f64,
 }
 
 /// Returns the `q`-quantile (`0.0 ..= 1.0`) of `data` using linear

@@ -51,18 +51,19 @@ pub fn exp(x: f64) -> f64 {
     let k = x * LOG2E + MAGIC;
     let n = k - MAGIC; // round(x / ln 2), exactly representable
     let r = x - n * LN2_HI - n * LN2_LO;
-    let p = 1.0
-        + r * (1.0
-            + r * (0.5
-                + r * (1.0 / 6.0
-                    + r * (1.0 / 24.0
-                        + r * (1.0 / 120.0
-                            + r * (1.0 / 720.0
-                                + r * (1.0 / 5040.0
-                                    + r * (1.0 / 40320.0
-                                        + r * (1.0 / 362_880.0
-                                            + r * (1.0 / 3_628_800.0
-                                                + r * (1.0 / 39_916_800.0)))))))))));
+    // Horner's rule, innermost coefficient first.
+    let mut p = 1.0 / 39_916_800.0;
+    p = 1.0 / 3_628_800.0 + r * p;
+    p = 1.0 / 362_880.0 + r * p;
+    p = 1.0 / 40320.0 + r * p;
+    p = 1.0 / 5040.0 + r * p;
+    p = 1.0 / 720.0 + r * p;
+    p = 1.0 / 120.0 + r * p;
+    p = 1.0 / 24.0 + r * p;
+    p = 1.0 / 6.0 + r * p;
+    p = 0.5 + r * p;
+    p = 1.0 + r * p;
+    p = 1.0 + r * p;
     // The magic-number trick leaves n's integer value recoverable by exact
     // bit subtraction; (n + 1023) << 52 is then the bit pattern of 2^n.
     let ni = (k.to_bits() as i64).wrapping_sub(MAGIC.to_bits() as i64);
@@ -90,6 +91,24 @@ mod tests {
         assert_eq!(exp(0.0), 1.0);
         // Powers of two scale exactly: exp(n*ln2) reduces to r ~ 0.
         assert!((exp(std::f64::consts::LN_2) - 2.0).abs() < 1e-15);
+    }
+
+    /// Bit patterns recorded from the nested-Horner form; any change to
+    /// the evaluation order shows up here.
+    #[test]
+    fn anchor_bits_are_pinned() {
+        for (x, bits) in [
+            (0.0, 0x3ff0_0000_0000_0000),
+            (1.0, 0x4005_bf0a_8b14_5763),
+            (-1.0, 0x3fd7_8b56_362c_ef2b),
+            (std::f64::consts::LN_2, 0x4000_0000_0000_0000),
+            (700.0, 0x7f0d_945d_f4f8_ed66),
+            (-700.0, 0x00d1_4f2b_0fb9_3001),
+            (1000.0, 0x7fc5_86f6_bf26_0bb3),
+            (-1000.0, 0x0017_c8ab_2288_cafd),
+        ] {
+            assert_eq!(exp(x).to_bits(), bits, "exp({x})");
+        }
     }
 
     #[test]

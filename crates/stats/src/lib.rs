@@ -50,5 +50,5 @@ pub mod plackett_burman;
 pub mod rng;
 pub mod sampling;
 
-pub use describe::{Accumulator, Summary};
+pub use describe::Accumulator;
 pub use rng::{SplitMix64, Xoshiro256};

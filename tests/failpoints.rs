@@ -1,9 +1,8 @@
 //! Integration tests for the deterministic failpoint layer
-//! (`archpredict::failpoint`) threaded through the persist, registry and
-//! distributed paths: torn writes never touch the destination, a commit
-//! crash is a clean miss that a refit heals (superseding the old
-//! registry `CrashPoint` hook), injected schedules replay identically,
-//! and a faulted worker dispatch respawns and heals bit-exactly.
+//! (`archpredict::failpoint`) threaded through the persist and registry
+//! paths: torn writes never touch the destination, a commit crash is a
+//! clean miss that a refit heals (superseding the old registry
+//! `CrashPoint` hook), and injected schedules replay identically.
 //!
 //! Failpoint state is process-global, so every test holds [`serial`]'s
 //! lock for its whole body — unarmed sections included, since a refit
@@ -11,15 +10,13 @@
 //! plan through [`arm`], which disarms on drop.
 
 use archpredict::campaign::CampaignConfig;
-use archpredict::distributed::{locate_worker_binary, ProcessPoolOracle, WorkerSpec, FP_SPAN_SEND};
 use archpredict::failpoint::{self, FailAction, SiteSpec};
 use archpredict::persist::{self, FP_WRITE_ATOMIC};
 use archpredict::registry::{Registry, StudyFitSpec, FP_COMMIT_ENTRY, FP_COMMIT_OBJECT};
-use archpredict::simulate::{Oracle, SimStats};
 use archpredict::studies::Study;
 use archpredict_workloads::Benchmark;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
 /// Serializes the tests of this file across test threads.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -219,67 +216,4 @@ fn injected_error_pattern_replays_identically_across_reinstalls() {
         "p=0.4 over 60 writes fired {failures} times"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Builds (a no-op when fresh) and locates the worker binary. Always
-/// goes through cargo: `cargo test -p archpredict` does not track the
-/// worker as a dependency, so a previously built binary may predate the
-/// sources this test asserts against.
-fn worker_binary() -> &'static PathBuf {
-    static BINARY: OnceLock<PathBuf> = OnceLock::new();
-    BINARY.get_or_init(|| {
-        let mut build = std::process::Command::new(env!("CARGO"));
-        build.args(["build", "-p", "archpredict-worker"]);
-        if !cfg!(debug_assertions) {
-            build.arg("--release");
-        }
-        let status = build.status().expect("run cargo build for the worker");
-        assert!(status.success(), "building archpredict-worker failed");
-        locate_worker_binary().expect("worker binary after building it")
-    })
-}
-
-#[test]
-fn span_send_fault_respawns_the_worker_and_heals_the_batch() {
-    let serial = serial();
-    worker_binary();
-    let spec = WorkerSpec::Sleepy {
-        study: Study::MemorySystem,
-        sleep_micros: 0,
-        crash_index: None,
-        nan_index: None,
-    };
-    let space = spec.space();
-    let indices: Vec<usize> = (0..40).map(|i| (i * 389) % space.size()).collect();
-
-    // Undisturbed in-process reference.
-    let mut reference_pool =
-        ProcessPoolOracle::with_workers(spec.clone(), 0).expect("in-process pool");
-    reference_pool.set_span_timeout(None);
-    let mut stats = SimStats::default();
-    let reference: Vec<u64> = reference_pool
-        .evaluate_batch(&space, &indices, &mut stats)
-        .iter()
-        .map(|r| r.expect("sleepy evaluator never fails").to_bits())
-        .collect();
-
-    // The failpoint is checked in *this* process (the coordinator); the
-    // injected send failure looks like a worker that died idle, so the
-    // pool must reap, respawn, and retry the same span — and the healed
-    // batch must be bit-identical.
-    let _armed = arm(
-        &serial,
-        9,
-        &[(FP_SPAN_SEND, SiteSpec::once(FailAction::Error))],
-    );
-    let mut pool = ProcessPoolOracle::with_workers(spec, 1).expect("1-worker pool");
-    pool.set_span_timeout(None);
-    let mut stats = SimStats::default();
-    let healed: Vec<u64> = pool
-        .evaluate_batch(&space, &indices, &mut stats)
-        .iter()
-        .map(|r| r.expect("send fault heals transparently").to_bits())
-        .collect();
-    assert_eq!(healed, reference, "healed batch diverged");
-    assert!(pool.respawns() >= 1, "the faulted send must cost a respawn");
 }

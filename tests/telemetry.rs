@@ -1,29 +1,27 @@
 //! Telemetry integration: the observability layer must be invisible to
 //! the numbers. Campaign learning-curve CSVs stay bit-identical at every
-//! `Parallelism` setting whether the JSONL trace sink is armed or not;
-//! one trace ID set in the coordinator round-trips through the APWK pipe
-//! into worker span events; and the daemon's `/metrics` endpoint serves
-//! the unified counter registry in its stable text format while `/stats`
-//! keeps its JSON shape.
+//! `Parallelism` setting whether the JSONL trace sink is armed or not,
+//! and the daemon's `/metrics` endpoint serves the unified counter
+//! registry in its stable text format while `/stats` keeps its JSON
+//! shape.
 //!
 //! The trace sink is process-global, so every test that arms or clears
 //! it serializes on a lock and disarms on drop (panic included) — the
 //! same discipline the failpoint tests use.
 
-use archpredict::distributed::{locate_worker_binary, ProcessPoolOracle, WorkerSpec};
 use archpredict::explorer::{Explorer, ExplorerConfig};
 use archpredict::report::LearningCurve;
 use archpredict::serve::{http_request, http_request_text, ServeConfig, Server};
-use archpredict::simulate::{CachedEvaluator, Oracle, SimBudget, SimStats, StudyEvaluator};
+use archpredict::simulate::{CachedEvaluator, SimBudget, StudyEvaluator};
 use archpredict::studies::Study;
 use archpredict::telemetry;
 use archpredict_ann::{Parallelism, TrainConfig};
 use archpredict_workloads::{Benchmark, TraceGenerator};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
 /// Serializes trace-sink manipulation across test threads; the guard
-/// disarms the sink and scrubs the inherited env knob on drop.
+/// disarms the sink on drop.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 struct Armed<'a>(#[allow(dead_code)] MutexGuard<'a, ()>);
@@ -31,7 +29,6 @@ struct Armed<'a>(#[allow(dead_code)] MutexGuard<'a, ()>);
 impl Drop for Armed<'_> {
     fn drop(&mut self) {
         telemetry::clear_trace();
-        std::env::remove_var(telemetry::ENV_TRACE);
     }
 }
 
@@ -48,24 +45,6 @@ fn temp_path(tag: &str) -> PathBuf {
         "archpredict_telemetry_{tag}_{}.jsonl",
         std::process::id()
     ))
-}
-
-/// Builds (a no-op when fresh) and locates the worker binary. Always
-/// goes through cargo: `cargo test -p archpredict` does not track the
-/// worker as a dependency, so a previously built binary may predate the
-/// sources this test asserts against.
-fn worker_binary() -> &'static PathBuf {
-    static BINARY: OnceLock<PathBuf> = OnceLock::new();
-    BINARY.get_or_init(|| {
-        let mut build = std::process::Command::new(env!("CARGO"));
-        build.args(["build", "-p", "archpredict-worker"]);
-        if !cfg!(debug_assertions) {
-            build.arg("--release");
-        }
-        let status = build.status().expect("run cargo build for the worker");
-        assert!(status.success(), "building archpredict-worker failed");
-        locate_worker_binary().expect("worker binary after building it")
-    })
 }
 
 fn quick_evaluator() -> CachedEvaluator<StudyEvaluator> {
@@ -159,62 +138,6 @@ fn campaign_csv_is_bit_identical_across_parallelism_and_trace_arming() {
         );
     }
     let _ = std::fs::remove_file(&trace);
-}
-
-/// One trace ID, set in the coordinator, crosses the APWK pipe: the
-/// worker adopts it for its span events, echoes it on every RESULT and
-/// SPAN_DONE frame (a wrong echo would read as a died worker and show up
-/// as a respawn), and both processes' events correlate in one JSONL log.
-#[test]
-fn trace_id_round_trips_through_the_worker_pipe() {
-    let _guard = lock();
-    let trace_file = temp_path("pipe");
-    let _ = std::fs::remove_file(&trace_file);
-
-    // Arm both sides: the coordinator via `install_trace`, the worker via
-    // the env knob it inherits at spawn.
-    telemetry::install_trace(&trace_file).expect("arm trace sink");
-    std::env::set_var(telemetry::ENV_TRACE, &trace_file);
-
-    let spec = WorkerSpec::Study {
-        study: Study::MemorySystem,
-        benchmark: Benchmark::Mcf,
-        budget: SimBudget::quick(&TraceGenerator::new(Benchmark::Mcf)),
-    };
-    let space = spec.space();
-    worker_binary();
-    let mut pool = ProcessPoolOracle::with_workers(spec, 1).expect("build pool");
-    pool.set_span_timeout(None);
-
-    let trace_id = telemetry::fresh_trace_id();
-    let results = {
-        let _scope = telemetry::set_trace(trace_id);
-        let indices: Vec<usize> = (0..6).map(|i| (i * 997) % space.size()).collect();
-        let mut stats = SimStats::default();
-        pool.evaluate_batch(&space, &indices, &mut stats)
-    };
-    assert!(results.iter().all(Result::is_ok), "fault-free evaluator");
-    assert_eq!(pool.respawns(), 0, "a wrong trace echo reads as a death");
-    // Shut the pool down so the worker process exits and its final span
-    // events are on disk before we read the log.
-    drop(pool);
-
-    let events = std::fs::read_to_string(&trace_file).expect("read trace log");
-    let hex = format!("{trace_id:016x}");
-    let span_with = |name: &str| {
-        events
-            .lines()
-            .any(|l| l.contains(&format!("\"name\":\"{name}\"")) && l.contains(&hex))
-    };
-    assert!(
-        span_with("distributed.span"),
-        "no coordinator span carries trace {hex}"
-    );
-    assert!(
-        span_with("worker.span"),
-        "no worker span carries trace {hex} — the ID did not cross the pipe"
-    );
-    let _ = std::fs::remove_file(&trace_file);
 }
 
 /// `GET /metrics` on the daemon serves the unified counter registry in
