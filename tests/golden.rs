@@ -8,11 +8,14 @@
 //! are that contract: they cover both studies × all eight benchmarks under
 //! the points' own configurations and two memory-system variants
 //! (next-line prefetch with banked SDRAM, write-through L1D), a finite
-//! trace that drains the pipeline, and full `StudyEvaluator` IPCs, which
-//! run through the evaluator's own trace path. A mismatch means simulated
-//! values changed; only a deliberate fidelity change may re-record them.
+//! trace that drains the pipeline, full `StudyEvaluator` IPCs, which run
+//! through the evaluator's own trace path, and the outputs of the SimPoint,
+//! SMARTS and multi-task evaluators. A mismatch means simulated values
+//! changed; only a deliberate fidelity change may re-record them.
 
-use archpredict::simulate::{PointEvaluator, SimBudget, StudyEvaluator};
+use archpredict::multitask::MetricsEvaluator;
+use archpredict::simulate::{PointEvaluator, SimBudget, SimPointEvaluator, StudyEvaluator};
+use archpredict::smarts::{SmartsConfig, SmartsEvaluator};
 use archpredict::studies::Study;
 use archpredict_sim::{simulate, simulate_with_warmup, SimConfig, SimResult, WritePolicy};
 use archpredict_stats::hash::{fnv1a_64_extend, FNV_OFFSET};
@@ -154,4 +157,68 @@ fn study_evaluator_ipcs() {
         0x3fa8_02eb_7c9e_1262,
     ];
     assert_eq!(bits, expected, "evaluator IPCs changed");
+}
+
+/// The SimPoint estimate, the SMARTS estimate (mean, confidence, units) and
+/// the four multi-task metrics for seeded points of each study, one digest
+/// per evaluator.
+#[test]
+fn interval_evaluator_outputs() {
+    let mut rng = Xoshiro256::seed_from(SEED).derive(2);
+    let mut digests = [FNV_OFFSET; 3];
+    let fold = |h: u64, words: &[u64]| {
+        words
+            .iter()
+            .fold(h, |h, word| fnv1a_64_extend(h, &word.to_le_bytes()))
+    };
+    for (study, benchmark) in [
+        (Study::MemorySystem, Benchmark::Gzip),
+        (Study::Processor, Benchmark::Mgrid),
+    ] {
+        let generator = TraceGenerator::new(benchmark);
+        let simpoint = SimPointEvaluator::new(study, benchmark, 3_000, 10);
+        let smarts = SmartsEvaluator::new(
+            study,
+            benchmark,
+            SmartsConfig {
+                period: 6,
+                ..SmartsConfig::default()
+            },
+        );
+        let budget = SimBudget::spread(&generator, 2, 1_000, 3_000);
+        let metrics = MetricsEvaluator::new(study, benchmark, budget);
+        let space = study.space();
+        for _ in 0..2 {
+            let point = space.point(rng.below(space.size() as u64) as usize);
+            digests[0] = fold(digests[0], &[simpoint.evaluate(&point).to_bits()]);
+            let estimate = smarts.estimate(&point);
+            digests[1] = fold(
+                digests[1],
+                &[
+                    estimate.ipc.to_bits(),
+                    estimate.confidence.to_bits(),
+                    estimate.units as u64,
+                ],
+            );
+            let m = metrics.evaluate_metrics(&point);
+            digests[2] = fold(
+                digests[2],
+                &[
+                    m.ipc.to_bits(),
+                    m.l2_mpki.to_bits(),
+                    m.mispredict_rate.to_bits(),
+                    m.l1d_mpki.to_bits(),
+                ],
+            );
+        }
+    }
+    assert_eq!(
+        digests,
+        [
+            0xedfd_6975_9ded_4535,
+            0x54a1_81d3_9d06_a948,
+            0x36e0_cfc5_d1c2_6ba8,
+        ],
+        "SimPoint, SMARTS and multi-task outputs changed: {digests:#018x?}"
+    );
 }
