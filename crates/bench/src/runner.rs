@@ -135,12 +135,10 @@ fn truth_budget(study: Study, benchmark: Benchmark, simpoint: bool, quick: bool)
     let budget = if simpoint {
         // Truth for SimPoint experiments is the whole program at the
         // SimPoint interval length (the quantity SimPoint estimates).
-        let warmup = (SIMPOINT_INTERVAL_LEN / 3) as u64;
-        SimBudget {
-            warmup,
-            measured: SIMPOINT_INTERVAL_LEN as u64 - warmup,
-            intervals: (0..generator.num_intervals()).collect(),
-        }
+        SimBudget::whole_intervals(
+            SIMPOINT_INTERVAL_LEN,
+            (0..generator.num_intervals()).collect(),
+        )
     } else if quick {
         SimBudget::quick(&generator)
     } else {

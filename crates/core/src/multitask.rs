@@ -17,14 +17,13 @@
 //! [`seed_stream`] map.
 
 use crate::campaign::{collect_batch, seed_stream, Encoder, PlainEncoder};
-use crate::simulate::{Oracle, PointEvaluator, SimBudget, SimStats};
+use crate::simulate::{Oracle, PointEvaluator, SimBudget, SimStats, StudyEvaluator};
 use crate::space::{DesignPoint, DesignSpace};
 use crate::studies::Study;
 use archpredict_ann::{train_multi_network, MultiTrainedModel, TrainConfig};
-use archpredict_sim::simulate_with_warmup;
 use archpredict_stats::rng::Xoshiro256;
 use archpredict_stats::sampling::IncrementalSampler;
-use archpredict_workloads::{Benchmark, TraceGenerator};
+use archpredict_workloads::Benchmark;
 
 /// The metric vector a detailed simulation yields for multi-task training.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,7 +74,8 @@ pub enum TargetMetric {
     L1dMpki,
 }
 
-/// Evaluates the full metric vector for multi-task training.
+/// Evaluates the full metric vector for multi-task training, averaging
+/// each metric over the per-interval results of a [`StudyEvaluator`].
 ///
 /// Also a [`PointEvaluator`]: through the scalar interface it exposes the
 /// configured [`TargetMetric`] (IPC by default), so the same evaluator
@@ -83,10 +83,7 @@ pub enum TargetMetric {
 /// single-metric simulator.
 #[derive(Debug)]
 pub struct MetricsEvaluator {
-    study: Study,
-    space: DesignSpace,
-    generator: TraceGenerator,
-    budget: SimBudget,
+    simulator: StudyEvaluator,
     target: TargetMetric,
 }
 
@@ -95,10 +92,7 @@ impl MetricsEvaluator {
     /// IPC).
     pub fn new(study: Study, benchmark: Benchmark, budget: SimBudget) -> Self {
         Self {
-            study,
-            space: study.space(),
-            generator: TraceGenerator::new(benchmark),
-            budget,
+            simulator: StudyEvaluator::with_budget(study, benchmark, budget),
             target: TargetMetric::default(),
         }
     }
@@ -117,29 +111,22 @@ impl MetricsEvaluator {
 
     /// The study's design space.
     pub fn space(&self) -> &DesignSpace {
-        &self.space
+        self.simulator.space()
     }
 
     /// Simulates `point` and returns all metrics.
     pub fn evaluate_metrics(&self, point: &DesignPoint) -> Metrics {
-        let config = self.study.config_at(&self.space, point);
         let mut ipc = 0.0;
         let mut l2 = 0.0;
         let mut mispredict = 0.0;
         let mut l1d = 0.0;
-        for &i in &self.budget.intervals {
-            let r = simulate_with_warmup(
-                &config,
-                self.generator.interval(i),
-                self.budget.warmup,
-                self.budget.measured,
-            );
+        for r in self.simulator.simulate_intervals(point) {
             ipc += r.ipc();
             l2 += 1000.0 * r.l2_misses as f64 / r.instructions.max(1) as f64;
             mispredict += r.mispredict_rate();
             l1d += 1000.0 * r.l1d_misses as f64 / r.instructions.max(1) as f64;
         }
-        let n = self.budget.intervals.len() as f64;
+        let n = self.simulator.budget().intervals.len() as f64;
         Metrics {
             ipc: ipc / n,
             l2_mpki: l2 / n,
@@ -155,7 +142,7 @@ impl PointEvaluator for MetricsEvaluator {
     }
 
     fn instructions_per_evaluation(&self) -> u64 {
-        self.budget.instructions()
+        self.simulator.instructions_per_evaluation()
     }
 }
 
@@ -377,6 +364,7 @@ pub fn fit_multitask_oracles<O: Oracle + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use archpredict_workloads::TraceGenerator;
 
     /// Correlated synthetic tasks: aux = smooth transforms of the primary.
     fn make_data(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {

@@ -12,14 +12,17 @@
 //! (with an `ARCHPREDICT_SIM_THREADS` override, mirroring training's
 //! `ARCHPREDICT_TRAIN_THREADS`).
 //!
-//! Three leaf evaluators are provided: the full [`StudyEvaluator`], the
-//! noisy-but-cheap [`SimPointEvaluator`] (§5.3), and — in sibling modules —
-//! the SMARTS and multi-task evaluators. [`CachedEvaluator`] wraps any of
-//! them in a **sharded** memo cache with in-batch deduplication, so a
-//! batch containing duplicates — or parallel worker threads — never
-//! simulates the same configuration twice, and offers a plain-CSV
-//! [`CachedEvaluator::persist`]/[`CachedEvaluator::load`] path so
-//! interrupted experiments resume without re-simulating.
+//! [`StudyEvaluator`] is the one leaf that simulates: it replays its
+//! budget's packed intervals at a design point and averages their IPCs.
+//! The other leaves reduce its per-interval results their own way: the
+//! noisy-but-cheap [`SimPointEvaluator`] (§5.3) by cluster weight, and —
+//! in sibling modules — the SMARTS evaluator by mean and confidence and
+//! the multi-task evaluator into a metric vector. [`CachedEvaluator`]
+//! wraps any of them in a **sharded** memo cache with in-batch
+//! deduplication, so a batch containing duplicates — or parallel worker
+//! threads — never simulates the same configuration twice, and offers a
+//! plain-CSV [`CachedEvaluator::persist`]/[`CachedEvaluator::load`] path
+//! so interrupted experiments resume without re-simulating.
 //!
 //! # Fallibility
 //!
@@ -376,6 +379,18 @@ impl SimBudget {
         }
     }
 
+    /// SimPoint's convention for whole intervals of `interval_len`
+    /// instructions: the first third warms caches and predictors, and the
+    /// rest is measured.
+    pub fn whole_intervals(interval_len: usize, intervals: Vec<usize>) -> Self {
+        let warmup = (interval_len / 3) as u64;
+        Self {
+            warmup,
+            measured: interval_len as u64 - warmup,
+            intervals,
+        }
+    }
+
     /// Instructions simulated per evaluation under this budget.
     pub fn instructions(&self) -> u64 {
         (self.warmup + self.measured) * self.intervals.len() as u64
@@ -388,6 +403,10 @@ impl SimBudget {
 /// first evaluation synthesizes each of them once into a
 /// [`PackedInterval`] and every later simulation — on any thread —
 /// replays those buffers. Construction does no simulation work.
+///
+/// This is the only code that simulates a design point over a list of
+/// intervals. The SimPoint, SMARTS and multi-task evaluators each hold one,
+/// built from their own budget, and reduce its per-interval results.
 #[derive(Debug)]
 pub struct StudyEvaluator {
     study: Study,
@@ -444,24 +463,28 @@ impl StudyEvaluator {
                 .collect()
         })
     }
+
+    /// Simulates `point` on each of the budget's intervals, in budget
+    /// order: one simulator result per interval.
+    pub(crate) fn simulate_intervals(
+        &self,
+        point: &DesignPoint,
+    ) -> impl Iterator<Item = archpredict_sim::SimResult> + '_ {
+        let config = self.study.config_at(&self.space, point);
+        self.traces().iter().map(move |trace| {
+            simulate_with_warmup(
+                &config,
+                trace.replay(&self.generator),
+                self.budget.warmup,
+                self.budget.measured,
+            )
+        })
+    }
 }
 
 impl PointEvaluator for StudyEvaluator {
     fn evaluate(&self, point: &DesignPoint) -> f64 {
-        let config = self.study.config_at(&self.space, point);
-        let sum: f64 = self
-            .traces()
-            .iter()
-            .map(|trace| {
-                simulate_with_warmup(
-                    &config,
-                    trace.replay(&self.generator),
-                    self.budget.warmup,
-                    self.budget.measured,
-                )
-                .ipc()
-            })
-            .sum();
+        let sum: f64 = self.simulate_intervals(point).map(|r| r.ipc()).sum();
         sum / self.budget.intervals.len() as f64
     }
 
@@ -471,13 +494,12 @@ impl PointEvaluator for StudyEvaluator {
 }
 
 /// SimPoint-accelerated evaluation (§5.3): simulates only the plan's
-/// representative intervals and returns the weighted IPC estimate — faster
-/// per evaluation, but *noisy* relative to full simulation.
+/// representative intervals, whole, and returns their IPCs weighted by
+/// cluster size — faster per evaluation, but *noisy* relative to full
+/// simulation.
 #[derive(Debug)]
 pub struct SimPointEvaluator {
-    study: Study,
-    space: DesignSpace,
-    generator: TraceGenerator,
+    representatives: StudyEvaluator,
     plan: SimPointPlan,
 }
 
@@ -485,12 +507,11 @@ impl SimPointEvaluator {
     /// Builds the SimPoint plan for `benchmark` (out-of-the-box settings,
     /// as the paper runs SimPoint) and wraps it as an evaluator.
     pub fn new(study: Study, benchmark: Benchmark, interval_len: usize, max_k: usize) -> Self {
-        let generator = TraceGenerator::new(benchmark);
-        let plan = SimPointPlan::build(&generator, interval_len, max_k);
+        let plan = SimPointPlan::build(&TraceGenerator::new(benchmark), interval_len, max_k);
+        let intervals = plan.points().iter().map(|p| p.interval).collect();
+        let budget = SimBudget::whole_intervals(interval_len, intervals);
         Self {
-            study,
-            space: study.space(),
-            generator,
+            representatives: StudyEvaluator::with_budget(study, benchmark, budget),
             plan,
         }
     }
@@ -503,12 +524,16 @@ impl SimPointEvaluator {
 
 impl PointEvaluator for SimPointEvaluator {
     fn evaluate(&self, point: &DesignPoint) -> f64 {
-        let config = self.study.config_at(&self.space, point);
-        self.plan.estimate_ipc(&config, &self.generator)
+        self.plan
+            .points()
+            .iter()
+            .zip(self.representatives.simulate_intervals(point))
+            .map(|(p, r)| p.weight * r.ipc())
+            .sum()
     }
 
     fn instructions_per_evaluation(&self) -> u64 {
-        self.plan.simulated_instructions()
+        self.representatives.instructions_per_evaluation()
     }
 }
 
@@ -1384,17 +1409,12 @@ mod tests {
     fn simpoint_evaluator_tracks_full_evaluator() {
         let benchmark = Benchmark::Mgrid;
         let generator = TraceGenerator::new(benchmark);
-        let n = generator.num_intervals();
         let interval_len = 4000;
         // Full reference: every interval.
         let full = StudyEvaluator::with_budget(
             Study::Processor,
             benchmark,
-            SimBudget {
-                warmup: (interval_len / 3) as u64,
-                measured: interval_len as u64 - (interval_len / 3) as u64,
-                intervals: (0..n).collect(),
-            },
+            SimBudget::whole_intervals(interval_len, (0..generator.num_intervals()).collect()),
         );
         let sp = SimPointEvaluator::new(Study::Processor, benchmark, interval_len, 10);
         let space = full.space();
@@ -1403,7 +1423,7 @@ mod tests {
         let e = sp.evaluate(&p);
         let err = (f - e).abs() / f;
         assert!(
-            err < 0.15,
+            err < 0.12,
             "simpoint {e:.4} vs full {f:.4} ({:.1}%)",
             err * 100.0
         );

@@ -8,11 +8,11 @@
 //! that estimator as another fast-but-noisy [`PointEvaluator`] the ANN
 //! ensembles can train on — structurally different noise than SimPoint's
 //! (variance from tiny units rather than bias from unrepresented behavior).
+//! The units are simulated by a [`StudyEvaluator`] whose budget lists them.
 
-use crate::simulate::PointEvaluator;
+use crate::simulate::{PointEvaluator, SimBudget, StudyEvaluator};
 use crate::space::{DesignPoint, DesignSpace};
 use crate::studies::Study;
-use archpredict_sim::simulate_with_warmup;
 use archpredict_stats::describe::Accumulator;
 use archpredict_workloads::{Benchmark, TraceGenerator};
 
@@ -51,11 +51,7 @@ pub struct SmartsEstimate {
 /// Systematic-sampling evaluator over a study's design space.
 #[derive(Debug)]
 pub struct SmartsEvaluator {
-    study: Study,
-    space: DesignSpace,
-    generator: TraceGenerator,
-    config: SmartsConfig,
-    units: Vec<usize>,
+    units: StudyEvaluator,
 }
 
 impl SmartsEvaluator {
@@ -67,36 +63,29 @@ impl SmartsEvaluator {
     /// Panics if the period is zero or leaves no measurement units.
     pub fn new(study: Study, benchmark: Benchmark, config: SmartsConfig) -> Self {
         assert!(config.period > 0, "period must be positive");
-        let generator = TraceGenerator::new(benchmark);
-        let units: Vec<usize> = (0..generator.num_intervals())
+        let units: Vec<usize> = (0..TraceGenerator::new(benchmark).num_intervals())
             .step_by(config.period)
             .collect();
         assert!(!units.is_empty(), "no measurement units");
+        let budget = SimBudget {
+            warmup: config.warmup,
+            measured: config.measured,
+            intervals: units,
+        };
         Self {
-            study,
-            space: study.space(),
-            generator,
-            config,
-            units,
+            units: StudyEvaluator::with_budget(study, benchmark, budget),
         }
     }
 
     /// The study's design space.
     pub fn space(&self) -> &DesignSpace {
-        &self.space
+        self.units.space()
     }
 
     /// Full estimate (mean + confidence interval), the SMARTS deliverable.
     pub fn estimate(&self, point: &DesignPoint) -> SmartsEstimate {
-        let sim_config = self.study.config_at(&self.space, point);
         let mut acc = Accumulator::new();
-        for &interval in &self.units {
-            let r = simulate_with_warmup(
-                &sim_config,
-                self.generator.interval(interval),
-                self.config.warmup,
-                self.config.measured,
-            );
+        for r in self.units.simulate_intervals(point) {
             acc.add(r.ipc());
         }
         let n = acc.count() as f64;
@@ -114,14 +103,13 @@ impl PointEvaluator for SmartsEvaluator {
     }
 
     fn instructions_per_evaluation(&self) -> u64 {
-        (self.config.warmup + self.config.measured) * self.units.len() as u64
+        self.units.instructions_per_evaluation()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulate::{SimBudget, StudyEvaluator};
 
     #[test]
     fn estimate_tracks_full_simulation() {

@@ -5,9 +5,14 @@
 //! into fixed-length intervals; each interval is fingerprinted by its
 //! **basic-block vector** (BBV); BBVs are reduced by random projection and
 //! clustered with k-means (cluster count chosen by the Bayesian Information
-//! Criterion); one representative interval per cluster is then simulated in
-//! detail, and whole-program metrics are estimated as the cluster-weighted
-//! average of the representatives' metrics.
+//! Criterion); one representative interval per cluster is selected, weighted
+//! by its cluster's share of the program. Whole-program metrics are then
+//! estimated as the weighted average of the representatives' metrics.
+//!
+//! This crate only selects the points. The estimate itself is computed by
+//! `SimPointEvaluator` in the `archpredict` crate's `simulate` module,
+//! which simulates the representatives through the same packed-interval
+//! path as full simulation.
 //!
 //! The result is a *fast but noisy* estimator of the simulator function —
 //! exactly the kind of data source the paper shows ANN ensembles tolerate
@@ -29,7 +34,6 @@
 
 pub mod project;
 
-use archpredict_sim::{simulate_with_warmup, SimConfig};
 use archpredict_stats::kmeans::kmeans_best_bic;
 use archpredict_stats::rng::Xoshiro256;
 use archpredict_workloads::TraceGenerator;
@@ -128,40 +132,6 @@ impl SimPointPlan {
     pub fn reduction_factor(&self) -> f64 {
         self.full_instructions() as f64 / self.simulated_instructions() as f64
     }
-
-    /// SimPoint's estimate of whole-program IPC for `config`: simulate each
-    /// representative interval in detail and combine by cluster weight.
-    ///
-    /// A fraction of each interval is used to warm architectural state, as
-    /// SimPoint deployments do.
-    pub fn estimate_ipc(&self, config: &SimConfig, generator: &TraceGenerator) -> f64 {
-        let warmup = (self.interval_len / 3) as u64;
-        let measured = self.interval_len as u64 - warmup;
-        self.points
-            .iter()
-            .map(|p| {
-                let r =
-                    simulate_with_warmup(config, generator.interval(p.interval), warmup, measured);
-                p.weight * r.ipc()
-            })
-            .sum()
-    }
-}
-
-/// Reference "full" IPC: simulate every interval of the program and average
-/// (every interval has equal length, so the mean is the program IPC).
-pub fn full_program_ipc(
-    config: &SimConfig,
-    generator: &TraceGenerator,
-    interval_len: usize,
-) -> f64 {
-    let warmup = (interval_len / 3) as u64;
-    let measured = interval_len as u64 - warmup;
-    let n = generator.num_intervals();
-    let sum: f64 = (0..n)
-        .map(|i| simulate_with_warmup(config, generator.interval(i), warmup, measured).ipc())
-        .sum();
-    sum / n as f64
 }
 
 #[cfg(test)]
@@ -206,21 +176,6 @@ mod tests {
             plan.reduction_factor() >= 4.0,
             "reduction {}",
             plan.reduction_factor()
-        );
-    }
-
-    #[test]
-    fn estimate_tracks_full_simulation() {
-        let generator = TraceGenerator::new(Benchmark::Mgrid);
-        let plan = SimPointPlan::build(&generator, LEN, 10);
-        let config = SimConfig::default();
-        let est = plan.estimate_ipc(&config, &generator);
-        let full = full_program_ipc(&config, &generator, LEN);
-        let err = (est - full).abs() / full;
-        assert!(
-            err < 0.12,
-            "SimPoint estimate {est:.4} vs full {full:.4}: {:.1}% error",
-            err * 100.0
         );
     }
 

@@ -93,15 +93,10 @@ fn main() {
 
     // Spot-check against *full* simulation (which the model never saw).
     let generator = TraceGenerator::new(app);
-    let warmup = (interval_len / 3) as u64;
     let full = StudyEvaluator::with_budget(
         study,
         app,
-        SimBudget {
-            warmup,
-            measured: interval_len as u64 - warmup,
-            intervals: (0..generator.num_intervals()).collect(),
-        },
+        SimBudget::whole_intervals(interval_len, (0..generator.num_intervals()).collect()),
     );
     let mut rng = Xoshiro256::seed_from(7);
     println!("\nspot checks vs full simulation:");

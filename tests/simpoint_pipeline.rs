@@ -12,6 +12,17 @@ use archpredict_workloads::{Benchmark, TraceGenerator};
 
 const INTERVAL_LEN: usize = 3_000;
 
+/// Full simulation of every interval of `benchmark`, whole, at
+/// `INTERVAL_LEN`: the quantity SimPoint estimates.
+fn whole_program(study: Study, benchmark: Benchmark) -> StudyEvaluator {
+    let intervals = (0..TraceGenerator::new(benchmark).num_intervals()).collect();
+    StudyEvaluator::with_budget(
+        study,
+        benchmark,
+        SimBudget::whole_intervals(INTERVAL_LEN, intervals),
+    )
+}
+
 #[test]
 fn ann_tolerates_simpoint_noise() {
     let study = Study::Processor;
@@ -36,17 +47,7 @@ fn ann_tolerates_simpoint_noise() {
     }
 
     // Truth: full-program simulation at the same interval length.
-    let generator = TraceGenerator::new(benchmark);
-    let warmup = (INTERVAL_LEN / 3) as u64;
-    let full = StudyEvaluator::with_budget(
-        study,
-        benchmark,
-        SimBudget {
-            warmup,
-            measured: INTERVAL_LEN as u64 - warmup,
-            intervals: (0..generator.num_intervals()).collect(),
-        },
-    );
+    let full = whole_program(study, benchmark);
     let mut rng = Xoshiro256::seed_from(3);
     let mut err = Accumulator::new();
     for i in sample_without_replacement(space.size(), 25, &mut rng) {
@@ -67,17 +68,7 @@ fn simpoint_estimator_is_cheaper_and_close() {
     let space = study.space();
     let benchmark = Benchmark::Equake;
     let simpoint = SimPointEvaluator::new(study, benchmark, INTERVAL_LEN, 8);
-    let generator = TraceGenerator::new(benchmark);
-    let warmup = (INTERVAL_LEN / 3) as u64;
-    let full = StudyEvaluator::with_budget(
-        study,
-        benchmark,
-        SimBudget {
-            warmup,
-            measured: INTERVAL_LEN as u64 - warmup,
-            intervals: (0..generator.num_intervals()).collect(),
-        },
-    );
+    let full = whole_program(study, benchmark);
     assert!(simpoint.instructions_per_evaluation() * 3 < full.instructions_per_evaluation());
     let mut rng = Xoshiro256::seed_from(9);
     let mut err = Accumulator::new();
