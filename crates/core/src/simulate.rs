@@ -721,17 +721,11 @@ impl<E: PointEvaluator> CachedEvaluator<E> {
     }
 
     /// Point-at-a-time adapter through the cache, for callers holding a
-    /// [`DesignPoint`] rather than an index. Only successful values enter
-    /// the cache, so a transient fault is re-attempted on the next call.
+    /// [`DesignPoint`] rather than an index: a one-index batch, so a hit,
+    /// a miss and a panicking simulation are handled exactly as in
+    /// [`Oracle::evaluate_batch`].
     pub fn evaluate(&self, point: &DesignPoint) -> SimResult {
-        let index = self.space.index(point);
-        if let Some(v) = self.lookup(index) {
-            self.hits.incr();
-            return Ok(v);
-        }
-        let v = self.inner.try_evaluate(point)?;
-        self.insert_once(index, v);
-        Ok(v)
+        self.evaluate_index(&self.space, self.space.index(point))
     }
 }
 
@@ -1192,6 +1186,10 @@ mod tests {
             assert_eq!(batchmates(&second), clean, "second {parallelism:?}");
             assert_eq!(oracle.quarantined(), vec![505]);
         }
+
+        // The point-at-a-time adapter runs through the same fan-out.
+        let cached = CachedEvaluator::new(evaluator(), space.clone());
+        assert_eq!(cached.evaluate(&space.point(505)), Err(SimError::Crashed));
     }
 
     #[test]
