@@ -403,10 +403,6 @@ impl SimBudget {
 /// first evaluation synthesizes each of them once into a
 /// [`PackedInterval`] and every later simulation — on any thread —
 /// replays those buffers. Construction does no simulation work.
-///
-/// This is the only code that simulates a design point over a list of
-/// intervals. The SimPoint, SMARTS and multi-task evaluators each hold one,
-/// built from their own budget, and reduce its per-interval results.
 #[derive(Debug)]
 pub struct StudyEvaluator {
     study: Study,
@@ -465,7 +461,7 @@ impl StudyEvaluator {
     }
 
     /// Simulates `point` on each of the budget's intervals, in budget
-    /// order: one simulator result per interval.
+    /// order. Every evaluator in the crate reduces these results.
     pub(crate) fn simulate_intervals(
         &self,
         point: &DesignPoint,
