@@ -5,14 +5,11 @@
 //! into fixed-length intervals; each interval is fingerprinted by its
 //! **basic-block vector** (BBV); BBVs are reduced by random projection and
 //! clustered with k-means (cluster count chosen by the Bayesian Information
-//! Criterion); one representative interval per cluster is selected, weighted
-//! by its cluster's share of the program. Whole-program metrics are then
-//! estimated as the weighted average of the representatives' metrics.
-//!
-//! This crate only selects the points. The estimate itself is computed by
-//! `SimPointEvaluator` in the `archpredict` crate's `simulate` module,
-//! which simulates the representatives through the same packed-interval
-//! path as full simulation.
+//! Criterion); one representative interval per cluster is selected and
+//! weighted by its cluster's share of the program. Whole-program metrics are
+//! the weighted average of the representatives' metrics: `SimPointEvaluator`,
+//! in the `archpredict` crate's `simulate` module, computes that estimate
+//! through the same packed-interval path as full simulation.
 //!
 //! The result is a *fast but noisy* estimator of the simulator function —
 //! exactly the kind of data source the paper shows ANN ensembles tolerate
