@@ -12,11 +12,18 @@
 //! through the evaluator's own trace path, and the outputs of the SimPoint,
 //! SMARTS and multi-task evaluators. A mismatch means simulated values
 //! changed; only a deliberate fidelity change may re-record them.
+//!
+//! Training is pinned the same way: seeded ensemble and multi-task fits
+//! are digested down to their serialized weights, so a faster training
+//! kernel must leave every trained bit where it was.
 
 use archpredict::multitask::MetricsEvaluator;
 use archpredict::simulate::{PointEvaluator, SimBudget, SimPointEvaluator, StudyEvaluator};
 use archpredict::smarts::{SmartsConfig, SmartsEvaluator};
 use archpredict::studies::Study;
+use archpredict_ann::{
+    fit_ensemble, train_multi_network, Dataset, Parallelism, Sample, TrainConfig,
+};
 use archpredict_sim::{simulate, simulate_with_warmup, SimConfig, SimResult, WritePolicy};
 use archpredict_stats::hash::{fnv1a_64_extend, FNV_OFFSET};
 use archpredict_stats::rng::Xoshiro256;
@@ -24,6 +31,13 @@ use archpredict_workloads::{Benchmark, TraceGenerator};
 
 /// Seed of the sampled design points.
 const SEED: u64 = 0x0060_1DE4;
+
+/// Folds each word of `words` into `h`, little-endian.
+fn extend_words(h: u64, words: &[u64]) -> u64 {
+    words
+        .iter()
+        .fold(h, |h, word| fnv1a_64_extend(h, &word.to_le_bytes()))
+}
 
 /// Folds every field of `result` into `h`. The exhaustive destructuring
 /// makes a new `SimResult` field a compile error here until it is hashed.
@@ -166,11 +180,6 @@ fn study_evaluator_ipcs() {
 fn interval_evaluator_outputs() {
     let mut rng = Xoshiro256::seed_from(SEED).derive(2);
     let mut digests = [FNV_OFFSET; 3];
-    let fold = |h: u64, words: &[u64]| {
-        words
-            .iter()
-            .fold(h, |h, word| fnv1a_64_extend(h, &word.to_le_bytes()))
-    };
     for (study, benchmark) in [
         (Study::MemorySystem, Benchmark::Gzip),
         (Study::Processor, Benchmark::Mgrid),
@@ -190,9 +199,9 @@ fn interval_evaluator_outputs() {
         let space = study.space();
         for _ in 0..2 {
             let point = space.point(rng.below(space.size() as u64) as usize);
-            digests[0] = fold(digests[0], &[simpoint.evaluate(&point).to_bits()]);
+            digests[0] = extend_words(digests[0], &[simpoint.evaluate(&point).to_bits()]);
             let estimate = smarts.estimate(&point);
-            digests[1] = fold(
+            digests[1] = extend_words(
                 digests[1],
                 &[
                     estimate.ipc.to_bits(),
@@ -201,7 +210,7 @@ fn interval_evaluator_outputs() {
                 ],
             );
             let m = metrics.evaluate_metrics(&point);
-            digests[2] = fold(
+            digests[2] = extend_words(
                 digests[2],
                 &[
                     m.ipc.to_bits(),
@@ -220,5 +229,94 @@ fn interval_evaluator_outputs() {
             0x36e0_cfc5_d1c2_6ba8,
         ],
         "SimPoint, SMARTS and multi-task outputs changed: {digests:#018x?}"
+    );
+}
+
+/// Seeded fits at the memory study's `[10, 16, 1]` shape: a 5-fold
+/// ensemble at the default configuration, the same fit with a second
+/// hidden layer of 8 units, and a 4-head multi-task network. Each digest
+/// covers the error estimate, every fold's epochs, best early-stopping
+/// error and reinits, member (or head) predictions at four probe rows,
+/// and the serialized artifact text.
+#[test]
+fn trained_model_outputs() {
+    let mut rng = Xoshiro256::seed_from(SEED).derive(3);
+    let rows: Vec<Vec<f64>> = (0..60)
+        .map(|_| (0..10).map(|_| rng.next_f64()).collect())
+        .collect();
+    let ipc = |x: &[f64]| {
+        0.3 + 0.5 * (2.0 * x[0]).sin().abs()
+            + 0.3 * x[1] * x[2]
+            + 0.1 * x[3..].iter().sum::<f64>() / 7.0
+    };
+    let data: Dataset = rows
+        .iter()
+        .map(|x| Sample::new(x.clone(), ipc(x)))
+        .collect();
+    let probes = &rows[..4];
+    let mut digests = [FNV_OFFSET; 3];
+    for (digest, second_hidden_units) in digests.iter_mut().zip([0, 8]) {
+        let config = TrainConfig {
+            second_hidden_units,
+            parallelism: Parallelism::Fixed(1),
+            ..TrainConfig::default()
+        };
+        let fit = fit_ensemble(&data, 5, &config, 0x7EA1);
+        let estimate = fit.estimate;
+        let mut words = vec![
+            estimate.mean.to_bits(),
+            estimate.std_dev.to_bits(),
+            estimate.points,
+        ];
+        for record in &fit.folds {
+            words.extend([
+                record.epochs as u64,
+                record.best_es_error.to_bits(),
+                u64::from(record.reinits),
+            ]);
+        }
+        for probe in probes {
+            words.extend(
+                fit.ensemble
+                    .member_predictions(probe)
+                    .iter()
+                    .map(|y| y.to_bits()),
+            );
+        }
+        let text = fit.ensemble.to_json_fingerprinted(0x5EED);
+        *digest = fnv1a_64_extend(extend_words(*digest, &words), text.as_bytes());
+    }
+
+    let targets: Vec<Vec<f64>> = rows
+        .iter()
+        .map(|x| {
+            let y = ipc(x);
+            vec![y, 2.0 - y, y * y, 0.5 + x[4]]
+        })
+        .collect();
+    let pairs: Vec<(&[f64], &[f64])> = rows
+        .iter()
+        .zip(&targets)
+        .map(|(x, t)| (x.as_slice(), t.as_slice()))
+        .collect();
+    let (train, es) = pairs.split_at(48);
+    let mut rng = Xoshiro256::seed_from(SEED).derive(4);
+    let model = train_multi_network(train, es, 0, &TrainConfig::default(), &mut rng);
+    let words: Vec<u64> = probes
+        .iter()
+        .flat_map(|probe| model.predict_all(probe))
+        .map(f64::to_bits)
+        .collect();
+    let text = model.to_json_fingerprinted(0x5EED);
+    digests[2] = fnv1a_64_extend(extend_words(digests[2], &words), text.as_bytes());
+
+    assert_eq!(
+        digests,
+        [
+            0xa525_9e8a_e73c_d067,
+            0xb9c7_c4a2_1681_9c31,
+            0x6c9d_bb66_4c42_fad8,
+        ],
+        "trained models changed: {digests:#018x?}"
     );
 }
