@@ -18,14 +18,14 @@ fn json_err(message: &str) -> JsonError {
     JsonError::custom(message)
 }
 
-/// Lane width of the register-blocked kernels: eight independent f64
-/// accumulator chains. Eight lanes fill four SSE2 registers (or two AVX
-/// ones) when LLVM autovectorizes, and — just as importantly on any
-/// target — break the 4-cycle floating-point add latency chain of a
-/// scalar dot product into eight independent chains that saturate the
-/// FMA pipes. The value is a tuning constant, not a correctness
-/// parameter: every kernel preserves the exact per-unit summation order
-/// at any lane width.
+/// Lane width of the batch kernel's register tiles
+/// ([`Layer::forward_batch_t`]): eight independent f64 accumulator chains,
+/// one per point. Eight lanes fill four SSE2 registers (or two AVX ones)
+/// when LLVM autovectorizes, and — just as importantly on any target —
+/// break the 4-cycle floating-point add latency chain of a scalar dot
+/// product into eight independent chains that saturate the FMA pipes. The
+/// value is a tuning constant, not a correctness parameter: the kernel
+/// preserves the exact per-unit summation order at any lane width.
 const LANES: usize = 8;
 
 /// Output units processed together per register tile of the batch kernel
@@ -42,33 +42,50 @@ const UNIT_TILE: usize = 4;
 /// worker regardless of sweep size.
 const BLOCK_POINTS: usize = 256;
 
-/// One fully connected layer: `outputs x (inputs + 1)` weights, the final
-/// column being the bias.
+/// Transposes a row-major matrix of `cols` columns.
+fn transpose(matrix: &[f64], cols: usize) -> Vec<f64> {
+    (0..cols)
+        .flat_map(|c| matrix[c..].iter().step_by(cols).copied())
+        .collect()
+}
+
+/// One fully connected layer, stored **input-major**: `(inputs + 1) x
+/// outputs` weights, where row `i` holds input `i`'s weight into every
+/// output unit and the final row holds the biases. A row is everything one
+/// input contributes to the layer, so the single-example forward pass and
+/// the weight update are contiguous vector operations over the outputs.
+/// The persisted format stays output-major: [`Layer::to_json_value`] and
+/// [`Layer::from_json_value`] transpose at the boundary.
 #[derive(Debug, Clone, PartialEq)]
 struct Layer {
     inputs: usize,
     outputs: usize,
     activation: Activation,
-    /// Row-major `[output][input + bias]`.
+    /// Input-major `[input + bias][output]`.
     weights: Vec<f64>,
-    /// Previous update, for momentum (Eq. 3.2).
+    /// Previous update, for momentum (Eq. 3.2), laid out like `weights`.
     velocity: Vec<f64>,
 }
 
 impl Layer {
+    /// Draws the weights in output-major order (one output's inputs, then
+    /// its bias, then the next output) and stores them input-major.
     fn new(inputs: usize, outputs: usize, activation: Activation, rng: &mut Xoshiro256) -> Self {
         let n = outputs * (inputs + 1);
+        let drawn: Vec<f64> = (0..n)
+            .map(|_| rng.range_f64(-INIT_WEIGHT_RANGE, INIT_WEIGHT_RANGE))
+            .collect();
         Self {
             inputs,
             outputs,
             activation,
-            weights: (0..n)
-                .map(|_| rng.range_f64(-INIT_WEIGHT_RANGE, INIT_WEIGHT_RANGE))
-                .collect(),
+            weights: transpose(&drawn, inputs + 1),
             velocity: vec![0.0; n],
         }
     }
 
+    /// Serializes the layer with its weights and velocities output-major
+    /// (`[output][input + bias]`), the persisted layout.
     fn to_json_value(&self) -> Value {
         Value::Object(vec![
             ("inputs".into(), Value::num(self.inputs as f64)),
@@ -77,45 +94,61 @@ impl Layer {
                 "activation".into(),
                 Value::Str(self.activation.name().into()),
             ),
-            ("weights".into(), Value::from_f64s(&self.weights)),
-            ("velocity".into(), Value::from_f64s(&self.velocity)),
+            (
+                "weights".into(),
+                Value::from_f64s(&transpose(&self.weights, self.outputs)),
+            ),
+            (
+                "velocity".into(),
+                Value::from_f64s(&transpose(&self.velocity, self.outputs)),
+            ),
         ])
     }
 
     fn from_json_value(value: &Value) -> Result<Self, JsonError> {
-        let layer = Self {
-            inputs: value.get("inputs")?.as_usize()?,
-            outputs: value.get("outputs")?.as_usize()?,
-            activation: Activation::from_name(value.get("activation")?.as_str()?)
-                .ok_or_else(|| json_err("unknown activation"))?,
-            weights: value.get("weights")?.as_f64_vec()?,
-            velocity: value.get("velocity")?.as_f64_vec()?,
-        };
-        let n = layer.outputs * (layer.inputs + 1);
-        if layer.weights.len() != n || layer.velocity.len() != n {
+        let inputs = value.get("inputs")?.as_usize()?;
+        let outputs = value.get("outputs")?.as_usize()?;
+        let activation = Activation::from_name(value.get("activation")?.as_str()?)
+            .ok_or_else(|| json_err("unknown activation"))?;
+        let weights = value.get("weights")?.as_f64_vec()?;
+        let velocity = value.get("velocity")?.as_f64_vec()?;
+        let n = outputs * (inputs + 1);
+        if weights.len() != n || velocity.len() != n {
             return Err(json_err("layer weight count mismatch"));
         }
-        if layer.inputs == 0 || layer.outputs == 0 {
+        if inputs == 0 || outputs == 0 {
             return Err(json_err("layer sizes must be positive"));
         }
-        Ok(layer)
+        Ok(Self {
+            inputs,
+            outputs,
+            activation,
+            weights: transpose(&weights, inputs + 1),
+            velocity: transpose(&velocity, inputs + 1),
+        })
     }
 
-    fn forward(&self, input: &[f64], output: &mut Vec<f64>) {
-        output.clear();
-        output.resize(self.outputs, 0.0);
-        self.forward_into(input, output);
+    /// Index of input `i`'s weight into output `o` (`i == inputs` is the
+    /// bias).
+    fn at(&self, i: usize, o: usize) -> usize {
+        i * self.outputs + o
+    }
+
+    /// Output `o`'s weights in ascending input order, its bias last.
+    fn column(&self, o: usize) -> impl Iterator<Item = &f64> {
+        self.weights[o..].iter().step_by(self.outputs)
     }
 
     /// Forward pass into a caller-provided slice of exactly `outputs`
     /// elements — no allocation, bit-for-bit the arithmetic of
     /// [`Self::forward_naive_into`].
     ///
-    /// Outputs are processed in blocks of [`LANES`] independent
-    /// accumulator chains (each output keeps its own bias-then-ascending-
-    /// input summation order, so results are exactly the naive loop's),
-    /// which turns the latency-bound scalar dot product into [`LANES`]
-    /// parallel ones.
+    /// The net inputs start as a copy of the bias row, then each input
+    /// adds its row times its activation: one contiguous multiply-add over
+    /// the outputs per input. Every output still sums bias first, then
+    /// inputs in ascending order, so the results are exactly the naive
+    /// loop's. A one-output layer (the regression head) is a single row,
+    /// so it runs as one dot product instead.
     ///
     /// The length checks are hard `assert_eq!`s, not `debug_assert_eq!`s:
     /// a too-short output slice in a release build must abort rather than
@@ -123,31 +156,20 @@ impl Layer {
     fn forward_into(&self, input: &[f64], output: &mut [f64]) {
         assert_eq!(output.len(), self.outputs, "output slice length");
         assert_eq!(input.len(), self.inputs, "input slice length");
-        let stride = self.inputs + 1;
-        let mut o = 0;
-        while o + LANES <= self.outputs {
-            let rows = &self.weights[o * stride..(o + LANES) * stride];
-            let mut acc = [0.0; LANES];
-            for (k, a) in acc.iter_mut().enumerate() {
-                *a = rows[k * stride + self.inputs]; // bias
-            }
-            for (i, &x) in input.iter().enumerate() {
-                for (k, a) in acc.iter_mut().enumerate() {
-                    *a += rows[k * stride + i] * x;
-                }
-            }
-            output[o..o + LANES].copy_from_slice(&acc);
-            o += LANES;
-        }
-        for (row, out) in self.weights[o * stride..]
-            .chunks_exact(stride)
-            .zip(&mut output[o..])
-        {
-            let mut net = row[self.inputs]; // bias
-            for (w, x) in row[..self.inputs].iter().zip(input) {
+        let (rows, bias) = self.weights.split_at(self.inputs * self.outputs);
+        if let [out] = output {
+            let mut net = bias[0];
+            for (w, x) in rows.iter().zip(input) {
                 net += w * x;
             }
             *out = net;
+        } else {
+            output.copy_from_slice(bias);
+            for (row, &x) in rows.chunks_exact(self.outputs).zip(input) {
+                for (net, w) in output.iter_mut().zip(row) {
+                    *net += w * x;
+                }
+            }
         }
         self.activation.apply_slice(output);
     }
@@ -158,9 +180,8 @@ impl Layer {
         assert_eq!(output.len(), self.outputs, "output slice length");
         assert_eq!(input.len(), self.inputs, "input slice length");
         for (o, out) in output.iter_mut().enumerate() {
-            let row = &self.weights[o * (self.inputs + 1)..(o + 1) * (self.inputs + 1)];
-            let mut net = row[self.inputs]; // bias
-            for (w, x) in row[..self.inputs].iter().zip(input) {
+            let mut net = self.weights[self.at(self.inputs, o)]; // bias
+            for (w, x) in self.column(o).zip(input) {
                 net += w * x;
             }
             *out = self.activation.apply(net);
@@ -175,51 +196,43 @@ impl Layer {
     ///
     /// Net inputs are accumulated in register tiles of [`UNIT_TILE`]
     /// output units × [`LANES`] lanes: the tile keeps one row of eight
-    /// accumulators per unit (initialized to that unit's bias) and streams
-    /// the units' weight rows once, adding `w[u][i] * x[i][lane]` in
-    /// ascending-`i` order — each weight is a broadcast scalar, the eight
-    /// activations are one contiguous load shared by all four units, and
-    /// each `(unit, lane)` chain is exactly the scalar summation order, so
-    /// the result is bit-for-bit [`Self::forward_naive_into`] per point.
-    /// Ragged edges (`outputs % UNIT_TILE` units, `n % LANES` points) run
-    /// the same order with fewer units / one point at a time. The
-    /// activation is then applied in one contiguous elementwise pass over
-    /// the whole output matrix ([`Activation::apply_slice`]) — same
-    /// per-element arithmetic, but the sigmoid's polynomial `exp`
-    /// vectorizes over a long flat loop instead of per-tile fragments.
+    /// accumulators per unit (initialized to that unit's bias) and, for
+    /// each input in ascending order, reads the tile's four adjacent
+    /// weights from that input's row and adds `w[i][u] * x[i][lane]` —
+    /// each weight is a broadcast scalar, the eight activations are one
+    /// contiguous load shared by all four units, and each `(unit, lane)`
+    /// chain is exactly the scalar summation order, so the result is
+    /// bit-for-bit [`Self::forward_naive_into`] per point. Ragged edges
+    /// (`outputs % UNIT_TILE` units, `n % LANES` points) run the same
+    /// order with fewer units / one point at a time. The activation is
+    /// then applied in one contiguous elementwise pass over the whole
+    /// output matrix ([`Activation::apply_slice`]) — same per-element
+    /// arithmetic, but the sigmoid's polynomial `exp` vectorizes over a
+    /// long flat loop instead of per-tile fragments.
     fn forward_batch_t(&self, input_t: &[f64], out_t: &mut [f64], n: usize) {
         assert_eq!(input_t.len(), self.inputs * n, "input matrix size");
         assert_eq!(out_t.len(), self.outputs * n, "output matrix size");
-        let stride = self.inputs + 1;
+        let (rows, bias) = self.weights.split_at(self.inputs * self.outputs);
         let full_units = self.outputs - self.outputs % UNIT_TILE;
-        for (wblock, oblock) in self.weights[..full_units * stride]
-            .chunks_exact(stride * UNIT_TILE)
+        for (u, oblock) in (0..full_units)
+            .step_by(UNIT_TILE)
             .zip(out_t[..full_units * n].chunks_exact_mut(n * UNIT_TILE))
         {
-            let mut wrows = wblock.chunks_exact(stride);
-            let (w0, w1, w2, w3) = (
-                wrows.next().expect("tile row"),
-                wrows.next().expect("tile row"),
-                wrows.next().expect("tile row"),
-                wrows.next().expect("tile row"),
-            );
+            let &[b0, b1, b2, b3]: &[f64; UNIT_TILE] =
+                bias[u..u + UNIT_TILE].try_into().expect("tile biases");
             let (o0, rest) = oblock.split_at_mut(n);
             let (o1, rest) = rest.split_at_mut(n);
             let (o2, o3) = rest.split_at_mut(n);
             let mut p = 0;
             while p + LANES <= n {
-                let mut a0 = [w0[self.inputs]; LANES];
-                let mut a1 = [w1[self.inputs]; LANES];
-                let mut a2 = [w2[self.inputs]; LANES];
-                let mut a3 = [w3[self.inputs]; LANES];
-                for ((((xrow, &c0), &c1), &c2), &c3) in input_t
-                    .chunks_exact(n)
-                    .zip(&w0[..self.inputs])
-                    .zip(&w1[..self.inputs])
-                    .zip(&w2[..self.inputs])
-                    .zip(&w3[..self.inputs])
-                {
+                let mut a0 = [b0; LANES];
+                let mut a1 = [b1; LANES];
+                let mut a2 = [b2; LANES];
+                let mut a3 = [b3; LANES];
+                for (xrow, wrow) in input_t.chunks_exact(n).zip(rows.chunks_exact(self.outputs)) {
                     let x: &[f64; LANES] = xrow[p..p + LANES].try_into().expect("lane tile");
+                    let &[c0, c1, c2, c3]: &[f64; UNIT_TILE] =
+                        wrow[u..u + UNIT_TILE].try_into().expect("unit tile");
                     for l in 0..LANES {
                         a0[l] += c0 * x[l];
                         a1[l] += c1 * x[l];
@@ -233,48 +246,46 @@ impl Layer {
                 o3[p..p + LANES].copy_from_slice(&a3);
                 p += LANES;
             }
-            for (w, out) in [(w0, &mut *o0), (w1, o1), (w2, o2), (w3, o3)] {
-                Self::net_points_tail(w, self.inputs, out, input_t, n, p);
+            for (k, out) in [o0, o1, o2, o3].into_iter().enumerate() {
+                self.net_points_tail(u + k, out, input_t, n, p);
             }
         }
-        for (row, out_row) in self.weights[full_units * stride..]
-            .chunks_exact(stride)
-            .zip(out_t[full_units * n..].chunks_exact_mut(n))
+        for (o, out_row) in
+            (full_units..self.outputs).zip(out_t[full_units * n..].chunks_exact_mut(n))
         {
-            let (w, bias) = (&row[..self.inputs], row[self.inputs]);
             let mut p = 0;
             while p + LANES <= n {
-                let mut acc = [bias; LANES];
-                for (xrow, &wi) in input_t.chunks_exact(n).zip(w) {
+                let mut acc = [bias[o]; LANES];
+                for (xrow, wrow) in input_t.chunks_exact(n).zip(rows.chunks_exact(self.outputs)) {
                     let x: &[f64; LANES] = xrow[p..p + LANES].try_into().expect("lane tile");
                     for (a, &xl) in acc.iter_mut().zip(x) {
-                        *a += wi * xl;
+                        *a += wrow[o] * xl;
                     }
                 }
                 out_row[p..p + LANES].copy_from_slice(&acc);
                 p += LANES;
             }
-            Self::net_points_tail(row, self.inputs, out_row, input_t, n, p);
+            self.net_points_tail(o, out_row, input_t, n, p);
         }
         self.activation.apply_slice(out_t);
     }
 
-    /// Scalar tail of [`Self::forward_batch_t`]: net inputs for points
-    /// `from..n` of one output unit, in the exact per-point summation
-    /// order (activation is applied later over the whole matrix).
+    /// Scalar tail of [`Self::forward_batch_t`]: net inputs of output `o`
+    /// for points `from..n`, in the exact per-point summation order
+    /// (activation is applied later over the whole matrix).
     fn net_points_tail(
-        row: &[f64],
-        inputs: usize,
+        &self,
+        o: usize,
         out_row: &mut [f64],
         input_t: &[f64],
         n: usize,
         from: usize,
     ) {
-        let bias = row[inputs];
+        let bias = self.weights[self.at(self.inputs, o)];
         for (p, out) in out_row.iter_mut().enumerate().skip(from) {
             let mut net = bias;
-            for (xrow, &wi) in input_t.chunks_exact(n).zip(&row[..inputs]) {
-                net += wi * xrow[p];
+            for (xrow, w) in input_t.chunks_exact(n).zip(self.column(o)) {
+                net += w * xrow[p];
             }
             *out = net;
         }
@@ -311,6 +322,13 @@ pub struct NetworkSnapshot {
 
 /// A feed-forward multi-layer perceptron.
 ///
+/// Each layer keeps its weights and momentum velocities input-major (one
+/// row per input, biases last), which makes a training step's forward
+/// pass and update contiguous over the layer's outputs. Serialization
+/// ([`Network::to_json_value`]) writes them output-major, the layout
+/// every persisted artifact has always used, so artifacts written before
+/// the in-memory layout changed load and predict unchanged.
+///
 /// # Example
 ///
 /// ```
@@ -325,8 +343,8 @@ pub struct NetworkSnapshot {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     layers: Vec<Layer>,
-    /// Cached activations per layer (including the input), reused across
-    /// training steps to avoid allocation.
+    /// Activations per layer (including the input), sized to each
+    /// layer's width and overwritten in place by every training step.
     scratch: Vec<Vec<f64>>,
     /// Per-layer delta buffers.
     deltas: Vec<Vec<f64>>,
@@ -622,11 +640,13 @@ impl Network {
     ///
     /// The inner loops are the vectorized counterparts of
     /// [`Self::train_example_reference`] and produce bit-for-bit identical
-    /// weights: the forward pass runs the output-blocked kernel, delta
-    /// back-propagation accumulates with contiguous weight rows
-    /// (next-unit-outer, so each lower unit's sum still adds next-layer
-    /// contributions in ascending unit order), and the weight/velocity
-    /// update streams each row elementwise. No summation order changes —
+    /// weights. Each loop runs over one contiguous input-major row: the
+    /// forward pass adds one row per input into the layer's activation
+    /// buffer, a lower unit's delta is its row of the next layer dotted
+    /// with the next deltas (ascending next unit, from `0.0`), and the
+    /// update streams each row as `(-lr * delta) * x + momentum * v`. A
+    /// one-output layer is one row, so its forward pass is a dot product
+    /// and its update an axpy over the inputs. No summation order changes —
     /// only the instruction-level parallelism does.
     ///
     /// # Panics
@@ -643,12 +663,11 @@ impl Network {
         assert_eq!(target.len(), self.outputs(), "target dimensionality");
         self.ensure_buffers();
 
-        // Forward pass, keeping every layer's activations.
-        self.scratch[0].clear();
-        self.scratch[0].extend_from_slice(input);
+        // Forward pass, writing every layer's activations in place.
+        self.scratch[0].copy_from_slice(input);
         for (i, layer) in self.layers.iter().enumerate() {
             let (before, after) = self.scratch.split_at_mut(i + 1);
-            layer.forward(&before[i], &mut after[0]);
+            layer.forward_into(&before[i], &mut after[0]);
         }
 
         // Output deltas: dE/dnet for squared error with linear outputs is
@@ -666,54 +685,60 @@ impl Network {
             *delta = err * out_activation.derivative_from_output(y);
         }
 
-        // Backward pass: propagate deltas. Next-layer weight rows are
-        // contiguous, so running the next-unit loop *outside* the
-        // lower-unit loop turns the strided gathers of the textbook loop
-        // into streaming elementwise accumulation — while each lower
-        // unit's sum still adds contributions in ascending next-unit
-        // order, exactly as the reference.
+        // Backward pass: lower unit `j`'s sum is row `j` of the next layer
+        // (its weight into every next unit) times the next deltas.
         for l in (0..last).rev() {
             let (lower, upper) = self.deltas.split_at_mut(l + 1);
-            let next_layer = &self.layers[l + 1];
-            let this_outputs = self.layers[l].outputs;
-            let stride = next_layer.inputs + 1;
-            lower[l].fill(0.0);
-            for (row, &delta) in next_layer.weights.chunks_exact(stride).zip(&upper[0][..]) {
-                for (sum, &w) in lower[l].iter_mut().zip(&row[..this_outputs]) {
-                    *sum += w * delta;
-                }
-            }
+            let next = &self.layers[l + 1];
+            let rows = &next.weights[..next.inputs * next.outputs];
             let activation = self.layers[l].activation;
-            for (sum, &y) in lower[l].iter_mut().zip(&self.scratch[l + 1]) {
-                *sum *= activation.derivative_from_output(y);
+            let sums = lower[l].iter_mut().zip(&self.scratch[l + 1]);
+            if let [delta] = upper[0][..] {
+                for ((sum, &y), &w) in sums.zip(rows) {
+                    *sum = (0.0 + w * delta) * activation.derivative_from_output(y);
+                }
+            } else {
+                for ((sum, &y), row) in sums.zip(rows.chunks_exact(next.outputs)) {
+                    let mut acc = 0.0;
+                    for (w, d) in row.iter().zip(&upper[0]) {
+                        acc += w * d;
+                    }
+                    *sum = acc * activation.derivative_from_output(y);
+                }
             }
         }
 
-        // Weight updates with momentum: each row's update is elementwise
-        // over contiguous weight/velocity rows and the input activations,
-        // with the shared `-lr * delta` factor hoisted (same product order
-        // as the reference, which multiplies `-lr * delta` first).
+        // Weight updates with momentum, row by row: input `i`'s row gets
+        // `(-lr * delta[o]) * x[i] + momentum * v`, the bias row
+        // `-lr * delta[o] + momentum * v` (the reference's product order).
         for (l, layer) in self.layers.iter_mut().enumerate() {
-            let input_act = &self.scratch[l];
-            let stride = layer.inputs + 1;
-            for (row, (v_row, &delta)) in layer.weights.chunks_exact_mut(stride).zip(
-                layer
-                    .velocity
-                    .chunks_exact_mut(stride)
-                    .zip(&self.deltas[l][..]),
-            ) {
+            let x = &self.scratch[l];
+            let deltas = &self.deltas[l][..];
+            let split = layer.inputs * layer.outputs;
+            let (w_rows, w_bias) = layer.weights.split_at_mut(split);
+            let (v_rows, v_bias) = layer.velocity.split_at_mut(split);
+            if let [delta] = *deltas {
                 let step = -learning_rate * delta;
-                for ((w, v), &x) in row[..layer.inputs]
-                    .iter_mut()
-                    .zip(&mut v_row[..layer.inputs])
-                    .zip(input_act)
-                {
-                    let update = step * x + momentum * *v;
+                for ((w, v), &xi) in w_rows.iter_mut().zip(v_rows.iter_mut()).zip(x) {
+                    let update = step * xi + momentum * *v;
                     *w += update;
                     *v = update;
                 }
-                let (w, v) = (&mut row[layer.inputs], &mut v_row[layer.inputs]); // bias
-                let update = step + momentum * *v;
+            } else {
+                for ((w_row, v_row), &xi) in w_rows
+                    .chunks_exact_mut(layer.outputs)
+                    .zip(v_rows.chunks_exact_mut(layer.outputs))
+                    .zip(x)
+                {
+                    for ((w, v), &d) in w_row.iter_mut().zip(v_row.iter_mut()).zip(deltas) {
+                        let update = -learning_rate * d * xi + momentum * *v;
+                        *w += update;
+                        *v = update;
+                    }
+                }
+            }
+            for ((w, v), &d) in w_bias.iter_mut().zip(v_bias.iter_mut()).zip(deltas) {
+                let update = -learning_rate * d + momentum * *v;
                 *w += update;
                 *v = update;
             }
@@ -740,12 +765,9 @@ impl Network {
         self.ensure_buffers();
 
         // Forward pass, keeping every layer's activations.
-        self.scratch[0].clear();
-        self.scratch[0].extend_from_slice(input);
+        self.scratch[0].copy_from_slice(input);
         for (i, layer) in self.layers.iter().enumerate() {
             let (before, after) = self.scratch.split_at_mut(i + 1);
-            after[0].clear();
-            after[0].resize(layer.outputs, 0.0);
             layer.forward_naive_into(&before[i], &mut after[0]);
         }
 
@@ -767,7 +789,7 @@ impl Network {
             for j in 0..this_outputs {
                 let mut sum = 0.0;
                 for o in 0..next_layer.outputs {
-                    sum += next_layer.weights[o * (next_layer.inputs + 1) + j] * upper[0][o];
+                    sum += next_layer.weights[next_layer.at(j, o)] * upper[0][o];
                 }
                 let y = self.scratch[l + 1][j];
                 lower[l][j] = sum * self.layers[l].activation.derivative_from_output(y);
@@ -779,15 +801,14 @@ impl Network {
             let input_act = &self.scratch[l];
             for o in 0..layer.outputs {
                 let delta = self.deltas[l][o];
-                let row = o * (layer.inputs + 1);
                 for i in 0..layer.inputs {
-                    let idx = row + i;
+                    let idx = layer.at(i, o);
                     let update =
                         -learning_rate * delta * input_act[i] + momentum * layer.velocity[idx];
                     layer.weights[idx] += update;
                     layer.velocity[idx] = update;
                 }
-                let idx = row + layer.inputs; // bias
+                let idx = layer.at(layer.inputs, o); // bias
                 let update = -learning_rate * delta + momentum * layer.velocity[idx];
                 layer.weights[idx] += update;
                 layer.velocity[idx] = update;
