@@ -324,6 +324,9 @@ fn percent_error(
 /// fitted from both sets (the design-space bounds are known up front in
 /// the paper's setting, so scaler fit is not a leak).
 ///
+/// This is the one-head case of [`train_multi_network`]: each sample is
+/// lent to it as a `(features, [target])` pair, so nothing is copied.
+///
 /// # Panics
 ///
 /// Panics if either set is empty or samples are inconsistently sized.
@@ -333,103 +336,30 @@ pub fn train_network(
     config: &TrainConfig,
     rng: &mut Xoshiro256,
 ) -> TrainedModel {
-    assert!(!train.is_empty(), "empty training set");
-    assert!(!es.is_empty(), "empty early-stopping set");
-
-    let input_scaler = MinMaxScaler::fit(train.iter().chain(es).map(|s| s.features.as_slice()));
-    let targets: Vec<f64> = train.iter().chain(es).map(|s| s.target).collect();
-    let target_scaler = TargetScaler::fit(&targets);
-
-    // Pre-normalize the training set once.
-    let inputs: Vec<Vec<f64>> = train
-        .iter()
-        .map(|s| input_scaler.transform(&s.features))
-        .collect();
-    let targets: Vec<f64> = train
-        .iter()
-        .map(|s| target_scaler.scale(s.target))
-        .collect();
-
-    // Presentation distribution: inverse-target frequency for percentage-
-    // error training, uniform otherwise.
-    let weights: Vec<f64> = if config.percentage_error {
-        train
-            .iter()
-            .map(|s| 1.0 / s.target.abs().max(1e-9))
-            .collect()
-    } else {
-        vec![1.0; train.len()]
-    };
-    let alias = WeightedAlias::new(&weights);
-
-    // The early-stopping set is evaluated every epoch: scale it once up
-    // front (the per-epoch loop then runs allocation-free on one scratch).
-    let dims = inputs[0].len();
-    let mut es_inputs: Vec<f64> = Vec::with_capacity(es.len() * dims);
-    for s in es {
-        input_scaler.transform_into(&s.features, &mut es_inputs);
-    }
-    let es_targets: Vec<f64> = es.iter().map(|s| s.target).collect();
-    let mut es_scratch = PredictScratch::default();
-    let mut es_values = Vec::with_capacity(es.len());
-
-    let mut network = Network::new(&layer_sizes(dims, config, 1), rng);
-    // Best-epoch bookkeeping: a weights/velocity-only snapshot overwritten
-    // in place, instead of cloning the network (and its scratch and delta
-    // buffers) on every improving epoch.
-    let mut best = NetworkSnapshot::default();
-    network.snapshot_into(&mut best);
-    let mut best_error = f64::INFINITY;
-    let mut best_epoch = 0;
-    let mut epochs = 0;
-    let mut diverged = false;
-
-    for epoch in 0..config.max_epochs {
-        epochs = epoch + 1;
-        for _ in 0..inputs.len() {
-            let i = alias.sample(rng);
-            network.train_example(
-                &inputs[i],
-                std::slice::from_ref(&targets[i]),
-                config.learning_rate,
-                config.momentum,
-            );
-        }
-        let es_error = percent_error(
-            &network,
-            &target_scaler,
-            0,
-            &es_inputs,
-            &es_targets,
-            &mut es_scratch,
-            &mut es_values,
-        );
-        if !es_error.is_finite() {
-            // Exploding weights: further epochs only compound NaN/Inf.
-            // Bail out; the restore below rolls back to the best finite
-            // snapshot (the near-zero init if no epoch ever improved) and
-            // the caller can reinitialize from a fresh seed.
-            diverged = true;
-            break;
-        }
-        if es_error < best_error {
-            best_error = es_error;
-            network.snapshot_into(&mut best);
-            best_epoch = epoch;
-        } else if epoch - best_epoch >= config.patience {
-            break;
-        }
-    }
-    network.restore(&best);
-
+    let MultiTrainedModel {
+        network,
+        input_scaler,
+        mut target_scalers,
+        epochs,
+        best_es_error,
+        diverged,
+        ..
+    } = train_multi_network(&one_head(train), &one_head(es), 0, config, rng);
     TrainedModel {
         network,
         input_scaler,
-        target_scaler,
+        target_scaler: target_scalers.pop().expect("one head"),
         epochs,
-        best_es_error: best_error,
+        best_es_error,
         diverged,
     }
+}
+
+/// Borrows each sample as a one-head `(features, [target])` pair.
+fn one_head<'a>(set: &[&'a Sample]) -> Vec<(&'a [f64], &'a [f64])> {
+    set.iter()
+        .map(|s| (s.features.as_slice(), std::slice::from_ref(&s.target)))
+        .collect()
 }
 
 /// A trained multi-output network (one output head per task, shared
@@ -590,10 +520,12 @@ impl MultiTrainedModel {
 /// Trains one multi-output network on `train`, early-stopping on the
 /// `primary` head's percentage error over `es`. Each element pairs a raw
 /// feature row with its target row (one value per task, every row the
-/// same width). Mirrors [`train_network`] exactly — scalers fitted over
-/// both sets, inverse-primary-target presentation frequency under
-/// [`TrainConfig::percentage_error`], snapshot/restore best-epoch
-/// bookkeeping, divergence detection — with one output unit per task.
+/// same width). Scalers are fitted over both sets; under
+/// [`TrainConfig::percentage_error`] examples are presented at a frequency
+/// inversely proportional to their primary target; the best early-stopping
+/// epoch's weights are snapshotted and restored on exit; and a non-finite
+/// early-stopping error stops training as diverged. [`train_network`] is
+/// the one-head case.
 ///
 /// # Panics
 ///
@@ -624,20 +556,14 @@ pub fn train_multi_network(
         })
         .collect();
 
-    // Pre-normalize the training set once.
-    let inputs: Vec<Vec<f64>> = train
-        .iter()
-        .map(|(x, _)| input_scaler.transform(x))
-        .collect();
-    let targets: Vec<Vec<f64>> = train
-        .iter()
-        .map(|(_, row)| {
-            row.iter()
-                .zip(&target_scalers)
-                .map(|(&v, s)| s.scale(v))
-                .collect()
-        })
-        .collect();
+    // Pre-normalize the training set once, into row-major matrices.
+    let dims = input_scaler.dims();
+    let mut inputs = Vec::with_capacity(train.len() * dims);
+    let mut targets = Vec::with_capacity(train.len() * tasks);
+    for (x, row) in train {
+        input_scaler.transform_into(x, &mut inputs);
+        targets.extend(row.iter().zip(&target_scalers).map(|(&v, s)| s.scale(v)));
+    }
 
     // Presentation frequency follows the primary target, so squared-error
     // descent optimizes the primary head's percentage error; the auxiliary
@@ -652,7 +578,8 @@ pub fn train_multi_network(
     };
     let alias = WeightedAlias::new(&weights);
 
-    let dims = inputs[0].len();
+    // The early-stopping set is evaluated every epoch: scale it once up
+    // front (the per-epoch loop then runs allocation-free on one scratch).
     let mut es_inputs: Vec<f64> = Vec::with_capacity(es.len() * dims);
     for (x, _) in es {
         input_scaler.transform_into(x, &mut es_inputs);
@@ -662,6 +589,9 @@ pub fn train_multi_network(
     let mut es_values = Vec::with_capacity(es.len() * tasks);
 
     let mut network = Network::new(&layer_sizes(dims, config, tasks), rng);
+    // Best-epoch bookkeeping: a weights/velocity-only snapshot overwritten
+    // in place, instead of cloning the network (and its scratch and delta
+    // buffers) on every improving epoch.
     let mut best = NetworkSnapshot::default();
     network.snapshot_into(&mut best);
     let mut best_error = f64::INFINITY;
@@ -671,11 +601,11 @@ pub fn train_multi_network(
 
     for epoch in 0..config.max_epochs {
         epochs = epoch + 1;
-        for _ in 0..inputs.len() {
+        for _ in 0..train.len() {
             let i = alias.sample(rng);
             network.train_example(
-                &inputs[i],
-                &targets[i],
+                &inputs[i * dims..(i + 1) * dims],
+                &targets[i * tasks..(i + 1) * tasks],
                 config.learning_rate,
                 config.momentum,
             );
@@ -690,6 +620,10 @@ pub fn train_multi_network(
             &mut es_values,
         );
         if !es_error.is_finite() {
+            // Exploding weights: further epochs only compound NaN/Inf.
+            // Bail out; the restore below rolls back to the best finite
+            // snapshot (the near-zero init if no epoch ever improved) and
+            // the caller can reinitialize from a fresh seed.
             diverged = true;
             break;
         }
