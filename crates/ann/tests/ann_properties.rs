@@ -3,13 +3,18 @@
 use archpredict_ann::dataset::fold_ranges;
 use archpredict_ann::network::{Network, NetworkSnapshot, PredictScratch};
 use archpredict_ann::scaling::{MinMaxScaler, TargetScaler};
+use archpredict_stats::json::Value;
 use archpredict_stats::rng::Xoshiro256;
 use proptest::prelude::*;
+
+/// Widest input layer [`arb_topology`] draws: 11 inputs, past the memory
+/// study's 10.
+const MAX_INPUTS: usize = 11;
 
 /// A small random topology: input width, 1–2 hidden layers, output width.
 fn arb_topology() -> impl Strategy<Value = Vec<usize>> {
     (
-        1usize..5,
+        1usize..MAX_INPUTS + 1,
         prop::collection::vec(1usize..12, 1..3),
         1usize..3,
     )
@@ -19,6 +24,21 @@ fn arb_topology() -> impl Strategy<Value = Vec<usize>> {
             t.push(outputs);
             t
         })
+}
+
+/// A network of `topology` after `steps` presentations of seeded random
+/// examples at a large step size, which carries its weights well outside
+/// the ±0.01 initialization band (`steps == 0` is the fresh network).
+fn trained(topology: &[usize], seed: u64, steps: usize) -> Network {
+    let mut rng = Xoshiro256::seed_from(seed);
+    let mut net = Network::new(topology, &mut rng);
+    let (inputs, outputs) = (topology[0], *topology.last().unwrap());
+    for _ in 0..steps {
+        let x: Vec<f64> = (0..inputs).map(|_| rng.next_f64()).collect();
+        let t: Vec<f64> = (0..outputs).map(|_| rng.next_f64()).collect();
+        net.train_example(&x, &t, 0.5, 0.5);
+    }
+    net
 }
 
 proptest! {
@@ -80,7 +100,7 @@ proptest! {
         topology in arb_topology(),
         other in arb_topology(),
         seed in 0u64..1000,
-        raw in prop::collection::vec(0.0f64..1.0, 4),
+        raw in prop::collection::vec(0.0f64..1.0, MAX_INPUTS),
     ) {
         let mut rng = Xoshiro256::seed_from(seed);
         let net = Network::new(&topology, &mut rng);
@@ -97,16 +117,17 @@ proptest! {
     }
 
     /// Batch prediction over a row-major matrix equals row-by-row predict,
-    /// bit for bit, and appends (never clobbers) the output vector.
+    /// bit for bit, and appends (never clobbers) the output vector — for
+    /// fresh networks and after a few training steps.
     #[test]
     fn predict_batch_matches_predict_bit_for_bit(
         topology in arb_topology(),
         seed in 0u64..1000,
+        steps in 0usize..8,
         n_rows in 0usize..9,
-        raw in prop::collection::vec(0.0f64..1.0, 8 * 4),
+        raw in prop::collection::vec(0.0f64..1.0, 8 * MAX_INPUTS),
     ) {
-        let mut rng = Xoshiro256::seed_from(seed);
-        let net = Network::new(&topology, &mut rng);
+        let net = trained(&topology, seed, steps);
         let dims = topology[0];
         let rows: Vec<f64> = raw.iter().copied().take(n_rows * dims).collect();
         let mut scratch = PredictScratch::default();
@@ -125,7 +146,7 @@ proptest! {
     fn snapshot_restore_round_trips(
         topology in arb_topology(),
         seed in 0u64..1000,
-        raw in prop::collection::vec(0.05f64..0.95, 4),
+        raw in prop::collection::vec(0.05f64..0.95, MAX_INPUTS),
     ) {
         let mut rng = Xoshiro256::seed_from(seed);
         let mut net = Network::new(&topology, &mut rng);
@@ -154,18 +175,19 @@ proptest! {
     }
 
     /// The blocked batch kernel is bit-for-bit the textbook scalar path on
-    /// random topologies and batch sizes. Batch sizes up to 40 exercise
-    /// ragged lane tails (n % 8 != 0) and the topology strategy's hidden
-    /// widths of 1–11 exercise ragged unit tiles (units % 4 != 0).
+    /// random topologies and batch sizes, fresh and after a few training
+    /// steps. Batch sizes up to 40 exercise ragged lane tails
+    /// (n % 8 != 0) and the topology strategy's hidden widths of 1–11
+    /// exercise ragged unit tiles (units % 4 != 0).
     #[test]
     fn blocked_batch_matches_naive_bit_for_bit(
         topology in arb_topology(),
         seed in 0u64..1000,
+        steps in 0usize..8,
         n_rows in 0usize..41,
-        raw in prop::collection::vec(0.0f64..1.0, 41 * 4),
+        raw in prop::collection::vec(0.0f64..1.0, 41 * MAX_INPUTS),
     ) {
-        let mut rng = Xoshiro256::seed_from(seed);
-        let net = Network::new(&topology, &mut rng);
+        let net = trained(&topology, seed, steps);
         let dims = topology[0];
         let rows: Vec<f64> = raw.iter().copied().take(n_rows * dims).collect();
         let mut scratch = PredictScratch::default();
@@ -211,6 +233,24 @@ proptest! {
             &vectorized, &reference,
             "vectorized trainer diverged from the scalar reference"
         );
+    }
+
+    /// A trained network's JSON text survives a reload byte for byte (the
+    /// in-memory weights transpose back to the persisted output-major
+    /// order exactly), and the reloaded network predicts the same bits.
+    #[test]
+    fn json_text_round_trips_after_training(
+        topology in arb_topology(),
+        seed in 0u64..1000,
+        steps in 1usize..8,
+        raw in prop::collection::vec(0.0f64..1.0, MAX_INPUTS),
+    ) {
+        let net = trained(&topology, seed, steps);
+        let text = net.to_json_value().to_json();
+        let back = Network::from_json_value(&Value::parse(&text).unwrap()).unwrap();
+        prop_assert_eq!(back.to_json_value().to_json(), text);
+        let input = &raw[..topology[0]];
+        prop_assert_eq!(back.predict(input), net.predict(input));
     }
 }
 
