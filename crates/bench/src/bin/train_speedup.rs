@@ -26,10 +26,10 @@ use std::path::Path;
 use std::time::Instant;
 
 /// Required speedup of the vectorized backprop step over the scalar
-/// reference. Conservative: the restructured loops deliver well above
-/// this; the gate exists so training can never quietly fall back to
-/// textbook-loop throughput.
-const MIN_KERNEL_SPEEDUP: f64 = 1.2;
+/// reference. On a 2-vCPU Xeon, ten runs of `-- 120 2` read 2.8–3.9× for
+/// the input-major step and 1.5–2.4× for the output-major step it
+/// replaced, so the gate fails when training falls back to that speed.
+const MIN_KERNEL_SPEEDUP: f64 = 2.5;
 
 /// Presentations per timed kernel run. Below roughly a hundred thousand
 /// steps the comparison is noise-dominated, so smoke runs skip the gate.
