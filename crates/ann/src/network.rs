@@ -72,14 +72,17 @@ impl Layer {
     /// its bias, then the next output) and stores them input-major.
     fn new(inputs: usize, outputs: usize, activation: Activation, rng: &mut Xoshiro256) -> Self {
         let n = outputs * (inputs + 1);
-        let drawn: Vec<f64> = (0..n)
-            .map(|_| rng.range_f64(-INIT_WEIGHT_RANGE, INIT_WEIGHT_RANGE))
-            .collect();
+        let mut weights = vec![0.0; n];
+        for o in 0..outputs {
+            for w in weights[o..].iter_mut().step_by(outputs) {
+                *w = rng.range_f64(-INIT_WEIGHT_RANGE, INIT_WEIGHT_RANGE);
+            }
+        }
         Self {
             inputs,
             outputs,
             activation,
-            weights: transpose(&drawn, inputs + 1),
+            weights,
             velocity: vec![0.0; n],
         }
     }
