@@ -44,9 +44,11 @@ const BLOCK_POINTS: usize = 256;
 
 /// Transposes a row-major matrix of `cols` columns.
 fn transpose(matrix: &[f64], cols: usize) -> Vec<f64> {
-    (0..cols)
-        .flat_map(|c| matrix[c..].iter().step_by(cols).copied())
-        .collect()
+    let mut out = Vec::with_capacity(matrix.len());
+    for c in 0..cols {
+        out.extend(matrix[c..].iter().step_by(cols));
+    }
+    out
 }
 
 /// One fully connected layer, stored **input-major**: `(inputs + 1) x
