@@ -56,7 +56,7 @@ fn transpose(matrix: &[f64], cols: usize) -> Vec<f64> {
 /// output unit and the final row holds the biases. A row is everything one
 /// input contributes to the layer, so the single-example forward pass and
 /// the weight update are contiguous vector operations over the outputs.
-/// The persisted format stays output-major: [`Layer::to_json_value`] and
+/// The persisted format is output-major: [`Layer::to_json_value`] and
 /// [`Layer::from_json_value`] transpose at the boundary.
 #[derive(Debug, Clone, PartialEq)]
 struct Layer {
@@ -330,9 +330,8 @@ pub struct NetworkSnapshot {
 /// Each layer keeps its weights and momentum velocities input-major (one
 /// row per input, biases last), which makes a training step's forward
 /// pass and update contiguous over the layer's outputs. Serialization
-/// ([`Network::to_json_value`]) writes them output-major, the layout
-/// every persisted artifact has always used, so artifacts written before
-/// the in-memory layout changed load and predict unchanged.
+/// ([`Network::to_json_value`]) writes them in the persisted output-major
+/// order, one output's input weights and then its bias.
 ///
 /// # Example
 ///
@@ -699,6 +698,8 @@ impl Network {
             let activation = self.layers[l].activation;
             let sums = lower[l].iter_mut().zip(&self.scratch[l + 1]);
             if let [delta] = upper[0][..] {
+                // `0.0 +` is the reference's sum from zero: it turns a
+                // -0.0 product into +0.0.
                 for ((sum, &y), &w) in sums.zip(rows) {
                     *sum = (0.0 + w * delta) * activation.derivative_from_output(y);
                 }
