@@ -8,7 +8,8 @@
 //! are that contract: they cover both studies × all eight benchmarks under
 //! the points' own configurations and two memory-system variants
 //! (next-line prefetch with banked SDRAM, write-through L1D), a finite
-//! trace that drains the pipeline, full `StudyEvaluator` IPCs, which run
+//! trace that drains the pipeline, machines on which one structural
+//! resource binds, full `StudyEvaluator` IPCs, which run
 //! through the evaluator's own trace path, and the outputs of the SimPoint,
 //! SMARTS and multi-task evaluators. A mismatch means simulated values
 //! changed; only a deliberate fidelity change may re-record them.
@@ -137,6 +138,97 @@ fn finite_trace_drains() {
         h, 0xcce7_85b0_a06a_c0bd,
         "simulated values changed: {h:#018x}"
     );
+}
+
+/// Machines on which one structural limit binds, each run on three
+/// benchmarks, one digest per machine. No study point has fewer than 64
+/// registers, 32 load/store-queue entries or 16 branch slots, so the
+/// other pins never make a resource bind on its own. Counts far above the
+/// reorder buffer must simulate exactly like counts equal to it: at most
+/// `rob_size` instructions are in flight, so neither can bind.
+#[test]
+fn starved_resources() {
+    fn with(edit: impl FnOnce(&mut SimConfig)) -> SimConfig {
+        let mut config = SimConfig::default();
+        edit(&mut config);
+        config
+    }
+    let counts = |n: u32| {
+        with(|c| {
+            [
+                c.int_regs,
+                c.fp_regs,
+                c.lsq_loads,
+                c.lsq_stores,
+                c.max_branches,
+            ] = [n; 5]
+        })
+    };
+    let machines = [
+        ("int_regs", with(|c| c.int_regs = 1)),
+        ("fp_regs", with(|c| c.fp_regs = 1)),
+        ("lsq_loads", with(|c| c.lsq_loads = 1)),
+        ("lsq_stores", with(|c| c.lsq_stores = 1)),
+        ("max_branches", with(|c| c.max_branches = 1)),
+        (
+            "units_and_ports",
+            with(|c| [c.functional_units, c.load_ports, c.store_ports] = [1; 3]),
+        ),
+        ("width_1_rob_2", with(|c| [c.width, c.rob_size] = [1, 2])),
+        (
+            "width_8_rob_24",
+            with(|c| {
+                [c.width, c.rob_size] = [8, 24];
+                [
+                    c.int_regs,
+                    c.fp_regs,
+                    c.lsq_loads,
+                    c.lsq_stores,
+                    c.max_branches,
+                ] = [12, 6, 5, 3, 2];
+            }),
+        ),
+        ("counts_1e6", counts(1_000_000)),
+    ];
+    let run = |config: &SimConfig, benchmark: Benchmark| {
+        let generator = TraceGenerator::new(benchmark);
+        simulate_with_warmup(config, generator.interval(1), 1_000, 4_000)
+    };
+    let benchmarks = [Benchmark::Gzip, Benchmark::Mgrid, Benchmark::Mcf];
+    let digests: Vec<u64> = machines
+        .iter()
+        .map(|(_, config)| {
+            benchmarks
+                .iter()
+                .fold(FNV_OFFSET, |h, &b| extend(h, &run(config, b)))
+        })
+        .collect();
+    let at_rob = counts(SimConfig::default().rob_size);
+    for benchmark in benchmarks {
+        assert_eq!(
+            run(&machines[8].1, benchmark),
+            run(&at_rob, benchmark),
+            "{}: counts above the reorder buffer must not bind",
+            benchmark.name()
+        );
+    }
+    let expected: [u64; 9] = [
+        0x8b5c_9864_14d6_93ac,
+        0xc3be_1d53_dde8_cd33,
+        0x24e8_e3e2_de39_b58d,
+        0x5eab_237c_83c7_6949,
+        0x5028_baec_f0a4_fbda,
+        0x124e_977b_0837_d448,
+        0x92f9_037e_7f18_c0f1,
+        0xb6c3_9c83_75f8_e979,
+        0xf91c_ac51_991b_8ebf,
+    ];
+    for (((name, _), digest), expected) in machines.iter().zip(&digests).zip(expected) {
+        assert_eq!(
+            *digest, expected,
+            "{name}: simulated values changed: {digest:#018x}"
+        );
+    }
 }
 
 /// Full evaluations through `StudyEvaluator`, two intervals each, for a
