@@ -149,6 +149,11 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
+    /// The largest reorder buffer the engine simulates: its packed words
+    /// hold a free-resource count of at most `rob_size` per lane and a
+    /// reorder-buffer slot under each wakeup cycle.
+    pub const MAX_ROB_SIZE: u32 = 2047;
+
     /// Validates the configuration and computes all derived timing
     /// parameters.
     ///
@@ -179,6 +184,9 @@ impl SimConfig {
             if v == 0 {
                 return Err(ConfigError::ZeroField(field));
             }
+        }
+        if self.rob_size > Self::MAX_ROB_SIZE {
+            return Err(ConfigError::RobSize(self.rob_size));
         }
         if !self.predictor_entries.is_power_of_two() {
             return Err(ConfigError::PredictorEntries(self.predictor_entries));
@@ -280,6 +288,8 @@ pub enum ConfigError {
     Frequency(f64),
     /// A structural field that must be positive was zero.
     ZeroField(&'static str),
+    /// The reorder buffer exceeds [`SimConfig::MAX_ROB_SIZE`].
+    RobSize(u32),
     /// Predictor entries must be a power of two.
     PredictorEntries(u32),
     /// BTB sets must be a power of two.
@@ -303,6 +313,11 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::Frequency(v) => write!(f, "frequency {v} must be positive and finite"),
             ConfigError::ZeroField(name) => write!(f, "field `{name}` must be positive"),
+            ConfigError::RobSize(v) => write!(
+                f,
+                "reorder buffer of {v} entries exceeds the maximum of {}",
+                SimConfig::MAX_ROB_SIZE
+            ),
             ConfigError::PredictorEntries(v) => {
                 write!(f, "predictor entries {v} must be a power of two")
             }
@@ -412,6 +427,23 @@ mod tests {
         let mut cfg = SimConfig::default();
         cfg.l2.capacity_bytes = 3_000_000;
         assert!(matches!(cfg.derive().unwrap_err(), ConfigError::L2(_)));
+    }
+
+    #[test]
+    fn rob_size_is_bounded() {
+        let largest = SimConfig {
+            rob_size: SimConfig::MAX_ROB_SIZE,
+            ..SimConfig::default()
+        };
+        assert!(largest.derive().is_ok());
+        let over = SimConfig {
+            rob_size: SimConfig::MAX_ROB_SIZE + 1,
+            ..largest
+        };
+        assert_eq!(
+            over.derive().unwrap_err(),
+            ConfigError::RobSize(SimConfig::MAX_ROB_SIZE + 1)
+        );
     }
 
     #[test]
