@@ -32,6 +32,19 @@
 //! and results independent of this bookkeeping. The idle-cycle skip's
 //! next event is the minimum of three heads: reorder buffer, wake queue,
 //! fetch redirect.
+//!
+//! Dispatch and commit are table-driven, with no branch on the op class.
+//! The free integer and FP registers, load- and store-queue entries and
+//! branch slots are five lanes of one word, each count clamped to
+//! `rob_size`. Clamping is exact: at most `rob_size` instructions are in
+//! flight, so a larger count never binds, and a count of exactly
+//! `rob_size` runs out only when the reorder buffer is full, which
+//! dispatch checks first. Each op class holds a fixed set of units
+//! ([`HOLDS`]): dispatch takes them with one subtraction, which borrows a
+//! lane's guard bit when that lane has none free, and commit returns them
+//! with one addition. The fetch queue is a ring of just the fields
+//! dispatch reads, indexed by the sequence numbers its entries will
+//! dispatch with.
 
 use crate::branch::{Btb, TournamentPredictor};
 use crate::config::SimConfig;
@@ -39,7 +52,7 @@ use crate::memory::MemoryHierarchy;
 use crate::result::SimResult;
 use archpredict_workloads::{Instruction, OpClass};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Per-cycle issue units: integer ALU (which also resolves branches),
 /// multiply, floating point, load port, store port.
@@ -52,6 +65,42 @@ const UNIT: [usize; 7] = [0, 1, 2, 2, 3, 4, 0];
 /// [`OpClass::index`]; a load's is its address generation, after which
 /// the memory hierarchy adds its own time.
 const LATENCY: [u64; 7] = [1, 8, 4, 6, 1, 1, 1];
+
+/// Bits per lane of the engine's free-resource word: a free count of at
+/// most `rob_size` under a guard bit.
+const LANE_BITS: u32 = 12;
+
+/// One unit of each structural resource an instruction holds from
+/// dispatch to commit, each in its own lane of the free-resource word.
+const INT_REG: u64 = 1;
+const FP_REG: u64 = 1 << LANE_BITS;
+const LOAD_ENTRY: u64 = 1 << (2 * LANE_BITS);
+const STORE_ENTRY: u64 = 1 << (3 * LANE_BITS);
+const BRANCH_SLOT: u64 = 1 << (4 * LANE_BITS);
+
+/// The guard bit above every lane's count.
+const TOP: u64 = (INT_REG | FP_REG | LOAD_ENTRY | STORE_ENTRY | BRANCH_SLOT) << (LANE_BITS - 1);
+
+/// Resources each op class holds from dispatch to commit, indexed by
+/// [`OpClass::index`]: a load takes a load-queue entry and an integer
+/// register, a store only its store-queue entry.
+const HOLDS: [u64; 7] = [
+    INT_REG,
+    INT_REG,
+    FP_REG,
+    FP_REG,
+    LOAD_ENTRY | INT_REG,
+    STORE_ENTRY,
+    BRANCH_SLOT,
+];
+
+/// Low bits of a wake-queue key, which hold the slot under the cycle.
+const SLOT_BITS: u32 = 11;
+
+// `SimConfig::derive` refuses larger reorder buffers: a lane must hold a
+// count clamped to `rob_size`, and a wake key any slot.
+const _: () = assert!(SimConfig::MAX_ROB_SIZE < 1 << (LANE_BITS - 1));
+const _: () = assert!(SimConfig::MAX_ROB_SIZE.next_power_of_two() <= 1 << SLOT_BITS);
 
 /// Front-end bubble when a predicted-taken branch misses in the BTB.
 const BTB_BUBBLE: u64 = 2;
@@ -73,7 +122,7 @@ fn fetch_queue_cap(config: &SimConfig) -> usize {
     2 * config.width as usize + 8
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Snapshot {
     cycle: u64,
     committed: u64,
@@ -85,6 +134,15 @@ struct Snapshot {
     stall_branch: u64,
     stall_btb: u64,
     mem: crate::memory::MemoryStats,
+}
+
+/// What dispatch reads of a fetched instruction.
+#[derive(Debug, Clone, Copy)]
+struct Fetched {
+    addr: u64,
+    dep1: u32,
+    dep2: u32,
+    op: OpClass,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -103,7 +161,6 @@ struct RobEntry {
     /// Producers that have not issued yet.
     waiting: u8,
     op: OpClass,
-    mispredicted: bool,
 }
 
 impl RobEntry {
@@ -116,7 +173,6 @@ impl RobEntry {
         next: [NIL; 2],
         waiting: 0,
         op: OpClass::IntAlu,
-        mispredicted: false,
     };
 }
 
@@ -182,19 +238,24 @@ pub(crate) struct Engine<I: Iterator<Item = Instruction>> {
     head: u64,
     /// Slots of entries whose producers have all issued, keyed by the
     /// cycle their last operand completes, when that is more than one
-    /// cycle after they were scheduled.
-    wake: BinaryHeap<Reverse<(u64, u32)>>,
+    /// cycle after they were scheduled: `ready_at << SLOT_BITS | slot`.
+    wake: BinaryHeap<Reverse<u64>>,
     /// Slots of entries that can issue from the next cycle on.
     soon: SlotSet,
     /// Slots of entries that can issue now.
     ready: SlotSet,
-    fetch_q: VecDeque<(Instruction, bool)>, // (instr, mispredicted)
+    /// The fetch queue: a ring holding the instructions that will
+    /// dispatch as sequence numbers `seq..fetched`, entry `s` at index
+    /// `s & fetch_mask`.
+    fetch_q: Box<[Fetched]>,
+    fetch_mask: u64,
+    fetched: u64,
 
-    int_regs_free: u32,
-    fp_regs_free: u32,
-    loads_free: u32,
-    stores_free: u32,
-    branches_free: u32,
+    /// Free integer and FP registers, load- and store-queue entries and
+    /// branch slots, one lane each (see [`HOLDS`]).
+    free: u64,
+    /// `free` at the start: each configured count clamped to `rob_size`.
+    capacity: u64,
 
     cycle: u64,
     /// Sequence number of the next instruction to dispatch.
@@ -205,6 +266,8 @@ pub(crate) struct Engine<I: Iterator<Item = Instruction>> {
     warmup_snapshot: Option<Snapshot>,
 
     fetch_stall_until: u64,
+    /// Sequence number of the mispredicted branch fetch waits on; no
+    /// other instruction carries it, so entries need no mispredict flag.
     stalled_on_branch: Option<u64>,
     last_fetch_block: u64,
 
@@ -228,16 +291,25 @@ enum StallCause {
 }
 
 impl<I: Iterator<Item = Instruction>> Engine<I> {
-    pub(crate) fn new(cfg: &SimConfig, trace: I, target: u64) -> Self {
-        Self::with_warmup(cfg, trace, 0, target)
-    }
-
-    /// Like `new`, but the first `warmup` committed instructions warm the
-    /// caches and predictors without being counted in the result.
+    /// An engine that commits `warmup + measured` instructions of
+    /// `trace`; the first `warmup` warm the caches and predictors without
+    /// being counted in the result.
     pub(crate) fn with_warmup(cfg: &SimConfig, trace: I, warmup: u64, measured: u64) -> Self {
         let mem = MemoryHierarchy::new(cfg);
         let rob_slots = (cfg.rob_size as usize).next_power_of_two();
+        let fetch_slots = fetch_queue_cap(cfg).next_power_of_two();
         let fu = cfg.fu_throughput();
+        // Clamping is exact (see the module doc).
+        let capacity = [
+            (cfg.int_regs, INT_REG),
+            (cfg.fp_regs, FP_REG),
+            (cfg.lsq_loads, LOAD_ENTRY),
+            (cfg.lsq_stores, STORE_ENTRY),
+            (cfg.max_branches, BRANCH_SLOT),
+        ]
+        .into_iter()
+        .map(|(count, lane)| u64::from(count.min(cfg.rob_size)) * lane)
+        .sum();
         Self {
             unit_limits: [fu.int_alu, fu.mul, fu.fp, cfg.load_ports, cfg.store_ports],
             predictor: TournamentPredictor::new(cfg.predictor_entries),
@@ -252,12 +324,20 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
             wake: BinaryHeap::with_capacity(rob_slots),
             soon: SlotSet::new(rob_slots),
             ready: SlotSet::new(rob_slots),
-            fetch_q: VecDeque::with_capacity(fetch_queue_cap(cfg)),
-            int_regs_free: cfg.int_regs,
-            fp_regs_free: cfg.fp_regs,
-            loads_free: cfg.lsq_loads,
-            stores_free: cfg.lsq_stores,
-            branches_free: cfg.max_branches,
+            fetch_q: vec![
+                Fetched {
+                    addr: 0,
+                    dep1: 0,
+                    dep2: 0,
+                    op: OpClass::IntAlu,
+                };
+                fetch_slots
+            ]
+            .into_boxed_slice(),
+            fetch_mask: fetch_slots as u64 - 1,
+            fetched: 0,
+            free: capacity,
+            capacity,
             cycle: 0,
             seq: 0,
             committed: 0,
@@ -286,9 +366,9 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
             let committed = self.commit();
             let issued = self.issue();
             let dispatched = self.dispatch();
-            let q_before = self.fetch_q.len();
+            let fetched_before = self.fetched;
             self.fetch();
-            let fetched = self.fetch_q.len() != q_before;
+            let fetched = self.fetched != fetched_before;
             // Idle-cycle skip: when nothing moved, jump to the next known
             // event (a completion, a wakeup or a fetch redirect). Stall
             // counters are advanced as if the cycles had been stepped.
@@ -317,7 +397,8 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
                     mem: self.mem.stats(),
                 });
             }
-            if self.trace_exhausted() && self.rob_len() == 0 && self.fetch_q.is_empty() {
+            // Nothing left in the reorder buffer or the fetch queue.
+            if self.trace_exhausted() && self.head == self.fetched {
                 break;
             }
             // Forward-progress watchdog: a structural deadlock is a
@@ -333,18 +414,7 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
                 );
             }
         }
-        let base = self.warmup_snapshot.unwrap_or(Snapshot {
-            cycle: 0,
-            committed: 0,
-            branches: 0,
-            mispredicts: 0,
-            btb_misses: 0,
-            fetch_stall_cycles: 0,
-            stall_icache: 0,
-            stall_branch: 0,
-            stall_btb: 0,
-            mem: crate::memory::MemoryStats::default(),
-        });
+        let base = self.warmup_snapshot.unwrap_or_default();
         let mem = self.mem.stats();
         SimResult {
             instructions: self.committed - base.committed,
@@ -389,25 +459,12 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
             }
             let (op, addr) = (entry.op, entry.addr);
             self.head += 1;
-            match op {
-                OpClass::Store => {
-                    self.mem.store(addr, self.cycle);
-                    self.stores_free += 1;
-                }
-                OpClass::Load => {
-                    self.loads_free += 1;
-                    self.int_regs_free += 1;
-                }
-                OpClass::Branch => {
-                    self.branches_free += 1;
-                }
-                OpClass::FpAlu | OpClass::FpMul => {
-                    self.fp_regs_free += 1;
-                }
-                OpClass::IntAlu | OpClass::IntMul => {
-                    self.int_regs_free += 1;
-                }
+            if op == OpClass::Store {
+                self.mem.store(addr, self.cycle);
             }
+            self.free += HOLDS[op.index()];
+            // No lane may hold more than it started with.
+            debug_assert_eq!(((self.capacity | TOP) - self.free) & TOP, TOP);
             self.committed += 1;
             committed += 1;
         }
@@ -418,12 +475,12 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
     fn issue(&mut self) -> u32 {
         let cycle = self.cycle;
         self.ready.absorb(&mut self.soon);
-        while let Some(&Reverse((ready_at, slot))) = self.wake.peek() {
-            if ready_at > cycle {
+        while let Some(&Reverse(key)) = self.wake.peek() {
+            if key >> SLOT_BITS > cycle {
                 break;
             }
             self.wake.pop();
-            self.ready.insert(slot as usize);
+            self.ready.insert(key as usize & ((1 << SLOT_BITS) - 1));
         }
         if self.ready.is_empty() {
             return 0;
@@ -480,7 +537,7 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
         if ready_at <= self.cycle + 1 {
             self.soon.insert(slot);
         } else {
-            self.wake.push(Reverse((ready_at, slot as u32)));
+            self.wake.push(Reverse(ready_at << SLOT_BITS | slot as u64));
         }
     }
 
@@ -491,7 +548,7 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
         let entry = &mut self.rob[slot];
         entry.complete = complete;
         let mut link = std::mem::replace(&mut entry.consumers, NIL);
-        if entry.mispredicted && self.stalled_on_branch == Some(entry.seq) {
+        if self.stalled_on_branch == Some(entry.seq) {
             // Redirect the front end when the branch resolves, plus the
             // frequency-derived minimum pipeline-refill penalty.
             let penalty = self.mem.timing().mispredict_penalty;
@@ -523,8 +580,8 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
         if self.rob_len() > 0 {
             t = self.rob[self.slot(self.head)].complete;
         }
-        if let Some(&Reverse((ready_at, _))) = self.wake.peek() {
-            t = t.min(ready_at.max(self.cycle + 1));
+        if let Some(&Reverse(key)) = self.wake.peek() {
+            t = t.min((key >> SLOT_BITS).max(self.cycle + 1));
         }
         if self.stalled_on_branch.is_none() && self.cycle < self.fetch_stall_until {
             t = t.min(self.fetch_stall_until);
@@ -535,56 +592,26 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
     fn dispatch(&mut self) -> u32 {
         let mut dispatched = 0;
         for _ in 0..self.cfg.width {
-            if self.rob_len() >= u64::from(self.cfg.rob_size) {
+            if self.rob_len() >= u64::from(self.cfg.rob_size) || self.seq == self.fetched {
                 break;
             }
-            let Some(&(instr, mispredicted)) = self.fetch_q.front() else {
+            let instr = self.fetch_q[(self.seq & self.fetch_mask) as usize];
+            // Take every structural resource of the class at once: a lane
+            // with nothing free borrows its guard bit.
+            let left = (self.free | TOP) - HOLDS[instr.op.index()];
+            if left & TOP != TOP {
                 break;
-            };
-            // Structural resources.
-            match instr.op {
-                OpClass::Load => {
-                    if self.loads_free == 0 || self.int_regs_free == 0 {
-                        break;
-                    }
-                    self.loads_free -= 1;
-                    self.int_regs_free -= 1;
-                }
-                OpClass::Store => {
-                    if self.stores_free == 0 {
-                        break;
-                    }
-                    self.stores_free -= 1;
-                }
-                OpClass::Branch => {
-                    if self.branches_free == 0 {
-                        break;
-                    }
-                    self.branches_free -= 1;
-                }
-                OpClass::FpAlu | OpClass::FpMul => {
-                    if self.fp_regs_free == 0 {
-                        break;
-                    }
-                    self.fp_regs_free -= 1;
-                }
-                OpClass::IntAlu | OpClass::IntMul => {
-                    if self.int_regs_free == 0 {
-                        break;
-                    }
-                    self.int_regs_free -= 1;
-                }
             }
-            self.fetch_q.pop_front();
-            self.allocate(instr, mispredicted);
+            self.free = left ^ TOP;
+            self.allocate(instr);
             dispatched += 1;
         }
         dispatched
     }
 
-    /// Places `instr` at the tail of the reorder buffer and links it to
-    /// the producers it still waits on.
-    fn allocate(&mut self, instr: Instruction, mispredicted: bool) {
+    /// Places `instr`, the head of the fetch queue, at the tail of the
+    /// reorder buffer and links it to the producers it still waits on.
+    fn allocate(&mut self, instr: Fetched) {
         let seq = self.seq;
         self.seq += 1;
         let slot = self.slot(seq);
@@ -597,7 +624,6 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
             next: [NIL; 2],
             waiting: 0,
             op: instr.op,
-            mispredicted,
         };
         for (operand, distance) in [instr.dep1, instr.dep2].into_iter().enumerate() {
             // Both operands may name one producer: wait on it once.
@@ -658,9 +684,9 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
             return;
         }
         self.stall_cause = StallCause::None;
-        let cap = fetch_queue_cap(&self.cfg);
+        let cap = fetch_queue_cap(&self.cfg) as u64;
         let mut fetched = 0;
-        while fetched < self.cfg.width && self.fetch_q.len() < cap {
+        while fetched < self.cfg.width && self.fetched - self.seq < cap {
             let Some(instr) = self.next_instr() else {
                 break;
             };
@@ -680,11 +706,11 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
                 }
             }
             fetched += 1;
+            let (mut mispredicted, mut ends_group) = (false, false);
             if instr.op == OpClass::Branch {
                 self.branches += 1;
                 let predicted = self.predictor.predict_and_update(instr.pc, instr.taken);
-                let mispredicted = predicted != instr.taken;
-                let mut ends_group = false;
+                mispredicted = predicted != instr.taken;
                 if predicted {
                     // Need a target from the BTB; a miss costs a bubble.
                     if !self.btb.lookup_and_update(instr.pc, instr.target) {
@@ -694,19 +720,23 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
                     }
                     ends_group = true; // taken branches end the fetch group
                 }
-                self.fetch_q.push_back((instr, mispredicted));
-                if mispredicted {
-                    self.mispredicts += 1;
-                    // Fetch goes down the wrong path; it resumes when the
-                    // branch resolves (see `issue`).
-                    self.stalled_on_branch = Some(self.seq + self.fetch_q.len() as u64 - 1);
-                    return;
-                }
-                if ends_group {
-                    return;
-                }
-            } else {
-                self.fetch_q.push_back((instr, false));
+            }
+            self.fetch_q[(self.fetched & self.fetch_mask) as usize] = Fetched {
+                addr: instr.addr,
+                dep1: instr.dep1,
+                dep2: instr.dep2,
+                op: instr.op,
+            };
+            self.fetched += 1;
+            if mispredicted {
+                self.mispredicts += 1;
+                // Fetch goes down the wrong path; it resumes when the
+                // branch resolves (see `issue`).
+                self.stalled_on_branch = Some(self.fetched - 1);
+                return;
+            }
+            if ends_group {
+                return;
             }
         }
     }

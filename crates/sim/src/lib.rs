@@ -62,7 +62,7 @@ pub fn simulate<I>(config: &SimConfig, trace: I, instructions: u64) -> SimResult
 where
     I: Iterator<Item = Instruction>,
 {
-    engine::Engine::new(config, trace, instructions).run()
+    engine::Engine::with_warmup(config, trace, 0, instructions).run()
 }
 
 /// Like [`simulate`], but commits `warmup` instructions first to warm
