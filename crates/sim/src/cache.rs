@@ -85,7 +85,8 @@ impl Cache {
 
     #[inline]
     fn set_of(&self, addr: u64) -> u64 {
-        (addr >> self.block_shift) % self.sets
+        // `CacheGeometry` makes every set count a power of two.
+        (addr >> self.block_shift) & (self.sets - 1)
     }
 
     #[inline]
