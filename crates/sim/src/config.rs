@@ -313,11 +313,9 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::Frequency(v) => write!(f, "frequency {v} must be positive and finite"),
             ConfigError::ZeroField(name) => write!(f, "field `{name}` must be positive"),
-            ConfigError::RobSize(v) => write!(
-                f,
-                "reorder buffer of {v} entries exceeds the maximum of {}",
-                SimConfig::MAX_ROB_SIZE
-            ),
+            ConfigError::RobSize(v) => {
+                write!(f, "rob_size {v} exceeds {}", SimConfig::MAX_ROB_SIZE)
+            }
             ConfigError::PredictorEntries(v) => {
                 write!(f, "predictor entries {v} must be a power of two")
             }
@@ -431,18 +429,15 @@ mod tests {
 
     #[test]
     fn rob_size_is_bounded() {
-        let largest = SimConfig {
+        let mut cfg = SimConfig {
             rob_size: SimConfig::MAX_ROB_SIZE,
             ..SimConfig::default()
         };
-        assert!(largest.derive().is_ok());
-        let over = SimConfig {
-            rob_size: SimConfig::MAX_ROB_SIZE + 1,
-            ..largest
-        };
+        assert!(cfg.derive().is_ok());
+        cfg.rob_size += 1;
         assert_eq!(
-            over.derive().unwrap_err(),
-            ConfigError::RobSize(SimConfig::MAX_ROB_SIZE + 1)
+            cfg.derive().unwrap_err(),
+            ConfigError::RobSize(cfg.rob_size)
         );
     }
 

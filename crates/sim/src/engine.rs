@@ -70,29 +70,21 @@ const LATENCY: [u64; 7] = [1, 8, 4, 6, 1, 1, 1];
 /// most `rob_size` under a guard bit.
 const LANE_BITS: u32 = 12;
 
-/// One unit of each structural resource an instruction holds from
-/// dispatch to commit, each in its own lane of the free-resource word.
-const INT_REG: u64 = 1;
-const FP_REG: u64 = 1 << LANE_BITS;
-const LOAD_ENTRY: u64 = 1 << (2 * LANE_BITS);
-const STORE_ENTRY: u64 = 1 << (3 * LANE_BITS);
-const BRANCH_SLOT: u64 = 1 << (4 * LANE_BITS);
+/// One unit of each lane of the free-resource word: an integer register,
+/// an FP register, a load-queue entry, a store-queue entry, a branch slot.
+const INT: u64 = 1;
+const FP: u64 = 1 << LANE_BITS;
+const LOAD: u64 = 1 << (2 * LANE_BITS);
+const STORE: u64 = 1 << (3 * LANE_BITS);
+const BRANCH: u64 = 1 << (4 * LANE_BITS);
 
 /// The guard bit above every lane's count.
-const TOP: u64 = (INT_REG | FP_REG | LOAD_ENTRY | STORE_ENTRY | BRANCH_SLOT) << (LANE_BITS - 1);
+const TOP: u64 = (INT | FP | LOAD | STORE | BRANCH) << (LANE_BITS - 1);
 
-/// Resources each op class holds from dispatch to commit, indexed by
+/// What each op class holds from dispatch to commit, indexed by
 /// [`OpClass::index`]: a load takes a load-queue entry and an integer
 /// register, a store only its store-queue entry.
-const HOLDS: [u64; 7] = [
-    INT_REG,
-    INT_REG,
-    FP_REG,
-    FP_REG,
-    LOAD_ENTRY | INT_REG,
-    STORE_ENTRY,
-    BRANCH_SLOT,
-];
+const HOLDS: [u64; 7] = [INT, INT, FP, FP, LOAD | INT, STORE, BRANCH];
 
 /// Low bits of a wake-queue key, which hold the slot under the cycle.
 const SLOT_BITS: u32 = 11;
@@ -245,11 +237,11 @@ pub(crate) struct Engine<I: Iterator<Item = Instruction>> {
     /// Slots of entries that can issue now.
     ready: SlotSet,
     /// The fetch queue: a ring holding the instructions that will
-    /// dispatch as sequence numbers `seq..fetched`, entry `s` at index
+    /// dispatch as sequence numbers `seq..fetch_tail`, entry `s` at index
     /// `s & fetch_mask`.
     fetch_q: Box<[Fetched]>,
     fetch_mask: u64,
-    fetched: u64,
+    fetch_tail: u64,
 
     /// Free integer and FP registers, load- and store-queue entries and
     /// branch slots, one lane each (see [`HOLDS`]).
@@ -301,11 +293,11 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
         let fu = cfg.fu_throughput();
         // Clamping is exact (see the module doc).
         let capacity = [
-            (cfg.int_regs, INT_REG),
-            (cfg.fp_regs, FP_REG),
-            (cfg.lsq_loads, LOAD_ENTRY),
-            (cfg.lsq_stores, STORE_ENTRY),
-            (cfg.max_branches, BRANCH_SLOT),
+            (cfg.int_regs, INT),
+            (cfg.fp_regs, FP),
+            (cfg.lsq_loads, LOAD),
+            (cfg.lsq_stores, STORE),
+            (cfg.max_branches, BRANCH),
         ]
         .into_iter()
         .map(|(count, lane)| u64::from(count.min(cfg.rob_size)) * lane)
@@ -335,7 +327,7 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
             ]
             .into_boxed_slice(),
             fetch_mask: fetch_slots as u64 - 1,
-            fetched: 0,
+            fetch_tail: 0,
             free: capacity,
             capacity,
             cycle: 0,
@@ -366,9 +358,9 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
             let committed = self.commit();
             let issued = self.issue();
             let dispatched = self.dispatch();
-            let fetched_before = self.fetched;
+            let tail = self.fetch_tail;
             self.fetch();
-            let fetched = self.fetched != fetched_before;
+            let fetched = self.fetch_tail != tail;
             // Idle-cycle skip: when nothing moved, jump to the next known
             // event (a completion, a wakeup or a fetch redirect). Stall
             // counters are advanced as if the cycles had been stepped.
@@ -398,7 +390,7 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
                 });
             }
             // Nothing left in the reorder buffer or the fetch queue.
-            if self.trace_exhausted() && self.head == self.fetched {
+            if self.trace_exhausted() && self.head == self.fetch_tail {
                 break;
             }
             // Forward-progress watchdog: a structural deadlock is a
@@ -592,7 +584,7 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
     fn dispatch(&mut self) -> u32 {
         let mut dispatched = 0;
         for _ in 0..self.cfg.width {
-            if self.rob_len() >= u64::from(self.cfg.rob_size) || self.seq == self.fetched {
+            if self.rob_len() >= u64::from(self.cfg.rob_size) || self.seq == self.fetch_tail {
                 break;
             }
             let instr = self.fetch_q[(self.seq & self.fetch_mask) as usize];
@@ -686,7 +678,7 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
         self.stall_cause = StallCause::None;
         let cap = fetch_queue_cap(&self.cfg) as u64;
         let mut fetched = 0;
-        while fetched < self.cfg.width && self.fetched - self.seq < cap {
+        while fetched < self.cfg.width && self.fetch_tail - self.seq < cap {
             let Some(instr) = self.next_instr() else {
                 break;
             };
@@ -721,18 +713,18 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
                     ends_group = true; // taken branches end the fetch group
                 }
             }
-            self.fetch_q[(self.fetched & self.fetch_mask) as usize] = Fetched {
+            self.fetch_q[(self.fetch_tail & self.fetch_mask) as usize] = Fetched {
                 addr: instr.addr,
                 dep1: instr.dep1,
                 dep2: instr.dep2,
                 op: instr.op,
             };
-            self.fetched += 1;
+            self.fetch_tail += 1;
             if mispredicted {
                 self.mispredicts += 1;
                 // Fetch goes down the wrong path; it resumes when the
                 // branch resolves (see `issue`).
-                self.stalled_on_branch = Some(self.fetched - 1);
+                self.stalled_on_branch = Some(self.fetch_tail - 1);
                 return;
             }
             if ends_group {
