@@ -85,8 +85,7 @@ impl Cache {
 
     #[inline]
     fn set_of(&self, addr: u64) -> u64 {
-        // `CacheGeometry` makes every set count a power of two.
-        (addr >> self.block_shift) & (self.sets - 1)
+        (addr >> self.block_shift) % self.sets
     }
 
     #[inline]
