@@ -466,6 +466,107 @@ mod tests {
     }
 
     #[test]
+    fn error_offsets_are_pinned() {
+        for (text, error) in [
+            (r#""abc"#, JsonError::at("unterminated string", 4)),
+            ("\"\u{e9}\u{20ac}", JsonError::at("unterminated string", 6)),
+            (r#"["a\qb"]"#, JsonError::at("bad escape", 4)),
+            (r#"{"k":"\u12"#, JsonError::at("truncated \\u escape", 7)),
+            (r#""\u12zz""#, JsonError::at("bad \\u escape", 2)),
+        ] {
+            assert_eq!(Value::parse(text).unwrap_err(), error, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn writer_bytes_are_pinned() {
+        let v = Value::Object(vec![
+            (
+                "n".into(),
+                Value::from_f64s(&[1.0, -0.0, 0.1 + 0.2, 1e-300]),
+            ),
+            (
+                "s".into(),
+                Value::Str("\"\\\n\r\t\u{0}\u{1f}/\u{7f}\u{e9}".into()),
+            ),
+        ]);
+        assert_eq!(
+            v.to_json(),
+            "{\"n\":[1.0,-0.0,0.30000000000000004,1e-300],\
+             \"s\":\"\\\"\\\\\\n\\r\\t\\u0000\\u001f/\u{7f}\u{e9}\"}"
+        );
+    }
+
+    /// Random strings of ASCII, 2-, 3- and 4-byte characters, every escape
+    /// the writer emits, and characters the reader also accepts escaped
+    /// (`\/`, `\b`, `\f`, `\uXXXX`), each as a value and as a key inside
+    /// nested arrays and objects.
+    #[test]
+    fn seeded_strings_round_trip_as_values_and_keys() {
+        const PIECES: [char; 16] = [
+            'a',
+            'Z',
+            '7',
+            ' ',
+            '\u{e9}',
+            '\u{3a9}',
+            '\u{20ac}',
+            '\u{4e2d}',
+            '\u{1f600}',
+            '\u{1d11e}',
+            '"',
+            '\\',
+            '/',
+            '\n',
+            '\u{8}',
+            '\u{c}',
+        ];
+        let mut rng = crate::rng::Xoshiro256::seed_from(0x75F8);
+        for _ in 0..200 {
+            let len = rng.index(24);
+            let s: String = (0..len)
+                .map(|_| match rng.index(PIECES.len() + 2) {
+                    i if i < PIECES.len() => PIECES[i],
+                    // Any other control character, or any BMP scalar.
+                    i if i == PIECES.len() => char::from_u32(rng.below(0x20) as u32).unwrap(),
+                    _ => char::from_u32(rng.below(0xD800) as u32).unwrap(),
+                })
+                .collect();
+            let doc = Value::Array(vec![
+                Value::Str(s.clone()),
+                Value::Object(vec![(
+                    s.clone(),
+                    Value::Array(vec![Value::Object(vec![(
+                        s.clone(),
+                        Value::Str(s.clone()),
+                    )])]),
+                )]),
+            ]);
+            let text = doc.to_json();
+            assert_eq!(Value::parse(&text).unwrap(), doc, "{text:?}");
+
+            // The same document with every character the reader accepts
+            // in escaped form written that way.
+            let escaped: String = s
+                .chars()
+                .map(|c| match c {
+                    '/' => "\\/".to_string(),
+                    '\u{8}' => "\\b".to_string(),
+                    '\u{c}' => "\\f".to_string(),
+                    '"' => "\\\"".to_string(),
+                    '\\' => "\\\\".to_string(),
+                    c if (c as u32) < 0x20 || ((c as u32) < 0x10000 && rng.chance(0.5)) => {
+                        format!("\\u{:04X}", c as u32)
+                    }
+                    c => c.to_string(),
+                })
+                .collect();
+            let text = format!(r#"["{e}",{{"{e}":[{{"{e}":"{e}"}}]}}]"#, e = escaped);
+            assert_eq!(Value::parse(&text).unwrap(), doc, "{text:?}");
+        }
+    }
+
+    #[test]
     fn cache_map_round_trips() {
         let mut map = HashMap::new();
         map.insert(17usize, 1.25);

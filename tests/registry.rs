@@ -7,6 +7,7 @@ use archpredict::registry::{ModelKey, Registry, RegistryError};
 use archpredict::{DesignSpace, Param};
 use archpredict_ann::train::train_multi_network;
 use archpredict_ann::{fit_ensemble, Dataset, Ensemble, Sample, TrainConfig};
+use archpredict_stats::hash::fnv1a_64;
 use archpredict_stats::json::Value;
 use archpredict_stats::rng::Xoshiro256;
 use std::path::PathBuf;
@@ -76,6 +77,37 @@ fn ensemble_round_trip_is_bit_identical() {
         );
     }
     assert_eq!(reopened.fits_performed(), 0);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// FNV-1a of [`tiny_ensemble`]`(.., 7)`'s fingerprinted artifact text.
+const ARTIFACT_HASH: u64 = 0x66bc_e9f4_d3de_57f0;
+
+/// Registry objects are named by the FNV-1a hash of the artifact text,
+/// so every byte the JSON writer emits is part of the on-disk format: a
+/// writer change that moved one byte would orphan every committed model.
+#[test]
+fn artifact_text_and_object_name_are_pinned() {
+    let root = temp_root("artifact_hash");
+    let space = tiny_space();
+    let fingerprint = space.fingerprint();
+    let ensemble = tiny_ensemble(&space, 7);
+    let text = ensemble.to_json_fingerprinted(fingerprint);
+    assert_eq!(
+        fnv1a_64(text.as_bytes()),
+        ARTIFACT_HASH,
+        "artifact text changed"
+    );
+
+    let key = ModelKey::new("test", "plain", "toy", 7, 24);
+    Registry::open(&root)
+        .unwrap()
+        .get_or_fit(&key, fingerprint, || Ok((ensemble, Value::Null)))
+        .unwrap();
+    let object = root
+        .join("objects")
+        .join(format!("{ARTIFACT_HASH:016x}.json"));
+    assert_eq!(std::fs::read_to_string(&object).unwrap(), text);
     std::fs::remove_dir_all(&root).ok();
 }
 
