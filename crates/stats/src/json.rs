@@ -6,9 +6,17 @@
 //! written with Rust's shortest round-trip formatting (`{:?}`), so a
 //! value → text → value trip reproduces every `f64` bit-for-bit; non-finite
 //! floats are written as `null`.
+//!
+//! Both directions do work linear in the document. The parser copies each
+//! run of a string between escapes in one step and UTF-8-validates only
+//! that run, and the writer formats numbers and `\u` escapes straight into
+//! its output. Request bodies reach [`Value::parse`] from the network, so
+//! it refuses arrays and objects nested more than 128 deep, at the offset
+//! of the first bracket past the limit, instead of recursing until the
+//! thread's stack overflows.
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +81,7 @@ impl Value {
     pub fn parse(text: &str) -> Result<Value, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError::at("trailing characters", pos));
@@ -218,8 +226,8 @@ fn write_value(value: &Value, out: &mut String) {
         Value::Num(x) => {
             if x.is_finite() {
                 // `{:?}` is Rust's shortest representation that parses back
-                // to the identical f64.
-                out.push_str(&format!("{x:?}"));
+                // to the identical f64. Writing to a `String` cannot fail.
+                let _ = write!(out, "{x:?}");
             } else {
                 out.push_str("null");
             }
@@ -259,12 +267,20 @@ fn write_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
 }
+
+/// Deepest nesting of arrays and objects [`Value::parse`] accepts. Parsing
+/// recurses once per level, and a stack overflow aborts the process
+/// rather than unwinding, so untrusted input must not choose the depth.
+/// The deepest document this workspace writes nests 7 levels.
+const MAX_DEPTH: usize = 128;
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
@@ -281,8 +297,15 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
+/// Parses the value at `pos`, which `depth` arrays and objects enclose.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(JsonError::at(
+            format!("arrays and objects nest deeper than {MAX_DEPTH}"),
+            *pos,
+        ));
+    }
     match bytes.get(*pos) {
         None => Err(JsonError::at("unexpected end of input", *pos)),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Value::Null),
@@ -298,7 +321,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -323,7 +346,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -347,13 +370,26 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash in one step. The
+        // run starts and ends at ASCII bytes (or the end) of text that came
+        // in as a `&str`, so it is whole UTF-8 characters; validating it
+        // touches each byte once.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(bytes.len() - *pos);
+        let text = std::str::from_utf8(&bytes[*pos..*pos + run])
+            .map_err(|_| JsonError::at("invalid UTF-8", *pos))?;
+        out.push_str(text);
+        *pos += run;
         match bytes.get(*pos) {
             None => return Err(JsonError::at("unterminated string", *pos)),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // The run stopped at a backslash: one escape.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -380,14 +416,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     _ => return Err(JsonError::at("bad escape", *pos)),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Advance by whole UTF-8 characters.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| JsonError::at("invalid UTF-8", *pos))?;
-                let c = rest.chars().next().expect("nonempty");
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -564,6 +592,32 @@ mod tests {
             let text = format!(r#"["{e}",{{"{e}":[{{"{e}":"{e}"}}]}}]"#, e = escaped);
             assert_eq!(Value::parse(&text).unwrap(), doc, "{text:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_offending_bracket() {
+        let arrays = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        // Objects count alike; each `{"k":` opens a level in 5 bytes.
+        let objects = |levels: usize| "{\"k\":".repeat(levels) + "1" + &"}".repeat(levels);
+        assert!(Value::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&objects(MAX_DEPTH)).is_ok());
+        let deeper = |offset| {
+            JsonError::at(
+                format!("arrays and objects nest deeper than {MAX_DEPTH}"),
+                offset,
+            )
+        };
+        let errors = [
+            Value::parse(&arrays(MAX_DEPTH + 1)),
+            Value::parse(&objects(MAX_DEPTH + 1)),
+            // An unclosed flood fails at the same bracket, however long.
+            Value::parse(&"[".repeat(100_000)),
+        ]
+        .map(Result::unwrap_err);
+        assert_eq!(
+            errors,
+            [deeper(MAX_DEPTH), deeper(5 * MAX_DEPTH), deeper(MAX_DEPTH)]
+        );
     }
 
     #[test]
