@@ -2,7 +2,8 @@
 //! with in-flight work against the real `archpredict-served` binary,
 //! prompt shutdown of an idle daemon, per-connection panic isolation,
 //! group-commit sweeps and their failure path, load shedding under a
-//! saturated connection gate, and the readiness/liveness split.
+//! saturated connection gate, the readiness/liveness split, and hostile
+//! request bodies.
 //!
 //! The real-daemon test builds `archpredict-served` on demand (same
 //! profile as this test binary) so the suite passes under plain
@@ -419,13 +420,57 @@ fn handler_panic_is_isolated_counted_and_survivable() {
 }
 
 /// Raw request/response against the daemon, headers included — what
-/// `http_request` hides but the Retry-After assertion needs.
+/// `http_request` hides but the Retry-After assertion needs. A response
+/// that takes longer than 10 s fails the read.
 fn raw_request(addr: SocketAddr, request: &str) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
     stream.write_all(request.as_bytes()).expect("send");
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("read");
     response
+}
+
+/// A body the parser must refuse or get through quickly cannot take the
+/// daemon down: a 100 000-deep array answers 400 instead of overflowing
+/// the connection thread's stack (which aborts the whole process, past
+/// any `catch_unwind`), a 4 MiB string field costs one pass over its
+/// bytes, and the daemon answers normally afterwards. Runs against the
+/// real process, since an in-process server's abort would take the test
+/// binary with it.
+#[test]
+fn hostile_bodies_answer_promptly_and_the_daemon_keeps_serving() {
+    let root = temp_root("hostile");
+    let (_daemon, addr) = spawn_daemon(&root, None);
+    let post = |body: &str| {
+        raw_request(
+            addr,
+            &format!(
+                "POST /predict HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
+                 Connection: close\r\n\r\n{body}",
+                body.len()
+            ),
+        )
+    };
+    let status = |response: &str| response.get(..12).unwrap_or(response).to_owned();
+
+    let response = post(&"[".repeat(100_000));
+    assert_eq!(status(&response), "HTTP/1.1 400", "{response}");
+    assert!(response.contains("nest deeper"), "{response}");
+
+    // No model was fitted, so the normal answer is a 404.
+    let padded = predict_body().replacen('{', &format!(r#"{{"pad":"{}","#, "x".repeat(4 << 20)), 1);
+    let response = post(&padded);
+    assert_eq!(status(&response), "HTTP/1.1 404", "{response}");
+
+    let response = post(&predict_body());
+    assert_eq!(status(&response), "HTTP/1.1 404", "{response}");
+    let (status, health) = http_request(addr, "GET", "/health", None).unwrap();
+    assert_eq!(status, 200);
+    assert!(health.get("ok").unwrap().as_bool().unwrap());
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// A saturated connection gate sheds instead of queueing forever: 503
