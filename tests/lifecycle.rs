@@ -5,10 +5,11 @@
 //! saturated connection gate, the readiness/liveness split, and hostile
 //! request bodies.
 //!
-//! The real-daemon test builds `archpredict-served` on demand (same
-//! profile as this test binary) so the suite passes under plain
-//! `cargo test`. In-process tests that arm failpoints serialize on a
-//! lock because failpoint state is process-global.
+//! The real-daemon tests build `archpredict-served` before first use
+//! (same profile as this test binary) so the suite passes under plain
+//! `cargo test` and never drives a stale daemon. In-process tests that
+//! arm failpoints serialize on a lock because failpoint state is
+//! process-global.
 
 use archpredict::campaign::CampaignConfig;
 use archpredict::failpoint::{self, FailAction, SiteSpec};
@@ -137,27 +138,12 @@ fn stat(addr: SocketAddr, name: &str) -> u64 {
     stats.get(name).unwrap().as_u64().unwrap()
 }
 
-/// Locates `archpredict-served`, building it first if this test binary
-/// was compiled without it (`cargo test -p archpredict`).
+/// Builds `archpredict-served` in this test binary's profile (a no-op
+/// when it is current) and locates it, so the daemon under test is built
+/// from this source, never a stale binary left in the target directory.
 fn served_binary() -> &'static PathBuf {
     static BINARY: OnceLock<PathBuf> = OnceLock::new();
     BINARY.get_or_init(|| {
-        let locate = || -> Option<PathBuf> {
-            let exe = std::env::current_exe().ok()?;
-            let mut dir = exe.parent();
-            for _ in 0..3 {
-                let d = dir?;
-                let candidate = d.join("archpredict-served");
-                if candidate.is_file() {
-                    return Some(candidate);
-                }
-                dir = d.parent();
-            }
-            None
-        };
-        if let Some(path) = locate() {
-            return path;
-        }
         let mut build = Command::new(env!("CARGO"));
         build.args(["build", "-p", "archpredict-served"]);
         if !cfg!(debug_assertions) {
@@ -165,7 +151,13 @@ fn served_binary() -> &'static PathBuf {
         }
         let status = build.status().expect("run cargo build for the daemon");
         assert!(status.success(), "building archpredict-served failed");
-        locate().expect("daemon binary after building it")
+        let exe = std::env::current_exe().expect("test binary path");
+        exe.ancestors()
+            .skip(1)
+            .take(3)
+            .map(|dir| dir.join("archpredict-served"))
+            .find(|candidate| candidate.is_file())
+            .expect("daemon binary after building it")
     })
 }
 
