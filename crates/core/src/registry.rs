@@ -853,7 +853,14 @@ impl Registry {
             .root
             .join("leases")
             .join(format!("{slug}.stale-{}", token.replace(' ', "-")));
-        if std::fs::rename(path, &grave).is_err() {
+        // Re-read first: the lease may have changed hands since
+        // `observed`, and renaming a fresh lease away hides it from its
+        // holder. If the holder releases before the restore below, the
+        // restored lease names a live process that holds nothing, and
+        // every waiter stalls for `LEASE_WAIT`.
+        if std::fs::read_to_string(path).unwrap_or_default() != observed
+            || std::fs::rename(path, &grave).is_err()
+        {
             // Someone else stole or released it first; retry the acquire.
             return;
         }
