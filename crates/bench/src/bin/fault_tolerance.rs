@@ -9,11 +9,11 @@
 //!    excluded) is **bit-for-bit identical** at `Fixed(1)`, `Fixed(4)` and
 //!    `Auto` parallelism — fault schedules, retries and resampling never
 //!    depend on thread timing;
-//! 3. a run killed after any round and resumed from its on-disk checkpoint
-//!    produces the **byte-for-byte** same CSV as the uninterrupted run,
-//!    even with a torn `.tmp` file left in the checkpoint directory;
-//! 4. the quarantine survives persist/load round-trips;
-//! 5. a pooled cross-application fit through the same faulted stack fills
+//! 3. a run killed after a round and re-run against the simcache it
+//!    persisted after each round, with a torn `.tmp` file planted beside
+//!    it, replays into the uninterrupted run's CSV: identical, except that
+//!    the replayed rounds read every evaluation as a cache hit;
+//! 4. a pooled cross-application fit through the same faulted stack fills
 //!    every application's quota and emits an identical deterministic CSV
 //!    at every parallelism setting.
 //!
@@ -100,7 +100,7 @@ fn main() {
         ("fixed_4", Parallelism::Fixed(4)),
         ("auto", Parallelism::Auto),
     ];
-    let mut csvs: Vec<(String, String, SimStats)> = Vec::new();
+    let mut curves: Vec<(&str, LearningCurve)> = Vec::new();
     for &(label, parallelism) in &settings {
         let oracle = stack(parallelism);
         let mut explorer = Explorer::new(&space, &oracle, config(parallelism));
@@ -133,70 +133,70 @@ fn main() {
             "[{label}] a {fault_percent}% fault rate over {} attempts injected nothing",
             batch * rounds
         );
-        csvs.push((label.to_string(), curve.to_csv_deterministic(), totals));
+        curves.push((label, curve));
     }
-    for (label, csv, _) in &csvs[1..] {
+    let reference = &curves[0].1;
+    let reference_csv = reference.to_csv_deterministic();
+    for (label, curve) in &curves[1..] {
         assert_eq!(
-            &csvs[0].1, csv,
+            reference_csv,
+            curve.to_csv_deterministic(),
             "deterministic CSV diverged between fixed_1 and {label}"
         );
     }
     eprintln!("  deterministic CSVs identical across all parallelism settings");
 
-    // Gate 3: kill-and-resume. A checkpointed run is dropped mid-study
-    // (simulating `kill -9` between rounds; checkpoints are written
-    // atomically after each round), then resumed from disk — with a torn
-    // temp file planted in the checkpoint directory — and must reproduce
-    // the uninterrupted run's CSV byte-for-byte.
-    let ckpt_dir = Path::new("results/fault_tolerance/checkpoint");
-    let _ = std::fs::remove_dir_all(ckpt_dir);
+    // Gate 3: kill and replay. A run that persists its simcache after
+    // every round is dropped mid-study (as `kill -9` between rounds leaves
+    // it), a torn temp file is planted beside the cache, and a fresh stack
+    // that loads the cache re-runs the whole study.
+    let cache = Path::new("results/fault_tolerance/simcache.csv");
+    let _ = std::fs::remove_file(cache);
     let killed_after = rounds.div_ceil(2);
     {
         let oracle = stack(Parallelism::Auto);
         let mut explorer = Explorer::new(&space, &oracle, config(Parallelism::Auto));
-        explorer.enable_checkpoints(ckpt_dir);
         for _ in 0..killed_after {
             explorer.try_step().expect("step must not fail");
+            oracle
+                .inner()
+                .inner()
+                .persist(cache)
+                .expect("persist simcache");
         }
         // The explorer is dropped here without any shutdown path: the only
-        // surviving state is the atomic per-round checkpoint.
+        // surviving state is the simcache, written atomically each round.
     }
-    std::fs::write(ckpt_dir.join("state.json.tmp"), b"{\"torn\":").expect("plant torn temp file");
+    std::fs::write(
+        cache.with_file_name("simcache.csv.0.0.tmp"),
+        "index,value\n17,0.",
+    )
+    .expect("plant torn temp file");
     let oracle = stack(Parallelism::Auto);
-    let mut resumed = Explorer::resume(&space, &oracle, config(Parallelism::Auto), ckpt_dir)
-        .expect("resume from checkpoint");
-    assert_eq!(resumed.samples(), batch * killed_after);
-    for _ in killed_after..rounds {
-        resumed.try_step().expect("step must not fail");
-    }
+    let loaded = oracle.inner().inner().load(cache).expect("load simcache");
+    let mut replayed = Explorer::new(&space, &oracle, config(Parallelism::Auto));
     let mut curve = LearningCurve::new(format!("{benchmark}"));
-    for round in resumed.history() {
-        curve.push(round, None);
+    for _ in 0..rounds {
+        let record = replayed.try_step().expect("step must not fail").clone();
+        curve.push(&record, None);
     }
-    let auto_csv = &csvs.iter().find(|(l, ..)| l == "auto").expect("auto run").1;
+    // The replay is the uninterrupted run, except that the rounds the cache
+    // already held report their evaluations as cache hits.
+    let mut expected = reference.clone();
+    for point in &mut expected.points[..killed_after] {
+        *point = point.replayed();
+    }
     assert_eq!(
-        auto_csv,
-        &curve.to_csv_deterministic(),
-        "kill after round {killed_after} + resume diverged from the uninterrupted run"
+        expected.to_csv_deterministic(),
+        curve.to_csv_deterministic(),
+        "kill after round {killed_after} + replay diverged from the uninterrupted run"
     );
-    eprintln!("  kill after round {killed_after} + resume reproduced the CSV byte-for-byte");
-
-    // Gate 4: quarantine persist/load round-trip.
-    let quarantined = oracle.quarantined();
-    let qpath = Path::new("results/fault_tolerance/quarantine.txt");
-    oracle
-        .persist_quarantine(qpath)
-        .expect("persist quarantine");
-    let fresh = stack(Parallelism::Auto);
-    let loaded = fresh.load_quarantine(qpath).expect("load quarantine");
-    assert_eq!(loaded, quarantined.len());
-    assert_eq!(fresh.quarantined(), quarantined);
     eprintln!(
-        "  quarantine of {} index(es) survived a persist/load round-trip",
-        quarantined.len()
+        "  kill after round {killed_after} + replay over {loaded} cached sims reproduced \
+         the CSV, its first {killed_after} round(s) as cache hits"
     );
 
-    // Gate 5: cross-application determinism under the same faulted stack.
+    // Gate 4: cross-application determinism under the same faulted stack.
     // The pooled fit samples each application through the engine's
     // quarantine/resample loop; its single-round CSV must be identical at
     // every parallelism setting.
@@ -250,7 +250,10 @@ fn main() {
         crossapp_samples, crossapp_stats.failures, crossapp_stats.resampled
     );
 
-    write_artifact(Path::new("results/fault_tolerance/curve.csv"), auto_csv);
+    write_artifact(
+        Path::new("results/fault_tolerance/curve.csv"),
+        &reference_csv,
+    );
     write_artifact(
         Path::new("results/fault_tolerance/crossapp_curve.csv"),
         &crossapp_csv,

@@ -226,18 +226,19 @@ fn curve_for_cold(opts: &CurveOpts) -> (StudyCurve, Option<Ensemble>) {
 
         let mut explorer =
             Explorer::new(&space, &training, explorer_config(TrainConfig::default()));
-        run_curve(&mut explorer, &truth, &eval_set, opts, &mut curve);
+        run_curve(&mut explorer, &truth, &eval_set, opts, &mut curve, || {
+            save_cache(&training, opts.cache_dir.as_deref(), &train_tag);
+            save_cache(&truth, opts.cache_dir.as_deref(), &cache_tag);
+        });
         let ensemble = explorer.ensemble().cloned();
-
-        save_cache(&training, opts.cache_dir.as_deref(), &train_tag);
-        save_cache(&truth, opts.cache_dir.as_deref(), &cache_tag);
         (finish(curve, per_eval), ensemble)
     } else {
         let per_eval = truth.inner().instructions_per_evaluation();
         let mut explorer = Explorer::new(&space, &truth, explorer_config(TrainConfig::default()));
-        run_curve(&mut explorer, &truth, &eval_set, opts, &mut curve);
+        run_curve(&mut explorer, &truth, &eval_set, opts, &mut curve, || {
+            save_cache(&truth, opts.cache_dir.as_deref(), &cache_tag)
+        });
         let ensemble = explorer.ensemble().cloned();
-        save_cache(&truth, opts.cache_dir.as_deref(), &cache_tag);
         (finish(curve, per_eval), ensemble)
     }
 }
@@ -333,12 +334,17 @@ pub fn run_figure(
     results
 }
 
+/// Steps `explorer` to the sample cap, measuring true error on `eval_set`
+/// and running `save_caches` after every round. A run killed at any point
+/// therefore leaves a simcache holding every completed round, and running
+/// it again replays those rounds from the cache without simulating.
 fn run_curve<E: Oracle, T: Oracle>(
     explorer: &mut Explorer<'_, E>,
     truth: &T,
     eval_set: &[usize],
     opts: &CurveOpts,
     curve: &mut LearningCurve,
+    save_caches: impl Fn(),
 ) {
     let space = opts.study.space();
     let rounds = opts.max_samples.div_ceil(opts.batch);
@@ -360,6 +366,7 @@ fn run_curve<E: Oracle, T: Oracle>(
             ))
         };
         curve.push(&record, true_error);
+        save_caches();
         eprintln!(
             "  [{}] n={:4} ({:.2}%) est={:.2}%±{:.2} true={}",
             curve.label,

@@ -41,19 +41,20 @@
 //! replacement points until its sample budget is met or the space runs
 //! out, so a faulty backend degrades throughput, never correctness.
 //!
-//! # Checkpoint / resume
+//! # Resuming a killed run
 //!
-//! With [`Campaign::enable_checkpoints`], the full exploration state is
-//! atomically persisted after every round; [`Campaign::resume`] restores
-//! it — RNG streams, sampler position, training set, quarantine, history —
-//! and refits the last ensemble from its recorded seed, so a run killed at
-//! any point continues bit-for-bit as if never interrupted.
+//! A campaign is a pure function of its seed and its oracle's answers:
+//! the sampler and the fit seeds come from their own [`seed_stream`]s.
+//! So a killed run resumes by running again over a
+//! [`crate::simulate::CachedEvaluator`] preloaded from the simcache it
+//! persisted after each round. The replay reproduces every completed
+//! round from the cache, simulating nothing, and then continues; the
+//! replayed rounds report their evaluations as cache hits.
 
 // User-reachable failures must surface as typed `ExploreError`s, not
 // panics; the lint holds this file to that (tests opt back out).
 #![deny(clippy::unwrap_used)]
 
-use crate::checkpoint::{ExplorerState, TrainSnapshot};
 use crate::sampling::Strategy;
 use crate::simulate::{Oracle, SimStats};
 use crate::space::DesignSpace;
@@ -64,7 +65,6 @@ use archpredict_stats::describe::Accumulator;
 use archpredict_stats::rng::Xoshiro256;
 use archpredict_stats::sampling::IncrementalSampler;
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
 
 /// The audited map of [`Xoshiro256::derive`] streams.
 ///
@@ -98,8 +98,8 @@ pub mod seed_stream {
 ///
 /// The engine is generic over this so drivers that extend the plain
 /// design-point encoding (the cross-application model's one-hot
-/// application id, future context features) reuse the whole round loop,
-/// prediction sweep, and checkpoint machinery unchanged. Implementations
+/// application id, future context features) reuse the whole round loop
+/// and prediction sweep unchanged. Implementations
 /// must be pure functions of `(space, index)` — the parallel sweeps call
 /// them from worker threads and the determinism contract depends on it.
 pub trait Encoder: Sync {
@@ -247,8 +247,6 @@ pub enum ExploreError {
     /// A true-error measurement was requested with no held-out points (or
     /// every held-out evaluation failed).
     EmptyHeldOut,
-    /// Checkpoint persistence or restoration failed.
-    Checkpoint(String),
 }
 
 impl std::fmt::Display for ExploreError {
@@ -263,7 +261,6 @@ impl std::fmt::Display for ExploreError {
             }
             ExploreError::NoEnsemble => write!(f, "no ensemble trained yet"),
             ExploreError::EmptyHeldOut => write!(f, "need held-out points"),
-            ExploreError::Checkpoint(message) => write!(f, "checkpoint failed: {message}"),
         }
     }
 }
@@ -364,18 +361,10 @@ pub struct Campaign<'a, O: Oracle, C: Encoder = PlainEncoder> {
     rng: Xoshiro256,
     dataset: Dataset,
     sampled_indices: Vec<usize>,
-    /// Measured metric per entry of `sampled_indices` (kept so checkpoints
-    /// can rebuild the training set without re-simulating).
-    sample_values: Vec<f64>,
     /// Indices whose evaluation failed for good; never drawn again.
     quarantined: BTreeSet<usize>,
     ensemble: Option<Ensemble>,
     history: Vec<Round>,
-    checkpoint_dir: Option<PathBuf>,
-    /// Seed and hyperparameters of the most recent `fit_ensemble`, so a
-    /// resume can refit the identical ensemble.
-    last_fit_seed: Option<u64>,
-    last_train: Option<TrainSnapshot>,
 }
 
 impl<'a, O: Oracle> Campaign<'a, O, PlainEncoder> {
@@ -384,34 +373,12 @@ impl<'a, O: Oracle> Campaign<'a, O, PlainEncoder> {
     pub fn new(space: &'a DesignSpace, evaluator: &'a O, config: CampaignConfig) -> Self {
         Self::with_encoder(space, evaluator, config, PlainEncoder)
     }
-
-    /// Restores a campaign from the checkpoint directory written by a
-    /// previous run with [`Campaign::enable_checkpoints`].
-    ///
-    /// Every stochastic stream (sampler, training seeds) resumes exactly
-    /// where the checkpoint froze it, the last round's ensemble is refit
-    /// from its recorded seed (bit-for-bit identical at any thread count),
-    /// and checkpointing stays enabled on the same directory — so the
-    /// resumed run's remaining rounds are indistinguishable from an
-    /// uninterrupted run's.
-    ///
-    /// `config` must carry the same `seed` the checkpointed run used and
-    /// `space` must have the same size; both are validated. Fields that do
-    /// not affect results (e.g. `train.parallelism`) may differ.
-    pub fn resume(
-        space: &'a DesignSpace,
-        evaluator: &'a O,
-        config: CampaignConfig,
-        dir: impl AsRef<Path>,
-    ) -> Result<Self, ExploreError> {
-        Self::resume_with_encoder(space, evaluator, config, PlainEncoder, dir)
-    }
 }
 
 impl<'a, O: Oracle, C: Encoder> Campaign<'a, O, C> {
-    /// Creates a campaign with a caller-supplied feature encoder (the
-    /// checkpoint records only `(index, value)` pairs, so a resume must
-    /// pass the same encoder).
+    /// Creates a campaign with a caller-supplied feature encoder. A replay
+    /// of a killed run must pass the same encoder: the simcache it replays
+    /// from holds the oracle's answers, not feature rows.
     pub fn with_encoder(
         space: &'a DesignSpace,
         evaluator: &'a O,
@@ -428,112 +395,9 @@ impl<'a, O: Oracle, C: Encoder> Campaign<'a, O, C> {
             config,
             dataset: Dataset::new(),
             sampled_indices: Vec::new(),
-            sample_values: Vec::new(),
             quarantined: BTreeSet::new(),
             ensemble: None,
             history: Vec::new(),
-            checkpoint_dir: None,
-            last_fit_seed: None,
-            last_train: None,
-        }
-    }
-
-    /// [`Campaign::resume`] with a caller-supplied encoder — it must be
-    /// the encoder the checkpointed run used, since the training set is
-    /// re-encoded from the checkpoint's `(index, value)` pairs.
-    pub fn resume_with_encoder(
-        space: &'a DesignSpace,
-        evaluator: &'a O,
-        config: CampaignConfig,
-        encoder: C,
-        dir: impl AsRef<Path>,
-    ) -> Result<Self, ExploreError> {
-        let dir = dir.as_ref();
-        let state =
-            ExplorerState::load(dir).map_err(|e| ExploreError::Checkpoint(e.to_string()))?;
-        if state.seed != config.seed {
-            return Err(ExploreError::Checkpoint(format!(
-                "checkpoint was taken under seed {:#018x}, config has {:#018x}",
-                state.seed, config.seed
-            )));
-        }
-        if state.space_size != space.size() {
-            return Err(ExploreError::Checkpoint(format!(
-                "checkpoint space has {} points, this space has {}",
-                state.space_size,
-                space.size()
-            )));
-        }
-        let mut dataset = Dataset::new();
-        let mut sampled_indices = Vec::with_capacity(state.samples.len());
-        let mut sample_values = Vec::with_capacity(state.samples.len());
-        for &(index, value) in &state.samples {
-            if index >= space.size() {
-                return Err(ExploreError::Checkpoint(format!(
-                    "checkpoint sample index {index} out of space"
-                )));
-            }
-            dataset.push(Sample::new(encoder.encode(space, index), value));
-            sampled_indices.push(index);
-            sample_values.push(value);
-        }
-        let ensemble = match (state.last_fit_seed, &state.last_train, state.rounds.last()) {
-            (Some(fit_seed), Some(train), Some(last_round)) => {
-                let folds = last_round.folds.len();
-                let train = train.to_config(config.train.parallelism);
-                Some(fit_ensemble(&dataset, folds, &train, fit_seed).ensemble)
-            }
-            _ => None,
-        };
-        Ok(Self {
-            sampler: IncrementalSampler::from_state(&state.sampler),
-            rng: Xoshiro256::from_state(state.rng),
-            space,
-            evaluator,
-            encoder,
-            config,
-            dataset,
-            sampled_indices,
-            sample_values,
-            quarantined: state.quarantined.iter().copied().collect(),
-            ensemble,
-            history: state.rounds,
-            checkpoint_dir: Some(dir.to_path_buf()),
-            last_fit_seed: state.last_fit_seed,
-            last_train: state.last_train,
-        })
-    }
-
-    /// Enables crash-safe checkpointing: after every completed round the
-    /// full exploration state is atomically written to `dir/state.json`
-    /// (see [`crate::checkpoint`]). Returns the campaign for chaining.
-    pub fn enable_checkpoints(&mut self, dir: impl Into<PathBuf>) -> &mut Self {
-        self.checkpoint_dir = Some(dir.into());
-        self
-    }
-
-    /// The checkpoint directory, when checkpointing is enabled.
-    pub fn checkpoint_dir(&self) -> Option<&Path> {
-        self.checkpoint_dir.as_deref()
-    }
-
-    /// A restorable snapshot of the current exploration state.
-    pub fn snapshot(&self) -> ExplorerState {
-        ExplorerState {
-            seed: self.config.seed,
-            space_size: self.space.size(),
-            rng: self.rng.state(),
-            sampler: self.sampler.state(),
-            samples: self
-                .sampled_indices
-                .iter()
-                .copied()
-                .zip(self.sample_values.iter().copied())
-                .collect(),
-            quarantined: self.quarantined.iter().copied().collect(),
-            last_fit_seed: self.last_fit_seed,
-            last_train: self.last_train.clone(),
-            rounds: self.history.clone(),
         }
     }
 
@@ -744,7 +608,6 @@ impl<'a, O: Oracle, C: Encoder> Campaign<'a, O, C> {
             sampler,
             dataset,
             sampled_indices,
-            sample_values,
             quarantined,
             ..
         } = self;
@@ -757,7 +620,6 @@ impl<'a, O: Oracle, C: Encoder> Campaign<'a, O, C> {
             |index, value| {
                 dataset.push(Sample::new(encoder.encode(space, index), value));
                 sampled_indices.push(index);
-                sample_values.push(value);
             },
             |index| {
                 quarantined.insert(index);
@@ -781,8 +643,6 @@ impl<'a, O: Oracle, C: Encoder> Campaign<'a, O, C> {
         drop(fit_span);
         let training_seconds = started.elapsed().as_secs_f64();
         self.ensemble = Some(fit.ensemble);
-        self.last_fit_seed = Some(fit_seed);
-        self.last_train = Some(TrainSnapshot::of(&self.config.train));
         // 4. Record the estimate. The round's deterministic SimStats delta
         // is mirrored into the process-wide telemetry counters here — once
         // per round, after the per-round bookkeeping is final.
@@ -798,13 +658,6 @@ impl<'a, O: Oracle, C: Encoder> Campaign<'a, O, C> {
             prediction_seconds,
             folds: fit.folds,
         });
-        // 5. Persist the post-round state (atomic, so a kill at any moment
-        // leaves either the previous complete checkpoint or this one).
-        if let Some(dir) = self.checkpoint_dir.clone() {
-            self.snapshot()
-                .save(&dir)
-                .map_err(|e| ExploreError::Checkpoint(e.to_string()))?;
-        }
         Ok(self.history.last().expect("just pushed"))
     }
 

@@ -7,8 +7,7 @@
 //! round loop — select batch, simulate with quarantine/resample, encode,
 //! fit the cross-validation ensemble, record the error estimate — lives in
 //! [`Campaign::try_step`]; every name here is an alias or re-export kept
-//! so existing callers (and the checkpoint format, which predates the
-//! refactor) are unaffected.
+//! so existing callers are unaffected.
 
 use crate::campaign::{Campaign, PlainEncoder};
 
@@ -415,89 +414,6 @@ mod tests {
             space: space.clone(),
         };
         Explorer::new(&space, &synthetic, explorer_config()).predict(0);
-    }
-
-    #[test]
-    fn checkpointed_run_resumes_bit_for_bit() {
-        let dir =
-            std::env::temp_dir().join(format!("archpredict_explorer_ckpt_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let space = space();
-        let synthetic = Synthetic {
-            space: space.clone(),
-        };
-        // Reference: an uninterrupted 4-round run.
-        let mut uninterrupted = Explorer::new(&space, &synthetic, explorer_config());
-        for _ in 0..4 {
-            uninterrupted.step();
-        }
-        // Crashed run: 2 rounds with checkpointing, then "kill" (drop).
-        {
-            let mut crashed = Explorer::new(&space, &synthetic, explorer_config());
-            crashed.enable_checkpoints(&dir);
-            crashed.step();
-            crashed.step();
-        }
-        // Resume and finish the remaining rounds.
-        let mut resumed = Explorer::resume(&space, &synthetic, explorer_config(), &dir)
-            .expect("resume from checkpoint");
-        assert_eq!(resumed.history().len(), 2);
-        assert_eq!(resumed.samples(), uninterrupted.history()[1].samples);
-        resumed.step();
-        resumed.step();
-        // Result-affecting state matches the uninterrupted run exactly.
-        assert_eq!(resumed.sampled_indices(), uninterrupted.sampled_indices());
-        for (a, b) in resumed.history().iter().zip(uninterrupted.history()) {
-            assert_eq!(a.samples, b.samples);
-            assert_eq!(a.estimate, b.estimate);
-            assert_eq!(
-                a.simulation.unique_simulations,
-                b.simulation.unique_simulations
-            );
-            assert_eq!(a.folds.len(), b.folds.len());
-            for (fa, fb) in a.folds.iter().zip(&b.folds) {
-                assert_eq!(fa.epochs, fb.epochs);
-                assert_eq!(fa.best_es_error, fb.best_es_error);
-                assert_eq!(fa.reinits, fb.reinits);
-            }
-        }
-        // The payoff sweep is bit-for-bit identical.
-        assert_eq!(resumed.predict_space(), uninterrupted.predict_space());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn resume_validates_seed_and_space() {
-        let dir = std::env::temp_dir().join(format!(
-            "archpredict_explorer_mismatch_{}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        let space = space();
-        let synthetic = Synthetic {
-            space: space.clone(),
-        };
-        let mut explorer = Explorer::new(&space, &synthetic, explorer_config());
-        explorer.enable_checkpoints(&dir);
-        explorer.step();
-        // Missing directory and wrong seed both surface as typed errors.
-        let wrong_seed = ExplorerConfig {
-            seed: 99,
-            ..explorer_config()
-        };
-        assert!(matches!(
-            Explorer::resume(&space, &synthetic, wrong_seed, &dir),
-            Err(ExploreError::Checkpoint(_))
-        ));
-        assert!(matches!(
-            Explorer::resume(&space, &synthetic, explorer_config(), dir.join("nope")),
-            Err(ExploreError::Checkpoint(_))
-        ));
-        // Correct config resumes and predicts identically to the original.
-        let resumed =
-            Explorer::resume(&space, &synthetic, explorer_config(), &dir).expect("matching resume");
-        assert_eq!(resumed.predict_space(), explorer.predict_space());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -33,12 +33,12 @@
 //! * [`campaign`] — the train–estimate–refine engine shared by every
 //!   driver: the canonical round loop (§3.3's procedure, steps 1–8),
 //!   generic over an [`campaign::Encoder`] and the sampling strategy,
-//!   with crash-safe checkpoint / resume via [`checkpoint`] and the
-//!   audited [`campaign::seed_stream`] derivation map.
+//!   with the audited [`campaign::seed_stream`] derivation map. A killed
+//!   campaign resumes by running again over the simcache it persisted.
 //! * [`explorer`] — the single-application driver: a thin façade aliasing
 //!   the engine with the paper's plain design-point encoding.
 //! * [`persist`] — atomic (write-temp, fsync, rename) file persistence
-//!   shared by caches, checkpoints and reports.
+//!   shared by simcaches, registry entries and reports.
 //! * [`registry`] — the on-disk model registry: content-hashed,
 //!   versioned artifacts keyed by `(study, encoder, app, seed, budget)`,
 //!   with [`registry::Registry::get_or_fit`] loading warm ensembles
@@ -89,7 +89,6 @@
 //! ```
 
 pub mod campaign;
-pub mod checkpoint;
 pub mod crossapp;
 pub mod distributed;
 pub mod explorer;
@@ -110,7 +109,6 @@ pub mod studies;
 pub mod telemetry;
 
 pub use campaign::{AppEncoder, Campaign, CampaignConfig, Encoder, PlainEncoder};
-pub use checkpoint::{CheckpointError, ExplorerState};
 pub use explorer::{ExploreError, Explorer, ExplorerConfig, Round, TrueError};
 pub use fault::{FaultConfig, FaultInjectingOracle};
 pub use param::{Param, ParamKind, ParamValue};

@@ -9,7 +9,7 @@
 //! including wall-clock timings, and [`LearningCurve::to_csv_deterministic`]
 //! drops the timing columns so two runs with identical seeds produce
 //! byte-for-byte identical files — the currency of the fault-tolerance and
-//! checkpoint/resume equivalence gates. File writes go through the atomic
+//! kill-and-replay equivalence gates. File writes go through the atomic
 //! [`crate::persist::write_atomic`] path.
 
 use crate::campaign::{Round, TrueError};
@@ -56,6 +56,22 @@ pub struct CurvePoint {
     pub sim_quarantined: u64,
     /// Replacement points drawn to backfill failures this round.
     pub sim_resampled: u64,
+}
+
+impl CurvePoint {
+    /// This row as a re-run of its round over a simcache that holds every
+    /// point the round evaluated reports it: each evaluation is a cache
+    /// hit, so nothing is simulated. Every other column is unchanged,
+    /// because a campaign is a pure function of its seed and its oracle's
+    /// answers.
+    pub fn replayed(&self) -> CurvePoint {
+        CurvePoint {
+            unique_simulations: 0,
+            simulation_cache_hits: self.unique_simulations + self.simulation_cache_hits,
+            simulated_instructions: 0,
+            ..*self
+        }
+    }
 }
 
 /// A labelled learning curve (one application × one study).
@@ -133,8 +149,10 @@ impl LearningCurve {
 
     /// CSV rendering with the wall-clock timing columns removed, so the
     /// output is a pure function of seeds and data. Two runs that should
-    /// be equivalent (different thread counts, resumed vs. uninterrupted)
-    /// can be compared byte-for-byte on this rendering.
+    /// be equivalent (different thread counts; a replay of a killed run
+    /// against the uninterrupted run with its replayed rows mapped through
+    /// [`CurvePoint::replayed`]) can be compared byte-for-byte on this
+    /// rendering.
     pub fn to_csv_deterministic(&self) -> String {
         let mut out = String::from(
             "label,samples,percent_sampled,estimated_mean,estimated_std_dev,true_mean,true_std_dev,mean_fold_epochs,unique_simulations,simulation_cache_hits,simulated_instructions,sim_failures,sim_retries,sim_quarantined,sim_resampled\n",

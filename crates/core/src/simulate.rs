@@ -31,8 +31,8 @@
 //! ([`SimError`]) never poisons its batchmates. That covers panics too:
 //! the fan-out catches a leaf evaluator's panic as [`SimError::Crashed`]
 //! for that index alone. [`RetryingOracle`] wraps any oracle with a
-//! bounded, deterministically-seeded retry policy and a persistent
-//! quarantine set for permanently failing points;
+//! bounded, deterministically-seeded retry policy and a quarantine set
+//! for permanently failing points;
 //! [`crate::fault::FaultInjectingOracle`] injects seeded faults for
 //! testing the whole stack. Indices that still fail after the stack's
 //! retries are replaced with fresh draws by the campaign engine's
@@ -828,9 +828,11 @@ impl RetryPolicy {
 ///   [`RetryingOracle::virtual_backoff_seconds`], deterministically
 ///   seeded per (index, attempt).
 /// * Quarantined indices short-circuit to [`SimError::Quarantined`] on
-///   later batches without touching the inner oracle; the set can be
-///   persisted/preloaded so a resumed study skips known-bad points
-///   immediately.
+///   later batches without touching the inner oracle. The set lives as
+///   long as the oracle: a replay of a killed run starts from an empty
+///   quarantine and, since failures here are a pure function of
+///   (index, attempt), quarantines and counts the same points the run
+///   did.
 ///
 /// Telemetry: `stats.retries` counts re-attempts issued here and
 /// `stats.quarantined` counts indices given up on; `stats.failures` is
@@ -882,37 +884,6 @@ impl<O: Oracle> RetryingOracle<O> {
     /// Total backoff the retry schedule *would* have slept, in seconds.
     pub fn virtual_backoff_seconds(&self) -> f64 {
         self.backoff_nanos.get() as f64 * 1e-9
-    }
-
-    /// Seeds the quarantine set (e.g. from a previous run's persisted
-    /// file), so known-bad points are skipped without re-attempting.
-    pub fn preload_quarantine(&self, indices: impl IntoIterator<Item = usize>) {
-        let mut q = self.quarantine.lock().expect("quarantine lock");
-        q.extend(indices);
-    }
-
-    /// Writes the quarantine set to `path` (one index per line under a
-    /// header), atomically (tmp + fsync + rename).
-    pub fn persist_quarantine(&self, path: &Path) -> std::io::Result<()> {
-        let mut out = String::from("quarantined_index\n");
-        for index in self.quarantined() {
-            out.push_str(&format!("{index}\n"));
-        }
-        write_atomic(path, &out)
-    }
-
-    /// Preloads the quarantine set from a file written by
-    /// [`RetryingOracle::persist_quarantine`]; returns how many indices
-    /// were loaded. Malformed lines are skipped.
-    pub fn load_quarantine(&self, path: &Path) -> std::io::Result<usize> {
-        let text = std::fs::read_to_string(path)?;
-        let indices: Vec<usize> = text
-            .lines()
-            .filter_map(|line| line.trim().parse::<usize>().ok())
-            .collect();
-        let loaded = indices.len();
-        self.preload_quarantine(indices);
-        Ok(loaded)
     }
 }
 
@@ -1537,29 +1508,5 @@ mod tests {
         assert_eq!(stats.retries, 0);
         assert_eq!(stats.quarantined, 1);
         assert_eq!(oracle.quarantined(), vec![0]);
-    }
-
-    #[test]
-    fn quarantine_persists_and_reloads() {
-        let space = Study::MemorySystem.space();
-        let flaky = FlakyOracle::new(|i| if i % 2 == 1 { u32::MAX } else { 0 });
-        let oracle = RetryingOracle::new(flaky);
-        let mut stats = SimStats::default();
-        oracle.evaluate_batch(&space, &[1, 2, 3, 4], &mut stats);
-        assert_eq!(oracle.quarantined(), vec![1, 3]);
-        let path =
-            std::env::temp_dir().join(format!("archpredict_quarantine_{}.csv", std::process::id()));
-        oracle.persist_quarantine(&path).expect("persist");
-
-        let fresh = RetryingOracle::new(FlakyOracle::new(|_| 0));
-        assert_eq!(fresh.load_quarantine(&path).expect("load"), 2);
-        let mut stats2 = SimStats::default();
-        let results = fresh.evaluate_batch(&space, &[1, 2, 3], &mut stats2);
-        assert_eq!(results[0], Err(SimError::Quarantined));
-        assert_eq!(results[1], Ok(2.0));
-        assert_eq!(results[2], Err(SimError::Quarantined));
-        // The quarantined indices never reached the inner oracle.
-        assert!(!fresh.inner().attempts.lock().unwrap().contains_key(&1));
-        std::fs::remove_file(&path).ok();
     }
 }

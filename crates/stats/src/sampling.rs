@@ -96,23 +96,6 @@ pub struct IncrementalSampler {
     rng: Xoshiro256,
 }
 
-/// A portable snapshot of an [`IncrementalSampler`], for checkpointing.
-///
-/// `swapped` pairs are sorted by key so the snapshot is deterministic
-/// regardless of hash-map iteration order; a sampler restored with
-/// [`IncrementalSampler::from_state`] continues the exact same draw stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SamplerState {
-    /// Population size the sampler was created over.
-    pub population: usize,
-    /// Number of indices drawn so far.
-    pub drawn: usize,
-    /// Sparse Fisher–Yates swap table as sorted `(slot, value)` pairs.
-    pub swapped: Vec<(usize, usize)>,
-    /// Raw RNG state.
-    pub rng: [u64; 4],
-}
-
 impl IncrementalSampler {
     /// Creates a sampler over `0..population`.
     pub fn new(population: usize, rng: Xoshiro256) -> Self {
@@ -154,29 +137,6 @@ impl IncrementalSampler {
             self.drawn += 1;
         }
         out
-    }
-
-    /// Captures a deterministic snapshot of the sampler for checkpointing.
-    pub fn state(&self) -> SamplerState {
-        let mut swapped: Vec<(usize, usize)> = self.swapped.iter().map(|(&k, &v)| (k, v)).collect();
-        swapped.sort_unstable();
-        SamplerState {
-            population: self.population,
-            drawn: self.drawn,
-            swapped,
-            rng: self.rng.state(),
-        }
-    }
-
-    /// Rebuilds a sampler from a snapshot captured by
-    /// [`IncrementalSampler::state`]; it continues the same draw stream.
-    pub fn from_state(state: &SamplerState) -> Self {
-        Self {
-            population: state.population,
-            swapped: state.swapped.iter().copied().collect(),
-            drawn: state.drawn,
-            rng: Xoshiro256::from_state(state.rng),
-        }
     }
 }
 
@@ -254,22 +214,6 @@ mod tests {
         }
         assert_eq!(seen.len(), 500);
         assert_eq!(s.remaining(), 0);
-    }
-
-    #[test]
-    fn sampler_state_round_trip_continues_the_stream() {
-        let mut s = IncrementalSampler::new(500, Xoshiro256::seed_from(19));
-        let first = s.next_batch(37);
-        let state = s.state();
-        let mut restored = IncrementalSampler::from_state(&state);
-        // Restored and original continue identically and never repeat.
-        let a = s.next_batch(50);
-        let b = restored.next_batch(50);
-        assert_eq!(a, b);
-        assert!(a.iter().all(|i| !first.contains(i)));
-        assert_eq!(restored.drawn(), 87);
-        // State snapshots are deterministic (sorted pairs).
-        assert_eq!(state, IncrementalSampler::from_state(&state).state());
     }
 
     #[test]

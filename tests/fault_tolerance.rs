@@ -2,11 +2,11 @@
 //! (`RetryingOracle<FaultInjectingOracle<CachedEvaluator<_>>>`): the leaf
 //! simulator runs exactly once per surviving index no matter the fault
 //! schedule, exploration under faults is bit-for-bit deterministic at every
-//! parallelism setting, and a checkpointed run killed between rounds
-//! resumes into the identical learning curve.
+//! parallelism setting, and a run killed between rounds replays from its
+//! persisted simcache into the identical learning curve.
 
 use archpredict::crossapp::CrossAppModel;
-use archpredict::explorer::{Explorer, ExplorerConfig};
+use archpredict::explorer::{Explorer, ExplorerConfig, Round};
 use archpredict::fault::{FaultConfig, FaultInjectingOracle};
 use archpredict::report::LearningCurve;
 use archpredict::simulate::{CachedEvaluator, Oracle, PointEvaluator, RetryingOracle, SimStats};
@@ -154,54 +154,98 @@ fn faulted_exploration_is_deterministic_across_parallelism() {
     }
 }
 
-/// A checkpointed run killed between rounds and resumed from disk replays
-/// into the byte-for-byte identical learning curve, and each round still
-/// reaches its full budget despite quarantined points.
-#[test]
-fn killed_run_resumes_into_identical_curve() {
-    let space = Study::MemorySystem.space();
-    let parallelism = Parallelism::Fixed(2);
-    let dir = std::env::temp_dir().join(format!("archpredict_fault_resume_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let uninterrupted = {
-        let oracle = stack(&space, FaultConfig::default(), parallelism);
-        let mut explorer = Explorer::new(&space, &oracle, faulted_config(parallelism));
-        explorer.run();
-        for (round_number, round) in explorer.history().iter().enumerate() {
-            assert_eq!(
-                round.samples,
-                25 * (round_number + 1),
-                "round {round_number} fell short of its budget"
-            );
-        }
-        let mut curve = LearningCurve::new("counting");
-        for round in explorer.history() {
-            curve.push(round, None);
-        }
-        curve.to_csv_deterministic()
-    };
-
-    {
-        let oracle = stack(&space, FaultConfig::default(), parallelism);
-        let mut explorer = Explorer::new(&space, &oracle, faulted_config(parallelism));
-        explorer.enable_checkpoints(&dir);
-        explorer.try_step().expect("round 1");
-        // Killed here: the explorer (and its oracle, cache and quarantine)
-        // is dropped without any shutdown path.
-    }
-
-    let oracle = stack(&space, FaultConfig::default(), parallelism);
-    let mut resumed = Explorer::resume(&space, &oracle, faulted_config(parallelism), &dir)
-        .expect("resume from checkpoint");
-    assert_eq!(resumed.samples(), 25);
-    resumed.try_run().expect("finish the study");
+fn curve_of(history: &[Round]) -> LearningCurve {
     let mut curve = LearningCurve::new("counting");
-    for round in resumed.history() {
+    for round in history {
         curve.push(round, None);
     }
-    assert_eq!(uninterrupted, curve.to_csv_deterministic());
-    std::fs::remove_dir_all(&dir).expect("clean up checkpoint dir");
+    curve
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A run killed after any round and re-run against the simcache it
+/// persisted after each round, with a torn temp file beside it, replays
+/// into the uninterrupted run: the same samples, estimates, fold
+/// telemetry and predictions, and the same deterministic CSV except that
+/// the replayed rounds read their evaluations as cache hits. The leaf
+/// simulator runs only the rounds after the kill.
+#[test]
+fn killed_run_replays_into_identical_curve() {
+    let space = Study::MemorySystem.space();
+    let parallelism = Parallelism::Fixed(2);
+    let dir = std::env::temp_dir().join(format!("archpredict_fault_replay_{}", std::process::id()));
+    let cache = dir.join("simcache.csv");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let oracle = stack(&space, FaultConfig::default(), parallelism);
+    let mut uninterrupted = Explorer::new(&space, &oracle, faulted_config(parallelism));
+    uninterrupted.run();
+    let history = uninterrupted.history();
+    for (round_number, round) in history.iter().enumerate() {
+        assert_eq!(
+            round.samples,
+            25 * (round_number + 1),
+            "round {round_number} fell short of its budget"
+        );
+    }
+    let predictions = bits(&uninterrupted.predict_space());
+
+    for killed_after in 1..history.len() {
+        {
+            let oracle = stack(&space, FaultConfig::default(), parallelism);
+            let mut explorer = Explorer::new(&space, &oracle, faulted_config(parallelism));
+            for _ in 0..killed_after {
+                explorer.try_step().expect("round");
+                oracle
+                    .inner()
+                    .inner()
+                    .persist(&cache)
+                    .expect("persist simcache");
+            }
+            // Killed here: the explorer and its oracle stack are dropped
+            // without any shutdown path.
+        }
+        std::fs::write(dir.join("simcache.csv.0.0.tmp"), "index,value\n17,0.")
+            .expect("plant torn temp file");
+
+        let oracle = stack(&space, FaultConfig::default(), parallelism);
+        oracle.inner().inner().load(&cache).expect("load simcache");
+        let mut replayed = Explorer::new(&space, &oracle, faulted_config(parallelism));
+        replayed.try_run().expect("replay the study");
+
+        let mut expected = curve_of(history);
+        for point in &mut expected.points[..killed_after] {
+            *point = point.replayed();
+        }
+        assert_eq!(
+            curve_of(replayed.history()).to_csv_deterministic(),
+            expected.to_csv_deterministic(),
+            "killed after round {killed_after}"
+        );
+        assert_eq!(replayed.sampled_indices(), uninterrupted.sampled_indices());
+        assert_eq!(replayed.history().len(), history.len());
+        for (a, b) in replayed.history().iter().zip(history) {
+            assert_eq!(a.estimate, b.estimate);
+            let folds = |round: &Round| -> Vec<(usize, u64, u32)> {
+                round
+                    .folds
+                    .iter()
+                    .map(|f| (f.epochs, f.best_es_error.to_bits(), f.reinits))
+                    .collect()
+            };
+            assert_eq!(folds(a), folds(b), "killed after round {killed_after}");
+        }
+        assert_eq!(bits(&replayed.predict_space()), predictions);
+        let simulated_after_kill: u64 = history[killed_after..]
+            .iter()
+            .map(|round| round.simulation.unique_simulations)
+            .sum();
+        assert_eq!(leaf_calls(&oracle) as u64, simulated_after_kill);
+    }
+    std::fs::remove_dir_all(&dir).expect("clean up simcache dir");
 }
 
 fn crossapp_run(parallelism: Parallelism) -> (CrossAppModel, String, Vec<u64>) {
