@@ -481,42 +481,17 @@ fn cache_path(dir: &str, tag: &str) -> std::path::PathBuf {
     Path::new(dir).join(format!("{tag}.csv"))
 }
 
-fn legacy_cache_path(dir: &str, tag: &str) -> std::path::PathBuf {
-    Path::new(dir).join(format!("{tag}.json"))
-}
-
-/// Preloads a persisted cache: the CSV format written by
-/// [`CachedEvaluator::persist`], falling back to the legacy JSON maps
-/// earlier revisions wrote so existing `results/simcache/` files keep
-/// saving simulation time.
+/// Preloads the simcache written by [`CachedEvaluator::persist`], if the
+/// run has a cache directory and the file exists.
 fn load_cache<E: PointEvaluator>(evaluator: &CachedEvaluator<E>, dir: Option<&str>, tag: &str) {
     let Some(dir) = dir else { return };
     let path = cache_path(dir, tag);
     match evaluator.load(&path) {
-        Ok(loaded) => {
-            eprintln!("loaded {loaded} cached sims from {}", path.display());
-            return;
-        }
+        Ok(loaded) => eprintln!("loaded {loaded} cached sims from {}", path.display()),
         Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
-            eprintln!("ignoring unreadable cache {}: {e}", path.display());
-            return;
+            eprintln!("ignoring unreadable cache {}: {e}", path.display())
         }
         Err(_) => {}
-    }
-    let legacy = legacy_cache_path(dir, tag);
-    let Ok(text) = std::fs::read_to_string(&legacy) else {
-        return;
-    };
-    match archpredict_stats::json::map_from_json(&text) {
-        Ok(map) => {
-            eprintln!(
-                "loaded {} cached sims from legacy {}",
-                map.len(),
-                legacy.display()
-            );
-            evaluator.preload(map);
-        }
-        Err(e) => eprintln!("ignoring corrupt cache {}: {e}", legacy.display()),
     }
 }
 
