@@ -339,13 +339,13 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     *pos += 1;
     let mut out = String::new();
     loop {
-        // Copy the run up to the next quote or backslash in one step. The
-        // run starts and ends at ASCII bytes (or the end) of text that came
-        // in as a `&str`, so it is whole UTF-8 characters; validating it
-        // touches each byte once.
+        // Copy the run up to the next quote, backslash or control byte in
+        // one step. The run starts and ends at ASCII bytes (or the end) of
+        // text that came in as a `&str`, so it is whole UTF-8 characters;
+        // validating it touches each byte once.
         let run = bytes[*pos..]
             .iter()
-            .position(|&b| b == b'"' || b == b'\\')
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
             .unwrap_or(bytes.len() - *pos);
         let text = std::str::from_utf8(&bytes[*pos..*pos + run])
             .map_err(|_| JsonError::at("invalid UTF-8", *pos))?;
@@ -357,6 +357,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
                 return Ok(out);
             }
+            // JSON requires control characters inside strings escaped.
+            Some(&b) if b < 0x20 => return Err(JsonError::at("unescaped control character", *pos)),
             Some(_) => {
                 // The run stopped at a backslash: one escape.
                 *pos += 1;
@@ -370,17 +372,23 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| JsonError::at("truncated \\u escape", *pos))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| JsonError::at("bad \\u escape", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| JsonError::at("bad \\u escape", *pos))?;
-                        // Surrogate pairs are not needed by our own writer;
-                        // map lone surrogates to the replacement character.
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                        let escape = *pos;
+                        let mut code = hex4(bytes, escape)?;
                         *pos += 4;
+                        // A high surrogate followed by a `\u` low surrogate
+                        // is one character outside the Basic Multilingual
+                        // Plane (RFC 8259 §7).
+                        if (0xD800..0xDC00).contains(&code) && bytes[*pos + 1..].starts_with(b"\\u")
+                        {
+                            let low = hex4(bytes, *pos + 2)?;
+                            if (0xDC00..0xE000).contains(&low) {
+                                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                *pos += 6;
+                            }
+                        }
+                        let c = char::from_u32(code)
+                            .ok_or_else(|| JsonError::at("lone surrogate", escape))?;
+                        out.push(c);
                     }
                     _ => return Err(JsonError::at("bad escape", *pos)),
                 }
@@ -388,6 +396,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
             }
         }
     }
+}
+
+/// The code unit of the four hex digits after the `u` at `at`. Only ASCII
+/// hex digits count: `u32::from_str_radix` would also take a sign.
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, JsonError> {
+    let digits = bytes
+        .get(at + 1..at + 5)
+        .ok_or_else(|| JsonError::at("truncated \\u escape", at))?;
+    digits.iter().try_fold(0, |code, &b| {
+        let digit = char::from(b)
+            .to_digit(16)
+            .ok_or_else(|| JsonError::at("bad \\u escape", at))?;
+        Ok(code << 4 | digit)
+    })
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
@@ -457,9 +479,22 @@ mod tests {
 
     #[test]
     fn string_escapes_round_trip() {
-        let s = "quote \" backslash \\ newline \n tab \t control \u{1}";
-        let text = Value::Str(s.to_string()).to_json();
-        assert_eq!(Value::parse(&text).unwrap().as_str().unwrap(), s);
+        // Each text parses to its string, and so does the writer's
+        // rendering of that string.
+        for (text, s) in [
+            (
+                r#""quote \" backslash \\ newline \n tab \t control \u0001""#,
+                "quote \" backslash \\ newline \n tab \t control \u{1}",
+            ),
+            // Characters beyond the Basic Multilingual Plane arrive as
+            // UTF-16 surrogate pairs, in either case.
+            (r#""\ud83d\ude00""#, "\u{1f600}"),
+            (r#""a\uD834\uDD1E\u00e9""#, "a\u{1d11e}\u{e9}"),
+        ] {
+            assert_eq!(Value::parse(text).unwrap().as_str().unwrap(), s, "{text}");
+            let written = Value::Str(s.to_string()).to_json();
+            assert_eq!(Value::parse(&written).unwrap().as_str().unwrap(), s);
+        }
     }
 
     #[test]
@@ -470,6 +505,18 @@ mod tests {
             (r#"["a\qb"]"#, JsonError::at("bad escape", 4)),
             (r#"{"k":"\u12"#, JsonError::at("truncated \\u escape", 7)),
             (r#""\u12zz""#, JsonError::at("bad \\u escape", 2)),
+            (r#""\u+041""#, JsonError::at("bad \\u escape", 2)),
+            (r#""\ud83d""#, JsonError::at("lone surrogate", 2)),
+            (r#""\ude00\ud83d""#, JsonError::at("lone surrogate", 2)),
+            (r#"["x\ud83d\u0041"]"#, JsonError::at("lone surrogate", 4)),
+            (
+                "\"a\u{1}b\"",
+                JsonError::at("unescaped control character", 2),
+            ),
+            (
+                "{\"k\n\":1}",
+                JsonError::at("unescaped control character", 3),
+            ),
         ] {
             assert_eq!(Value::parse(text).unwrap_err(), error, "{text:?}");
         }
