@@ -1,11 +1,13 @@
 //! The acceptance gate for the registry refactor: a warm second run of
 //! the figure-bin entrypoint (`run_curves`, shared by every ported
 //! `fig_5_*` and `table_5_1` binary) performs **zero fits and zero
-//! simulations** for both studies.
+//! simulations** for both studies. A curve killed between rounds replays
+//! from the simcache it saved after each round.
 
 use archpredict::registry::Registry;
+use archpredict::report::LearningCurve;
 use archpredict::studies::Study;
-use archpredict_bench::{run_curves, CurveOpts};
+use archpredict_bench::{curve_for, run_curves, CurveOpts};
 use archpredict_workloads::Benchmark;
 use std::path::PathBuf;
 
@@ -65,4 +67,59 @@ fn warm_second_run_of_figure_curves_skips_all_fits_and_simulations() {
 
     std::fs::remove_dir_all(&root).ok();
     std::fs::remove_dir_all(&cache).ok();
+}
+
+/// A gzip × memory curve killed after its first round, then run again for
+/// two rounds over the simcache the killed run saved, reproduces the
+/// uninterrupted two-round curve: the replayed round simulates nothing and
+/// reads its 10 points as cache hits, and every other column matches.
+#[test]
+fn killed_figure_curve_replays_from_its_simcache() {
+    let opts = |rounds: usize, cache: &PathBuf| {
+        let mut opts = CurveOpts::new(Study::MemorySystem, Benchmark::Gzip)
+            .with_max_samples(10 * rounds)
+            .with_quick(true);
+        opts.batch = 10;
+        opts.eval_points = 10;
+        opts.cache_dir = Some(cache.to_string_lossy().into_owned());
+        opts
+    };
+    let (fresh, killed) = (temp_dir("replay_fresh"), temp_dir("replay_killed"));
+    let uninterrupted = curve_for(&opts(2, &fresh)).curve;
+    curve_for(&opts(1, &killed));
+    let replayed = curve_for(&opts(2, &killed)).curve;
+
+    let row = |curve: &LearningCurve, round: usize, replay: bool| {
+        let point = curve.points[round];
+        LearningCurve {
+            label: curve.label.clone(),
+            points: vec![if replay { point.replayed() } else { point }],
+        }
+        .to_csv_deterministic()
+    };
+    let first = replayed.points[0];
+    assert_eq!(
+        (first.unique_simulations, first.simulation_cache_hits),
+        (0, 10)
+    );
+    assert_eq!(row(&replayed, 0, false), row(&uninterrupted, 0, true));
+    assert_eq!(row(&replayed, 1, false), row(&uninterrupted, 1, false));
+    let errors = |curve: &LearningCurve| -> Vec<_> {
+        curve
+            .points
+            .iter()
+            .map(|p| {
+                (
+                    p.estimated_mean.to_bits(),
+                    p.estimated_std_dev.to_bits(),
+                    p.true_mean.map(f64::to_bits),
+                    p.true_std_dev.map(f64::to_bits),
+                )
+            })
+            .collect()
+    };
+    assert_eq!(errors(&replayed), errors(&uninterrupted));
+
+    std::fs::remove_dir_all(&fresh).ok();
+    std::fs::remove_dir_all(&killed).ok();
 }
