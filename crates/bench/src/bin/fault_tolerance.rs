@@ -156,13 +156,10 @@ fn main() {
     {
         let oracle = stack(Parallelism::Auto);
         let mut explorer = Explorer::new(&space, &oracle, config(Parallelism::Auto));
+        let simcache = oracle.inner().inner();
         for _ in 0..killed_after {
             explorer.try_step().expect("step must not fail");
-            oracle
-                .inner()
-                .inner()
-                .persist(cache)
-                .expect("persist simcache");
+            simcache.persist(cache).expect("persist simcache");
         }
         // The explorer is dropped here without any shutdown path: the only
         // surviving state is the simcache, written atomically each round.

@@ -49,7 +49,8 @@
 //! [`crate::simulate::CachedEvaluator`] preloaded from the simcache it
 //! persisted after each round. The replay reproduces every completed
 //! round from the cache, simulating nothing, and then continues; the
-//! replayed rounds report their evaluations as cache hits.
+//! replayed rounds report their evaluations as cache hits
+//! ([`crate::report::CurvePoint::replayed`]).
 
 // User-reachable failures must surface as typed `ExploreError`s, not
 // panics; the lint holds this file to that (tests opt back out).

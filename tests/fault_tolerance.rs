@@ -118,20 +118,27 @@ fn faulted_config(parallelism: Parallelism) -> ExplorerConfig {
     }
 }
 
-fn run_curve(parallelism: Parallelism) -> (String, Vec<usize>, Vec<f64>) {
+fn curve_of(history: &[Round]) -> LearningCurve {
+    let mut curve = LearningCurve::new("counting");
+    for round in history {
+        curve.push(round, None);
+    }
+    curve
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+fn run_curve(parallelism: Parallelism) -> (String, Vec<usize>, Vec<u64>) {
     let space = Study::MemorySystem.space();
     let oracle = stack(&space, FaultConfig::default(), parallelism);
     let mut explorer = Explorer::new(&space, &oracle, faulted_config(parallelism));
     explorer.run();
-    let mut curve = LearningCurve::new("counting");
-    for round in explorer.history() {
-        curve.push(round, None);
-    }
-    let probes: Vec<f64> = explorer.predict_indices(&[0, 123, 4_567, 11_000]);
     (
-        curve.to_csv_deterministic(),
+        curve_of(explorer.history()).to_csv_deterministic(),
         explorer.sampled_indices().to_vec(),
-        probes,
+        bits(&explorer.predict_indices(&[0, 123, 4_567, 11_000])),
     )
 }
 
@@ -145,25 +152,8 @@ fn faulted_exploration_is_deterministic_across_parallelism() {
         let (csv, indices, probes) = run_curve(parallelism);
         assert_eq!(csv_1, csv, "curve diverged at {parallelism:?}");
         assert_eq!(indices_1, indices, "samples diverged at {parallelism:?}");
-        let bits = |p: &[f64]| -> Vec<u64> { p.iter().map(|x| x.to_bits()).collect() };
-        assert_eq!(
-            bits(&probes_1),
-            bits(&probes),
-            "predictions diverged at {parallelism:?}"
-        );
+        assert_eq!(probes_1, probes, "predictions diverged at {parallelism:?}");
     }
-}
-
-fn curve_of(history: &[Round]) -> LearningCurve {
-    let mut curve = LearningCurve::new("counting");
-    for round in history {
-        curve.push(round, None);
-    }
-    curve
-}
-
-fn bits(values: &[f64]) -> Vec<u64> {
-    values.iter().map(|x| x.to_bits()).collect()
 }
 
 /// A run killed after any round and re-run against the simcache it
@@ -193,17 +183,16 @@ fn killed_run_replays_into_identical_curve() {
     }
     let predictions = bits(&uninterrupted.predict_space());
 
-    for killed_after in 1..history.len() {
+    // Killed after its last round, the run replays whole; round 3 is the
+    // one that quarantines and resamples a point.
+    for killed_after in 1..=history.len() {
         {
             let oracle = stack(&space, FaultConfig::default(), parallelism);
             let mut explorer = Explorer::new(&space, &oracle, faulted_config(parallelism));
+            let simcache = oracle.inner().inner();
             for _ in 0..killed_after {
                 explorer.try_step().expect("round");
-                oracle
-                    .inner()
-                    .inner()
-                    .persist(&cache)
-                    .expect("persist simcache");
+                simcache.persist(&cache).expect("persist simcache");
             }
             // Killed here: the explorer and its oracle stack are dropped
             // without any shutdown path.
