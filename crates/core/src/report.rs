@@ -59,11 +59,11 @@ pub struct CurvePoint {
 }
 
 impl CurvePoint {
-    /// This row as a re-run of its round over a simcache that holds every
-    /// point the round evaluated reports it: each evaluation is a cache
-    /// hit, so nothing is simulated. Every other column is unchanged,
-    /// because a campaign is a pure function of its seed and its oracle's
-    /// answers.
+    /// The row that a re-run of this round reports when the simcache
+    /// already holds every point the round evaluated: each evaluation is a
+    /// cache hit, so nothing is simulated. Every other column is
+    /// unchanged, because a campaign is a pure function of its seed and
+    /// its oracle's answers.
     pub fn replayed(&self) -> CurvePoint {
         CurvePoint {
             unique_simulations: 0,
