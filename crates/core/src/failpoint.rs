@@ -390,6 +390,33 @@ mod tests {
         assert_ne!(first, other, "different seed, different schedule");
     }
 
+    /// Pins the fire pattern of 256 hits at p = 0.3 under two seeds, as
+    /// an FNV-1a digest of one byte per hit, so a rewrite of the decision
+    /// path cannot move any existing schedule (`chaos_test`,
+    /// `tests/failpoints.rs`) unnoticed.
+    #[test]
+    fn unkeyed_schedule_is_pinned() {
+        let spec = SiteSpec {
+            action: FailAction::Error,
+            probability: 0.3,
+            max_fires: None,
+        };
+        for (seed, digest, fires) in [
+            (0x5EED, 0x50e5_2224_458a_d8ae, 71),
+            (0xC0FFEE, 0x2763_7484_8a0f_4fdc, 63),
+        ] {
+            let _armed = arm(seed, &[("site.pin", spec)]);
+            let pattern: Vec<u8> = (0..256)
+                .map(|_| u8::from(check("site.pin").is_some()))
+                .collect();
+            assert_eq!(
+                (fnv1a_64(&pattern), fired("site.pin")),
+                (digest, fires),
+                "seed {seed:#x}"
+            );
+        }
+    }
+
     #[test]
     fn delay_action_sleeps_then_proceeds() {
         let _armed = arm(
