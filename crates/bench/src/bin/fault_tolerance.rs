@@ -1,21 +1,26 @@
 //! Fault-tolerance smoke gate: a quickstart-scale exploration driven
 //! through the full fault-tolerant oracle stack
-//! (`RetryingOracle<FaultInjectingOracle<CachedEvaluator<StudyEvaluator>>>`)
-//! with a 10% injected fault rate. Asserts, with zero panics along the way:
+//! (`RetryingOracle<CachedEvaluator<StudyEvaluator>>`) with the
+//! `oracle.evaluate` failpoint armed as `error` at a 40% rate: a faulted
+//! attempt is a transient failure, and an index is quarantined after
+//! three. Each gate compares the deterministic CSV (wall-clock columns
+//! excluded) and every round's error-estimate bits. Asserts, with zero
+//! panics along the way:
 //!
 //! 1. every round still reaches its full sample budget — failed points are
-//!    quarantined and replacements are drawn until the batch is whole;
-//! 2. the learning-curve CSV (deterministic flavor, wall-clock columns
-//!    excluded) is **bit-for-bit identical** at `Fixed(1)`, `Fixed(4)` and
-//!    `Auto` parallelism — fault schedules, retries and resampling never
-//!    depend on thread timing;
+//!    quarantined and replacements are drawn until the batch is whole —
+//!    and at least one point is quarantined and resampled;
+//! 2. the learning curve is **bit-for-bit identical** at `Fixed(1)`,
+//!    `Fixed(4)` and `Auto` parallelism — fault schedules, retries and
+//!    resampling never depend on thread timing;
 //! 3. a run killed after a round and re-run against the simcache it
 //!    persisted after each round, with a torn `.tmp` file planted beside
-//!    it, replays into the uninterrupted run's CSV: identical, except that
-//!    the replayed rounds read every evaluation as a cache hit;
-//! 4. a pooled cross-application fit through the same faulted stack fills
-//!    every application's quota and emits an identical deterministic CSV
-//!    at every parallelism setting.
+//!    it, replays into the uninterrupted run's curve, except that the
+//!    replayed rounds read every evaluation as a cache hit; those rounds
+//!    hold an injected failure and a retry;
+//! 4. a pooled cross-application fit through the same faulted stack, with
+//!    its own fault schedule per application, fills every application's
+//!    quota and is identical at every parallelism setting.
 //!
 //! Usage:
 //!
@@ -26,16 +31,30 @@
 
 use archpredict::crossapp::CrossAppModel;
 use archpredict::explorer::{Explorer, ExplorerConfig};
-use archpredict::fault::{FaultConfig, FaultInjectingOracle};
+use archpredict::failpoint::{self, FailAction, SiteSpec};
 use archpredict::report::LearningCurve;
-use archpredict::simulate::{CachedEvaluator, RetryingOracle, SimBudget, SimStats, StudyEvaluator};
+use archpredict::simulate::{
+    CachedEvaluator, RetryPolicy, RetryingOracle, SimBudget, SimStats, StudyEvaluator,
+    FP_ORACLE_EVALUATE,
+};
 use archpredict::studies::Study;
 use archpredict_ann::{Parallelism, TrainConfig};
 use archpredict_bench::write_artifact;
 use archpredict_workloads::{Benchmark, TraceGenerator};
 use std::path::Path;
 
-type Stack = RetryingOracle<FaultInjectingOracle<CachedEvaluator<StudyEvaluator>>>;
+type Stack = RetryingOracle<CachedEvaluator<StudyEvaluator>>;
+
+/// What the gates compare: the deterministic CSV, which prints estimates
+/// to four decimals, and each round's estimate mean and std-dev bits.
+fn gate_view(curve: &LearningCurve) -> (String, Vec<(u64, u64)>) {
+    let bits = curve
+        .points
+        .iter()
+        .map(|p| (p.estimated_mean.to_bits(), p.estimated_std_dev.to_bits()))
+        .collect();
+    (curve.to_csv_deterministic(), bits)
+}
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -50,28 +69,37 @@ fn main() {
     let fault_percent: f64 = args
         .next()
         .map(|a| a.parse().expect("fault_percent must be a number"))
-        .unwrap_or(10.0);
+        .unwrap_or(40.0);
     assert!(batch > 0 && rounds > 0 && (0.0..100.0).contains(&fault_percent));
 
     let study = Study::MemorySystem;
     let space = study.space();
     let benchmark = Benchmark::Gzip;
-    let generator = TraceGenerator::new(benchmark);
-    let budget = SimBudget::spread(&generator, 2, 4_000, 8_000);
-
-    let fault = FaultConfig {
-        probability: fault_percent / 100.0,
-        ..FaultConfig::default()
-    };
-    let stack = |parallelism: Parallelism| -> Stack {
-        RetryingOracle::new(FaultInjectingOracle::with_config(
+    failpoint::install(
+        0xFA_17ED,
+        &[(
+            FP_ORACLE_EVALUATE,
+            SiteSpec {
+                action: FailAction::Error,
+                probability: fault_percent / 100.0,
+                max_fires: None,
+            },
+        )],
+    );
+    // Each application's retry seed draws its own schedule from the plan.
+    let stack = |app: Benchmark, parallelism: Parallelism| -> Stack {
+        let budget = SimBudget::spread(&TraceGenerator::new(app), 2, 4_000, 8_000);
+        RetryingOracle::with_policy(
             CachedEvaluator::with_parallelism(
-                StudyEvaluator::with_budget(study, benchmark, budget.clone()),
+                StudyEvaluator::with_budget(study, app, budget),
                 space.clone(),
                 parallelism,
             ),
-            fault.clone(),
-        ))
+            RetryPolicy {
+                seed: RetryPolicy::default().seed + app as u64,
+                ..RetryPolicy::default()
+            },
+        )
     };
     let config = |parallelism: Parallelism| ExplorerConfig {
         batch,
@@ -102,7 +130,7 @@ fn main() {
     ];
     let mut curves: Vec<(&str, LearningCurve)> = Vec::new();
     for &(label, parallelism) in &settings {
-        let oracle = stack(parallelism);
+        let oracle = stack(benchmark, parallelism);
         let mut explorer = Explorer::new(&space, &oracle, config(parallelism));
         let mut curve = LearningCurve::new(format!("{benchmark}"));
         let mut totals = SimStats::default();
@@ -129,19 +157,20 @@ fn main() {
             oracle.virtual_backoff_seconds(),
         );
         assert!(
-            totals.failures > 0,
-            "[{label}] a {fault_percent}% fault rate over {} attempts injected nothing",
+            totals.quarantined > 0 && totals.resampled > 0,
+            "[{label}] a {fault_percent}% fault rate over {} points never quarantined \
+             and resampled one: {totals:?}",
             batch * rounds
         );
         curves.push((label, curve));
     }
     let reference = &curves[0].1;
-    let reference_csv = reference.to_csv_deterministic();
+    let reference_view = gate_view(reference);
     for (label, curve) in &curves[1..] {
         assert_eq!(
-            reference_csv,
-            curve.to_csv_deterministic(),
-            "deterministic CSV diverged between fixed_1 and {label}"
+            reference_view,
+            gate_view(curve),
+            "deterministic CSV or estimate bits diverged between fixed_1 and {label}"
         );
     }
     eprintln!("  deterministic CSVs identical across all parallelism settings");
@@ -154,9 +183,9 @@ fn main() {
     let _ = std::fs::remove_file(cache);
     let killed_after = rounds.div_ceil(2);
     {
-        let oracle = stack(Parallelism::Auto);
+        let oracle = stack(benchmark, Parallelism::Auto);
         let mut explorer = Explorer::new(&space, &oracle, config(Parallelism::Auto));
-        let simcache = oracle.inner().inner();
+        let simcache = oracle.inner();
         for _ in 0..killed_after {
             explorer.try_step().expect("step must not fail");
             simcache.persist(cache).expect("persist simcache");
@@ -169,8 +198,8 @@ fn main() {
         "index,value\n17,0.",
     )
     .expect("plant torn temp file");
-    let oracle = stack(Parallelism::Auto);
-    let loaded = oracle.inner().inner().load(cache).expect("load simcache");
+    let oracle = stack(benchmark, Parallelism::Auto);
+    let loaded = oracle.inner().load(cache).expect("load simcache");
     let mut replayed = Explorer::new(&space, &oracle, config(Parallelism::Auto));
     let mut curve = LearningCurve::new(format!("{benchmark}"));
     for _ in 0..rounds {
@@ -184,34 +213,31 @@ fn main() {
         *point = point.replayed();
     }
     assert_eq!(
-        expected.to_csv_deterministic(),
-        curve.to_csv_deterministic(),
+        gate_view(&expected),
+        gate_view(&curve),
         "kill after round {killed_after} + replay diverged from the uninterrupted run"
+    );
+    let replayed_rounds = &curve.points[..killed_after];
+    let failures: u64 = replayed_rounds.iter().map(|p| p.sim_failures).sum();
+    let retries: u64 = replayed_rounds.iter().map(|p| p.sim_retries).sum();
+    assert!(
+        failures > 0 && retries > 0,
+        "the replayed rounds hold {failures} injected failure(s) and {retries} retries"
     );
     eprintln!(
         "  kill after round {killed_after} + replay over {loaded} cached sims reproduced \
-         the CSV, its first {killed_after} round(s) as cache hits"
+         the curve, its first {killed_after} round(s) as cache hits with {failures} \
+         failures and {retries} retries"
     );
 
     // Gate 4: cross-application determinism under the same faulted stack.
     // The pooled fit samples each application through the engine's
     // quarantine/resample loop; its single-round CSV must be identical at
     // every parallelism setting.
-    let crossapp = |parallelism: Parallelism| -> (String, usize, SimStats) {
+    let crossapp = |parallelism: Parallelism| {
         let evaluators = vec![
-            (benchmark, stack(parallelism)),
-            (Benchmark::Mcf, {
-                let generator = TraceGenerator::new(Benchmark::Mcf);
-                let budget = SimBudget::spread(&generator, 2, 4_000, 8_000);
-                RetryingOracle::new(FaultInjectingOracle::with_config(
-                    CachedEvaluator::with_parallelism(
-                        StudyEvaluator::with_budget(study, Benchmark::Mcf, budget),
-                        space.clone(),
-                        parallelism,
-                    ),
-                    fault.clone(),
-                ))
-            }),
+            (benchmark, stack(benchmark, parallelism)),
+            (Benchmark::Mcf, stack(Benchmark::Mcf, parallelism)),
         ];
         let train = TrainConfig {
             max_epochs: 40,
@@ -222,23 +248,20 @@ fn main() {
         let model = CrossAppModel::fit(&space, &evaluators, batch, &train, 0x1BEC);
         let mut curve = LearningCurve::new("crossapp");
         curve.push(&model.round(), None);
-        (
-            curve.to_csv_deterministic(),
-            model.samples,
-            model.simulation,
-        )
+        (gate_view(&curve), model.samples, model.simulation)
     };
-    let (crossapp_csv, crossapp_samples, crossapp_stats) = crossapp(Parallelism::Fixed(1));
+    let (crossapp_view, crossapp_samples, crossapp_stats): (_, usize, SimStats) =
+        crossapp(Parallelism::Fixed(1));
     assert_eq!(
         crossapp_samples,
         batch * 2,
         "crossapp fit fell short of its per-app quota under faults"
     );
     for &(label, parallelism) in &settings[1..] {
-        let (csv, ..) = crossapp(parallelism);
+        let (view, ..) = crossapp(parallelism);
         assert_eq!(
-            crossapp_csv, csv,
-            "crossapp deterministic CSV diverged between fixed_1 and {label}"
+            crossapp_view, view,
+            "crossapp deterministic CSV or estimate bits diverged between fixed_1 and {label}"
         );
     }
     eprintln!(
@@ -249,11 +272,11 @@ fn main() {
 
     write_artifact(
         Path::new("results/fault_tolerance/curve.csv"),
-        &reference_csv,
+        &reference_view.0,
     );
     write_artifact(
         Path::new("results/fault_tolerance/crossapp_curve.csv"),
-        &crossapp_csv,
+        &crossapp_view.0,
     );
 
     eprintln!("fault_tolerance: all gates passed");

@@ -1,13 +1,19 @@
-//! Deterministic, seeded fault injection for the serving stack.
+//! Deterministic, seeded fault injection: the one schedule engine for
+//! every injected fault, in the serving stack and in the simulation
+//! oracle alike.
 //!
 //! A chaos run is only debuggable if it is replayable: "the daemon died
 //! after 4 000 requests" is useless unless the same seed reproduces the
 //! same death at the same request. This module provides named **fault
 //! sites** compiled into production code paths (`persist::write_atomic`,
-//! the registry commit path, the serve request handler). Whether a given
-//! site fires on a given hit is a pure function of `(seed, site name, hit
-//! count)` — no wall clock, no OS randomness — so every chaos schedule is
-//! bit-for-bit reproducible.
+//! the registry commit path, the serve request handler, each
+//! `RetryingOracle` attempt). Whether a given site fires is a pure
+//! function of `(seed, site name, key)` — no wall clock, no OS
+//! randomness — so every chaos schedule is bit-for-bit reproducible.
+//! [`check`] keys a site by its hit count; [`check_keyed`] takes the key
+//! from the caller, so a site checked from many threads, such as
+//! [`crate::simulate::FP_ORACLE_EVALUATE`] keyed by (retry seed, index,
+//! attempt), fires the same way whatever order its checks run in.
 //!
 //! The layer supersedes the one-off `CrashPoint` enum the registry used
 //! to carry: instead of a bespoke hook per failure mode, any site can be
@@ -29,7 +35,8 @@
 //! Clauses are `;`-separated. `seed=<u64, 0x-hex ok>` sets the schedule
 //! seed (default 0). Every other clause is
 //! `<site>=<action>@<probability>[@<max_fires>]` where `<action>` is one
-//! of `error`, `torn`, `panic`, `delay:<ms>`.
+//! of `error`, `torn`, `panic`, `delay:<ms>`. A site takes one action: a
+//! plan that names a site twice is rejected.
 
 use archpredict_stats::hash::fnv1a_64;
 use archpredict_stats::rng::Xoshiro256;
@@ -201,6 +208,11 @@ pub fn parse_plan(text: &str) -> Result<(u64, Vec<(String, SiteSpec)>), String> 
                 "too many `@` fields in failpoint clause `{clause}`"
             ));
         }
+        // A check finds a site's first clause only, so a second one
+        // would be silently dead.
+        if sites.iter().any(|(name, _)| name == lhs) {
+            return Err(format!("failpoint site `{lhs}` is armed twice"));
+        }
         sites.push((
             lhs.to_string(),
             SiteSpec {
@@ -253,14 +265,13 @@ pub fn render_plan(seed: u64, sites: &[(&str, SiteSpec)]) -> String {
     out
 }
 
-/// Evaluates the named site. Disarmed or unconfigured sites return
-/// `None` at the cost of one atomic load. Armed sites decide purely from
-/// `(seed, site, hit count)`: hit `n` of a site fires iff
-/// `rng(seed, site, n) < probability`, identically on every run.
-///
-/// `Delay` sleeps then returns `None`; `Panic` never returns.
-/// `Error`/`Torn` hand a [`Failure`] back for the call site to realize.
-pub fn check(site: &str) -> Option<Failure> {
+/// The one decision behind [`check`] and [`check_keyed`]. Disarmed or
+/// unconfigured sites return `None` at the cost of one relaxed atomic
+/// load. An armed site counts the hit, then fires iff
+/// `rng(seed, site, key) < probability` and a fire slot is left under
+/// its `max_fires`; `key` maps the hit's number to the schedule key.
+/// Returns the armed action and the hit's number.
+fn decide(site: &str, key: impl FnOnce(u64) -> u64) -> Option<(FailAction, u64)> {
     if !ARMED.load(Ordering::Relaxed) {
         return None;
     }
@@ -269,7 +280,7 @@ pub fn check(site: &str) -> Option<Failure> {
     let hit = entry.hits.fetch_add(1, Ordering::Relaxed) + 1;
     let mut rng = Xoshiro256::seed_from(plan.seed)
         .derive(fnv1a_64(site.as_bytes()))
-        .derive(hit);
+        .derive(key(hit));
     if rng.next_f64() >= entry.spec.probability {
         return None;
     }
@@ -283,10 +294,18 @@ pub fn check(site: &str) -> Option<Failure> {
                 _ => Some(fired + 1),
             }
         });
-    if claimed.is_err() {
-        return None;
-    }
-    match entry.spec.action {
+    claimed.ok().map(|_| (entry.spec.action, hit))
+}
+
+/// Evaluates the named site, keyed by its hit count: hit `n` of a site
+/// fires iff `rng(seed, site, n) < probability`, identically on every
+/// run.
+///
+/// `Delay` sleeps then returns `None`; `Panic` never returns.
+/// `Error`/`Torn` hand a [`Failure`] back for the call site to realize.
+pub fn check(site: &str) -> Option<Failure> {
+    let (action, hit) = decide(site, |hit| hit)?;
+    match action {
         FailAction::Error => Some(Failure::Error(std::io::Error::other(format!(
             "failpoint `{site}` fired (hit {hit})"
         )))),
@@ -297,6 +316,17 @@ pub fn check(site: &str) -> Option<Failure> {
         }
         FailAction::Panic => panic!("failpoint `{site}` fired (hit {hit})"),
     }
+}
+
+/// Evaluates the named site keyed by `key` instead of its hit count: it
+/// fires iff `rng(seed, site, key) < probability`, so a key's decision
+/// does not depend on call order, on the thread that asks, or on other
+/// checks of the site. (A `max_fires` cap hands its slots out in call
+/// order, so only an uncapped site keeps that independence.) The call
+/// counts as a hit. The armed [`FailAction`] is returned, not executed:
+/// the call site maps it onto its own kind of failure.
+pub fn check_keyed(site: &str, key: u64) -> Option<FailAction> {
+    decide(site, |_| key).map(|(action, _)| action)
 }
 
 /// Times the named site fired under the current plan (0 if unarmed).
@@ -417,6 +447,46 @@ mod tests {
         }
     }
 
+    /// A keyed decision is the same whatever the order of the keys, the
+    /// unkeyed hits interleaved with them, or reinstalls, and unkeyed hit
+    /// `n` is the keyed decision for `n` (whose bits the unkeyed pin
+    /// above holds).
+    #[test]
+    fn keyed_decisions_ignore_call_order_and_unkeyed_hits() {
+        let spec = SiteSpec {
+            action: FailAction::Torn,
+            probability: 0.3,
+            max_fires: None,
+        };
+        let keys: Vec<u64> = (1..=256).map(|n| n * 0x9E37_79B9).collect();
+        let decide_all = |order: &mut dyn Iterator<Item = u64>, interleave: bool| {
+            let _armed = arm(0x5EED, &[("site.keyed", spec)]);
+            let mut fired: Vec<u64> = order
+                .filter(|&key| {
+                    if interleave {
+                        let _ = check("site.keyed");
+                    }
+                    check_keyed("site.keyed", key) == Some(FailAction::Torn)
+                })
+                .collect();
+            fired.sort_unstable();
+            fired
+        };
+        let forward = decide_all(&mut keys.iter().copied(), false);
+        assert_eq!(forward, decide_all(&mut keys.iter().rev().copied(), true));
+        assert_eq!(forward, decide_all(&mut keys.iter().copied(), false));
+        assert!((40..=120).contains(&forward.len()), "{}", forward.len());
+
+        let _armed = arm(0x5EED, &[("site.keyed", spec)]);
+        let unkeyed: Vec<bool> = (0..64).map(|_| check("site.keyed").is_some()).collect();
+        install(0x5EED, &[("site.keyed", spec)]);
+        let keyed: Vec<bool> = (1..=64)
+            .map(|n| check_keyed("site.keyed", n).is_some())
+            .collect();
+        assert_eq!(unkeyed, keyed);
+        assert_eq!(hits("site.keyed"), 64, "a keyed check counts as a hit");
+    }
+
     #[test]
     fn delay_action_sleeps_then_proceeds() {
         let _armed = arm(
@@ -484,9 +554,14 @@ mod tests {
             "site=delay:abc@1",
             "site=abort@1",
             "site=exit:9@1",
+            "a=error@1;a=panic@1",
+            " a.b=error@0.5 ; seed=3; a.b = torn ",
+            "oracle.evaluate=error@0.3;oracle.evaluate=error@0.3",
         ] {
             assert!(parse_plan(bad).is_err(), "`{bad}` should be rejected");
         }
+        let twice = parse_plan("a=error@1;a=panic@1").expect_err("site armed twice");
+        assert!(twice.contains("`a`"), "error names the site: {twice}");
         // Empty clauses and whitespace are tolerated.
         let (seed, sites) = parse_plan(" seed=7 ; ; a.b=error@0.5 ").expect("valid");
         assert_eq!(seed, 7);

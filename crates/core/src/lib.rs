@@ -23,11 +23,11 @@
 //!   SimPoint-accelerated (noisy) simulation, a sharded deduplicating
 //!   cache with CSV persist/preload, parallel batch fan-out, and
 //!   [`simulate::SimStats`] telemetry.
-//! * [`fault`] — deterministic, seeded fault injection for exercising the
-//!   retry/quarantine stack under reproducible failure schedules.
 //! * [`failpoint`] — named, seeded fault sites compiled into the persist,
-//!   registry and serve paths; every chaos schedule is a pure function of
-//!   `(seed, site, hit count)` and therefore replayable.
+//!   registry, serve and retrying-oracle paths; every injected fault is a
+//!   pure function of `(seed, site, hit count)`, or of `(seed, site,
+//!   key)` for a keyed site such as `oracle.evaluate`, and therefore
+//!   replayable.
 //! * [`distributed`] — one environment-variable name that the `perf`
 //!   benchmark refuses to run under; no code reads the variable.
 //! * [`campaign`] — the train–estimate–refine engine shared by every
@@ -93,7 +93,6 @@ pub mod crossapp;
 pub mod distributed;
 pub mod explorer;
 pub mod failpoint;
-pub mod fault;
 pub mod infer;
 pub mod multitask;
 pub mod param;
@@ -110,7 +109,6 @@ pub mod telemetry;
 
 pub use campaign::{AppEncoder, Campaign, CampaignConfig, Encoder, PlainEncoder};
 pub use explorer::{ExploreError, Explorer, ExplorerConfig, Round, TrueError};
-pub use fault::{FaultConfig, FaultInjectingOracle};
 pub use param::{Param, ParamKind, ParamValue};
 pub use registry::{FitOutcome, ModelKey, Registry, RegistryError, StudyFitSpec, SweepReport};
 pub use serve::{install_signal_handlers, shutdown_signaled, ServeConfig, Server, ServerHandle};

@@ -32,11 +32,10 @@
 //! the fan-out catches a leaf evaluator's panic as [`SimError::Crashed`]
 //! for that index alone. [`RetryingOracle`] wraps any oracle with a
 //! bounded, deterministically-seeded retry policy and a quarantine set
-//! for permanently failing points;
-//! [`crate::fault::FaultInjectingOracle`] injects seeded faults for
-//! testing the whole stack. Indices that still fail after the stack's
-//! retries are replaced with fresh draws by the campaign engine's
-//! [`crate::campaign::collect_batch`] loop, which every driver —
+//! for permanently failing points, and injects the faults a test arms at
+//! its [`FP_ORACLE_EVALUATE`] failpoint. Indices that still fail after
+//! the stack's retries are replaced with fresh draws by the campaign
+//! engine's [`crate::campaign::collect_batch`] loop, which every driver —
 //! single-application, cross-application and multi-task — samples
 //! through.
 //!
@@ -50,6 +49,7 @@
 //! covers errors too: which indices fail, and how, is independent of the
 //! thread count.
 
+use crate::failpoint::{self, FailAction};
 use crate::persist::write_atomic;
 use crate::space::{DesignPoint, DesignSpace};
 use crate::studies::Study;
@@ -144,8 +144,9 @@ pub struct SimStats {
     /// Wall-clock seconds spent inside the oracle.
     pub wall_seconds: f64,
     /// Evaluation attempts that returned a [`SimError`], counted where the
-    /// error originated (the faulty backend or injector, not the retry
-    /// wrapper). Quarantine short-circuits are not counted here.
+    /// error originated: the faulty backend, or [`RetryingOracle`] for a
+    /// fault injected at [`FP_ORACLE_EVALUATE`]. Quarantine
+    /// short-circuits are not counted here.
     pub failures: u64,
     /// Re-attempts issued by [`RetryingOracle`] after retriable failures.
     pub retries: u64,
@@ -779,6 +780,14 @@ impl<E: PointEvaluator> Oracle for CachedEvaluator<E> {
     }
 }
 
+/// Failpoint site checked by [`RetryingOracle`] before each attempt at
+/// each index, keyed by (retry seed, index, attempt). A fired action
+/// becomes that attempt's error instead of reaching the inner oracle:
+/// `error` is [`SimError::Transient`], `panic` [`SimError::Crashed`],
+/// `delay` [`SimError::TimedOut`] and `torn` [`SimError::NonFinite`].
+/// Nothing sleeps or panics.
+pub const FP_ORACLE_EVALUATE: &str = "oracle.evaluate";
+
 /// Bounded retry policy for [`RetryingOracle`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
@@ -788,7 +797,9 @@ pub struct RetryPolicy {
     /// Base of the exponential backoff schedule, in (virtual) seconds:
     /// attempt `k`'s backoff is `base × 2^(k-1) × jitter`.
     pub base_backoff_seconds: f64,
-    /// Seed for the deterministic per-(index, attempt) backoff jitter.
+    /// Seed for the deterministic per-(index, attempt) backoff jitter and
+    /// the [`FP_ORACLE_EVALUATE`] key, so oracles with distinct seeds
+    /// draw distinct fault schedules from one plan.
     pub seed: u64,
 }
 
@@ -814,6 +825,21 @@ impl RetryPolicy {
                 .next_f64();
         self.base_backoff_seconds * f64::from(1u32 << (attempt.saturating_sub(2)).min(20)) * jitter
     }
+
+    /// The fault injected at [`FP_ORACLE_EVALUATE`] into attempt
+    /// `attempt` (1-based) at `index`, if its keyed check fires.
+    fn injected_fault(&self, index: usize, attempt: u32) -> Option<SimError> {
+        let key = Xoshiro256::seed_from(self.seed)
+            .derive(index as u64)
+            .derive(u64::from(attempt))
+            .next_u64();
+        failpoint::check_keyed(FP_ORACLE_EVALUATE, key).map(|action| match action {
+            FailAction::Error => SimError::Transient,
+            FailAction::Panic => SimError::Crashed,
+            FailAction::Delay(_) => SimError::TimedOut,
+            FailAction::Torn => SimError::NonFinite,
+        })
+    }
 }
 
 /// Retry/quarantine wrapper: turns a flaky [`Oracle`] into one that
@@ -833,10 +859,13 @@ impl RetryPolicy {
 ///   quarantine and, since failures here are a pure function of
 ///   (index, attempt), quarantines and counts the same points the run
 ///   did.
+/// * Before each attempt, every live index checks
+///   [`FP_ORACLE_EVALUATE`]; a fired check is that attempt's error.
 ///
 /// Telemetry: `stats.retries` counts re-attempts issued here and
 /// `stats.quarantined` counts indices given up on; `stats.failures` is
-/// counted by whoever originates the errors (the inner oracle).
+/// counted by whoever originates the errors (the inner oracle, or this
+/// wrapper for an injected fault).
 #[derive(Debug)]
 pub struct RetryingOracle<O> {
     inner: O,
@@ -911,11 +940,24 @@ impl<O: Oracle> Oracle for RetryingOracle<O> {
             if live.is_empty() {
                 break;
             }
-            let batch: Vec<usize> = live.iter().map(|&(_, index)| index).collect();
-            let outcomes = self.inner.evaluate_batch(space, &batch, stats);
+            let faults: Vec<Option<SimError>> = live
+                .iter()
+                .map(|&(_, index)| self.policy.injected_fault(index, attempt))
+                .collect();
+            let batch: Vec<usize> = live
+                .iter()
+                .zip(&faults)
+                .filter(|(_, fault)| fault.is_none())
+                .map(|(&(_, index), _)| index)
+                .collect();
+            stats.failures += (live.len() - batch.len()) as u64;
+            let mut answers = self.inner.evaluate_batch(space, &batch, stats).into_iter();
+            let outcomes = faults.into_iter().map(|fault| {
+                fault.map_or_else(|| answers.next().expect("one answer per index"), Err)
+            });
             let mut next: Vec<(usize, usize)> = Vec::new();
-            for (&(slot, index), outcome) in live.iter().zip(&outcomes) {
-                match *outcome {
+            for (&(slot, index), outcome) in live.iter().zip(outcomes) {
+                match outcome {
                     Ok(v) => results[slot] = Ok(v),
                     Err(e) if e.is_retriable() && attempt < self.policy.max_attempts => {
                         backoff += self.policy.backoff_seconds(index, attempt + 1);

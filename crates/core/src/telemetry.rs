@@ -151,8 +151,6 @@ global_counters! {
     INFER_POINTS => "infer.points",
     /// Model fits performed by registry handles.
     REGISTRY_FITS => "registry.fits",
-    /// Faults injected by [`crate::fault::FaultInjectingOracle`].
-    FAULT_INJECTED => "fault.injected",
     /// HTTP requests accepted by serving daemons.
     SERVE_REQUESTS => "serve.requests",
     /// Predictions served.

@@ -1,21 +1,32 @@
 //! Fault-tolerance integration tests over the full oracle stack
-//! (`RetryingOracle<FaultInjectingOracle<CachedEvaluator<_>>>`): the leaf
-//! simulator runs exactly once per surviving index no matter the fault
-//! schedule, exploration under faults is bit-for-bit deterministic at every
-//! parallelism setting, and a run killed between rounds replays from its
-//! persisted simcache into the identical learning curve.
+//! (`RetryingOracle<CachedEvaluator<_>>` with the `oracle.evaluate`
+//! failpoint armed): the leaf simulator runs exactly once per surviving
+//! index no matter the fault schedule, exploration under faults is
+//! bit-for-bit deterministic at every parallelism setting, and a run
+//! killed between rounds replays from its persisted simcache into the
+//! identical learning curve.
+//!
+//! Every test arms the plan through [`oracle_faults::arm`], which holds a
+//! file-wide lock and disarms on drop.
+
+mod oracle_faults;
 
 use archpredict::crossapp::CrossAppModel;
 use archpredict::explorer::{Explorer, ExplorerConfig, Round};
-use archpredict::fault::{FaultConfig, FaultInjectingOracle};
+use archpredict::failpoint::{self, FailAction};
 use archpredict::report::LearningCurve;
-use archpredict::simulate::{CachedEvaluator, Oracle, PointEvaluator, RetryingOracle, SimStats};
+use archpredict::simulate::{
+    CachedEvaluator, Oracle, PointEvaluator, RetryPolicy, RetryingOracle, SimError, SimStats,
+    FP_ORACLE_EVALUATE,
+};
 use archpredict::space::{DesignPoint, DesignSpace};
 use archpredict::studies::Study;
 use archpredict_ann::{Parallelism, TrainConfig};
 use archpredict_workloads::Benchmark;
+use oracle_faults::arm;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 /// A cheap deterministic stand-in for the cycle simulator that counts how
 /// often it actually runs.
@@ -50,22 +61,33 @@ impl PointEvaluator for CountingEvaluator {
     }
 }
 
-type Stack = RetryingOracle<FaultInjectingOracle<CachedEvaluator<CountingEvaluator>>>;
+type Stack = RetryingOracle<CachedEvaluator<CountingEvaluator>>;
 
-fn stack(space: &DesignSpace, fault: FaultConfig, parallelism: Parallelism) -> Stack {
-    RetryingOracle::new(FaultInjectingOracle::with_config(
+/// A faulted stack whose schedule under the armed plan is drawn by
+/// `retry_seed`.
+fn stack(space: &DesignSpace, retry_seed: u64, parallelism: Parallelism) -> Stack {
+    RetryingOracle::with_policy(
         CachedEvaluator::with_parallelism(
             CountingEvaluator::new(space.clone()),
             space.clone(),
             parallelism,
         ),
-        fault,
-    ))
+        RetryPolicy {
+            seed: retry_seed,
+            ..RetryPolicy::default()
+        },
+    )
 }
 
 fn leaf_calls(oracle: &Stack) -> usize {
-    oracle.inner().inner().inner().calls.load(Ordering::SeqCst)
+    oracle.inner().inner().calls.load(Ordering::SeqCst)
 }
+
+/// The plan and retry seed of the exploration tests: transient faults on
+/// 30% of attempts, so an index is quarantined after three (2.7%).
+const PLAN_SEED: u64 = 0xFA_17ED;
+const RETRY_SEED: u64 = 0x5EED_BACC;
+const RATE: f64 = 0.3;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -73,18 +95,24 @@ proptest! {
     /// Whatever the fault schedule does, the leaf simulator runs exactly
     /// once per index that ends up with a value: injected faults never
     /// reach it, retries re-enter through the dedup cache, and duplicate
-    /// occurrences are served from cache.
+    /// occurrences are served from cache. Every fired check is one
+    /// counted failure, and an index that never succeeds ends with the
+    /// error its action maps to.
     #[test]
     fn leaf_simulates_exactly_once_per_surviving_index(
         seed in 0u64..u64::MAX,
         probability in 0.0f64..0.6,
+        action in 0usize..4,
     ) {
+        let (action, error) = [
+            (FailAction::Error, SimError::Transient),
+            (FailAction::Panic, SimError::Crashed),
+            (FailAction::Delay(Duration::from_millis(50)), SimError::TimedOut),
+            (FailAction::Torn, SimError::NonFinite),
+        ][action];
+        let _armed = arm(seed, action, probability);
         let space = Study::MemorySystem.space();
-        let oracle = stack(
-            &space,
-            FaultConfig { probability, seed, ..FaultConfig::default() },
-            Parallelism::Fixed(2),
-        );
+        let oracle = stack(&space, RETRY_SEED, Parallelism::Fixed(2));
         // Distinct indices plus a duplicated tail.
         let mut indices: Vec<usize> = (0..120).map(|i| i * 7 % space.size()).collect();
         indices.extend_from_slice(&indices.clone()[..20]);
@@ -99,6 +127,12 @@ proptest! {
             .collect();
         prop_assert_eq!(leaf_calls(&oracle), survivors.len());
         prop_assert_eq!(stats.unique_simulations as usize, survivors.len());
+        prop_assert_eq!(stats.failures, failpoint::fired(FP_ORACLE_EVALUATE));
+        for result in &results {
+            if let Err(e) = result {
+                prop_assert_eq!(*e, error);
+            }
+        }
     }
 }
 
@@ -132,7 +166,7 @@ fn bits(values: &[f64]) -> Vec<u64> {
 
 fn run_curve(parallelism: Parallelism) -> (String, Vec<usize>, Vec<u64>) {
     let space = Study::MemorySystem.space();
-    let oracle = stack(&space, FaultConfig::default(), parallelism);
+    let oracle = stack(&space, RETRY_SEED, parallelism);
     let mut explorer = Explorer::new(&space, &oracle, faulted_config(parallelism));
     explorer.run();
     (
@@ -142,11 +176,12 @@ fn run_curve(parallelism: Parallelism) -> (String, Vec<usize>, Vec<u64>) {
     )
 }
 
-/// Exploration under a 10% injected fault rate is bit-for-bit identical at
+/// Exploration under a 30% injected fault rate is bit-for-bit identical at
 /// one thread, four threads, and auto parallelism: same sampled indices,
 /// same learning curve, same predictions.
 #[test]
 fn faulted_exploration_is_deterministic_across_parallelism() {
+    let _armed = arm(PLAN_SEED, FailAction::Error, RATE);
     let (csv_1, indices_1, probes_1) = run_curve(Parallelism::Fixed(1));
     for parallelism in [Parallelism::Fixed(4), Parallelism::Auto] {
         let (csv, indices, probes) = run_curve(parallelism);
@@ -169,8 +204,9 @@ fn killed_run_replays_into_identical_curve() {
     let dir = std::env::temp_dir().join(format!("archpredict_fault_replay_{}", std::process::id()));
     let cache = dir.join("simcache.csv");
     let _ = std::fs::remove_dir_all(&dir);
+    let _armed = arm(PLAN_SEED, FailAction::Error, RATE);
 
-    let oracle = stack(&space, FaultConfig::default(), parallelism);
+    let oracle = stack(&space, RETRY_SEED, parallelism);
     let mut uninterrupted = Explorer::new(&space, &oracle, faulted_config(parallelism));
     uninterrupted.run();
     let history = uninterrupted.history();
@@ -183,13 +219,18 @@ fn killed_run_replays_into_identical_curve() {
     }
     let predictions = bits(&uninterrupted.predict_space());
 
-    // Killed after its last round, the run replays whole; round 3 is the
-    // one that quarantines and resamples a point.
+    // Every kill point replays a round that quarantines and resamples a
+    // point; killed after its last round, the run replays whole.
+    let round_1 = history[0].simulation;
+    assert!(
+        round_1.quarantined > 0 && round_1.resampled > 0,
+        "round 1 never quarantined and resampled: {round_1:?}"
+    );
     for killed_after in 1..=history.len() {
         {
-            let oracle = stack(&space, FaultConfig::default(), parallelism);
+            let oracle = stack(&space, RETRY_SEED, parallelism);
             let mut explorer = Explorer::new(&space, &oracle, faulted_config(parallelism));
-            let simcache = oracle.inner().inner();
+            let simcache = oracle.inner();
             for _ in 0..killed_after {
                 explorer.try_step().expect("round");
                 simcache.persist(&cache).expect("persist simcache");
@@ -200,8 +241,8 @@ fn killed_run_replays_into_identical_curve() {
         std::fs::write(dir.join("simcache.csv.0.0.tmp"), "index,value\n17,0.")
             .expect("plant torn temp file");
 
-        let oracle = stack(&space, FaultConfig::default(), parallelism);
-        oracle.inner().inner().load(&cache).expect("load simcache");
+        let oracle = stack(&space, RETRY_SEED, parallelism);
+        oracle.inner().load(&cache).expect("load simcache");
         let mut replayed = Explorer::new(&space, &oracle, faulted_config(parallelism));
         replayed.try_run().expect("replay the study");
 
@@ -239,16 +280,12 @@ fn killed_run_replays_into_identical_curve() {
 
 fn crossapp_run(parallelism: Parallelism) -> (CrossAppModel, String, Vec<u64>) {
     let space = Study::MemorySystem.space();
-    // A 30% fault rate (distinct schedule per app) forces the pooled
-    // sampler through its quarantine-and-resample loop.
-    let fault = |seed: u64| FaultConfig {
-        probability: 0.3,
-        seed,
-        ..FaultConfig::default()
-    };
+    // Under a 50% fault rate (an index is quarantined after three, 12.5%),
+    // with a distinct schedule per app, the pooled sampler goes through
+    // its quarantine-and-resample loop.
     let evaluators = vec![
-        (Benchmark::Gzip, stack(&space, fault(0xA9_01), parallelism)),
-        (Benchmark::Mcf, stack(&space, fault(0xA9_02), parallelism)),
+        (Benchmark::Gzip, stack(&space, 0xA9_01, parallelism)),
+        (Benchmark::Mcf, stack(&space, 0xA9_02, parallelism)),
     ];
     let train = TrainConfig {
         max_epochs: 25,
@@ -267,12 +304,13 @@ fn crossapp_run(parallelism: Parallelism) -> (CrossAppModel, String, Vec<u64>) {
     (model, curve.to_csv_deterministic(), probes)
 }
 
-/// A pooled cross-application fit under a 30% injected fault rate still
+/// A pooled cross-application fit under a 50% injected fault rate still
 /// fills every application's quota (the resample loop fires), records the
 /// faults in its telemetry, and is bit-for-bit identical at one thread,
 /// four threads, and auto parallelism.
 #[test]
 fn faulted_crossapp_fit_is_deterministic_across_parallelism() {
+    let _armed = arm(PLAN_SEED, FailAction::Error, 0.5);
     let (model, csv_1, probes_1) = crossapp_run(Parallelism::Fixed(1));
     assert_eq!(model.samples, 80, "both apps reach their quota");
     assert!(

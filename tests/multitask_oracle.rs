@@ -1,15 +1,21 @@
 //! Multi-task training through the batch-first oracle stack: per-head
-//! `CachedEvaluator`s dedupe repeat fits, a `FaultInjectingOracle`
-//! schedule is survived via the campaign engine's quarantine/resample
-//! loop, and the whole fit is bit-for-bit deterministic at every
-//! parallelism setting.
+//! `CachedEvaluator`s dedupe repeat fits, a fault schedule injected at
+//! the `oracle.evaluate` failpoint is survived via the campaign engine's
+//! quarantine/resample loop, and the whole fit is bit-for-bit
+//! deterministic at every parallelism setting.
+//!
+//! A test that arms the plan does so through [`oracle_faults::arm`],
+//! which holds a file-wide lock and disarms on drop.
 
-use archpredict::fault::{FaultConfig, FaultInjectingOracle};
+mod oracle_faults;
+
+use archpredict::failpoint::FailAction;
 use archpredict::multitask::{fit_multitask_oracles, MultiTaskFit};
-use archpredict::simulate::{CachedEvaluator, PointEvaluator, RetryingOracle};
+use archpredict::simulate::{CachedEvaluator, PointEvaluator, RetryPolicy, RetryingOracle};
 use archpredict::space::{DesignPoint, DesignSpace};
 use archpredict::studies::Study;
 use archpredict_ann::{Parallelism, TrainConfig};
+use oracle_faults::arm;
 
 /// A cheap deterministic stand-in for one simulator statistic: each head
 /// computes a different smooth function of the encoded features, so the
@@ -101,21 +107,22 @@ fn refit_is_served_from_cache() {
     assert_eq!(bits(&first), bits(&second));
 }
 
-type FaultedHead = RetryingOracle<FaultInjectingOracle<CachedEvaluator<HeadEvaluator>>>;
+type FaultedHead = RetryingOracle<CachedEvaluator<HeadEvaluator>>;
 
+/// Heads whose retry seeds draw a distinct fault schedule per head from
+/// the armed plan.
 fn faulted_heads(space: &DesignSpace, parallelism: Parallelism) -> Vec<FaultedHead> {
     cached_heads(space, parallelism)
         .into_iter()
         .enumerate()
         .map(|(head, cached)| {
-            RetryingOracle::new(FaultInjectingOracle::with_config(
+            RetryingOracle::with_policy(
                 cached,
-                FaultConfig {
-                    probability: 0.3,
+                RetryPolicy {
                     seed: 0xFA_11 + head as u64,
-                    ..FaultConfig::default()
+                    ..RetryPolicy::default()
                 },
-            ))
+            )
         })
         .collect()
 }
@@ -132,6 +139,7 @@ fn faulted_fit(parallelism: Parallelism) -> MultiTaskFit {
 /// the result is identical at one thread, four threads and auto.
 #[test]
 fn faulted_fit_is_survivable_and_deterministic() {
+    let _armed = arm(0xFA_17ED, FailAction::Error, 0.3);
     let space = Study::MemorySystem.space();
     let reference = faulted_fit(Parallelism::Fixed(1));
     assert!(
@@ -144,6 +152,7 @@ fn faulted_fit_is_survivable_and_deterministic() {
         50,
         "primary quota minus auxiliary drops"
     );
+    assert!(reference.dropped > 0, "no auxiliary head dropped a row");
     assert!(reference.indices.len() >= 40, "dropped too many rows");
     assert!(!reference.model.diverged());
     let probe = space.encode(&space.point(7_890));
