@@ -112,7 +112,8 @@ impl Failure {
 struct Site {
     name: String,
     spec: SiteSpec,
-    /// Times the site was evaluated (the hit counter the schedule keys on).
+    /// Times the site was evaluated, keyed or not (the count an unkeyed
+    /// check keys its schedule on).
     hits: AtomicU64,
     /// Times the site actually fired.
     fires: AtomicU64,
