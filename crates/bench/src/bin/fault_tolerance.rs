@@ -122,7 +122,7 @@ fn main() {
     );
 
     // Gate 1+2: full runs at three parallelism settings; every round must
-    // reach its budget and the deterministic CSVs must match bit-for-bit.
+    // reach its budget and the curves must match bit-for-bit.
     let settings = [
         ("fixed_1", Parallelism::Fixed(1)),
         ("fixed_4", Parallelism::Fixed(4)),
@@ -173,7 +173,7 @@ fn main() {
             "deterministic CSV or estimate bits diverged between fixed_1 and {label}"
         );
     }
-    eprintln!("  deterministic CSVs identical across all parallelism settings");
+    eprintln!("  deterministic CSVs and estimates identical across all parallelism settings");
 
     // Gate 3: kill and replay. A run that persists its simcache after
     // every round is dropped mid-study (as `kill -9` between rounds leaves
@@ -232,8 +232,8 @@ fn main() {
 
     // Gate 4: cross-application determinism under the same faulted stack.
     // The pooled fit samples each application through the engine's
-    // quarantine/resample loop; its single-round CSV must be identical at
-    // every parallelism setting.
+    // quarantine/resample loop; its single-round curve must be identical
+    // at every parallelism setting.
     let crossapp = |parallelism: Parallelism| {
         let evaluators = vec![
             (benchmark, stack(benchmark, parallelism)),
@@ -250,8 +250,7 @@ fn main() {
         curve.push(&model.round(), None);
         (gate_view(&curve), model.samples, model.simulation)
     };
-    let (crossapp_view, crossapp_samples, crossapp_stats): (_, usize, SimStats) =
-        crossapp(Parallelism::Fixed(1));
+    let (crossapp_view, crossapp_samples, crossapp_stats) = crossapp(Parallelism::Fixed(1));
     assert_eq!(
         crossapp_samples,
         batch * 2,
