@@ -19,8 +19,6 @@ ALLOW=(
   "crates/core/src/failpoint.rs"
   # Temp-file name sequence (uniqueness nonce), never read as a stat.
   "crates/core/src/persist.rs"
-  # Fit-collapse nonce for lease names, never read as a stat.
-  "crates/core/src/registry.rs"
   # LRU clock + per-model last-used stamps: orderings, not counts.
   "crates/core/src/serve.rs"
 )

@@ -8,8 +8,8 @@
 //!   to completion; none time out),
 //! * a SIGTERM'd daemon always exits 0 (graceful drain), a SIGKILL'd
 //!   one never does,
-//! * the post-chaos registry holds zero torn temps or orphaned lease
-//!   files, and every surviving artifact passes its content-hash check,
+//! * the post-chaos registry holds zero torn temps, and every
+//!   surviving artifact passes its content-hash check,
 //! * the chaos-fitted model artifact is **byte-identical** to a
 //!   clean-room in-process fit of the same spec, and post-chaos served
 //!   predictions are **bit-identical** to local inference on that
@@ -353,7 +353,7 @@ fn main() {
         "chaos_test: registry verified ({} artifacts byte-identical to clean room, \
          {} debris files swept on reopen)",
         refs.len(),
-        swept.total()
+        swept.temps
     );
 
     // ---- Post-chaos serving: a clean daemon over the chaos registry
@@ -409,7 +409,7 @@ fn main() {
             totals.retried.get(),
             totals.shed.get(),
             totals.refits.get(),
-            swept.total(),
+            swept.temps,
         ));
         json.push_str("  \"rows\": [\n");
         for (i, (round, kind, ok, retried, shed, refits, wall)) in rows.iter().enumerate() {
@@ -565,8 +565,7 @@ fn health_check(addr: &AddrCell) {
     }
 }
 
-/// Debris-shaped files left on disk after the final sweep: torn temps
-/// anywhere, claim/grave files under `leases/`.
+/// Torn temps left anywhere in the registry after the final sweep.
 fn remaining_debris(root: &Path) -> Vec<String> {
     let mut found = Vec::new();
     for dir in ["entries", "objects", "leases"] {
@@ -575,10 +574,7 @@ fn remaining_debris(root: &Path) -> Vec<String> {
         };
         for item in listing.flatten() {
             let name = item.file_name().to_string_lossy().into_owned();
-            let torn = name.ends_with(".tmp");
-            let lease_debris =
-                dir == "leases" && (name.contains(".claim-") || name.contains(".stale-"));
-            if torn || lease_debris {
+            if name.ends_with(".tmp") {
                 found.push(format!("{dir}/{name}"));
             }
         }

@@ -40,28 +40,25 @@
 //!
 //! Fit *deduplication* is layered on top. Within a process, a per-key
 //! mutex collapses concurrent `get_or_fit` calls into exactly one fit
-//! (the losers block, then load warm). Across processes, a lease file
-//! serializes fitters per key: the lease is published with its contents
-//! (`pid nonce`) in one atomic step — write a private claim file, then
-//! `hard_link` it to the lock path, which fails if the lock exists — so
-//! a lease is never observed empty or half-written. A dead holder's
-//! lease is stolen by renaming it to a stealer-unique name and
-//! re-verifying the renamed bytes (same token, pid still dead) before
-//! discarding; a concurrently-replaced lease is restored via
-//! `hard_link`. This closes the observable steal races; the one
-//! theoretically unclosable window (two stealers plus two fresh
-//! acquisitions interleaving within syscalls) can at worst run a
-//! duplicate fit — never corrupt the store, because correctness rests on
-//! the commit structure above, not on the lease.
+//! (the losers block, then load warm). Across processes, an exclusive OS
+//! file lock ([`std::fs::File::try_lock`]) on `leases/<slug>.lock`
+//! serializes fitters per key. The holder keeps the file open for the
+//! fit; closing it releases the lock, and so does the kernel when the
+//! holder dies, so a crashed fitter leaves no lease behind for anyone to
+//! steal. Lock files are empty, one per key like `entries/`, and never
+//! deleted: unlinking one while another process waits on it would let
+//! two processes lock two different inodes. Correctness still rests on
+//! the commit structure above, not on the lease, which only saves
+//! duplicate fits.
 //!
-//! Crashes leave debris — torn writer temps, orphaned lease claims and
-//! graves — that is inert by construction but accumulates forever.
-//! [`Registry::open`] sweeps it ([`Registry::sweep_debris`]), removing
-//! only files whose embedded writer pid is dead (live writers are never
-//! swept). The commit and lease paths also carry [`crate::failpoint`]
-//! sites ([`FP_COMMIT_OBJECT`], [`FP_COMMIT_ENTRY`],
-//! [`FP_LEASE_ACQUIRE`]) so chaos schedules can inject I/O failures at
-//! the exact points the crash-safety argument hinges on.
+//! Crashed writers leave torn temps that are inert by construction but
+//! accumulate forever. [`Registry::open`] sweeps them
+//! ([`Registry::sweep_debris`]), removing only files whose embedded
+//! writer pid is dead (live writers are never swept). The commit and
+//! lease paths also carry [`crate::failpoint`] sites
+//! ([`FP_COMMIT_OBJECT`], [`FP_COMMIT_ENTRY`], [`FP_LEASE_ACQUIRE`]) so
+//! chaos schedules can inject I/O failures at the exact points the
+//! crash-safety argument hinges on.
 
 use crate::campaign::{Campaign, CampaignConfig, Encoder, PlainEncoder};
 use crate::failpoint;
@@ -75,13 +72,13 @@ use archpredict_stats::hash::fnv1a_64;
 use archpredict_stats::json::{JsonError, Value};
 use archpredict_workloads::{Benchmark, TraceGenerator};
 use std::collections::HashMap;
+use std::fs::{File, TryLockError};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// How long a writer waits on another process's live lease before giving
-/// up (a fit can legitimately take minutes; a poll is cheap).
+/// How long a writer waits on another process's lease before giving up
+/// (a fit can legitimately take minutes; a poll is cheap).
 const LEASE_WAIT: Duration = Duration::from_secs(600);
 /// Lease poll interval.
 const LEASE_POLL: Duration = Duration::from_millis(50);
@@ -98,8 +95,8 @@ pub const FP_COMMIT_OBJECT: &str = "registry.commit.object";
 /// is durable but unreferenced, the entry untouched, and the next
 /// reader sees a clean miss.
 pub const FP_COMMIT_ENTRY: &str = "registry.commit.entry";
-/// Failpoint site evaluated on lease acquisition (before the claim file
-/// is staged); firing fails `get_or_fit` with an I/O error.
+/// Failpoint site evaluated on lease acquisition (before the lock file
+/// is opened); firing fails `get_or_fit` with an I/O error.
 pub const FP_LEASE_ACQUIRE: &str = "registry.lease.acquire";
 
 /// What produced a model: the coordinates of one training run.
@@ -187,13 +184,10 @@ pub enum RegistryError {
     /// encoding, or format era — refitting is required, silently
     /// mispredicting is not an option.
     Incompatible(String),
-    /// Another live process held the key's write lease past the wait
-    /// budget.
+    /// Another process held the key's write lease past the wait budget.
     LeaseHeld {
         /// The contended key.
         key: ModelKey,
-        /// Pid recorded in the lease file.
-        holder: u32,
     },
     /// The caller's fit failed (campaign error, degenerate data, …).
     Fit(String),
@@ -205,9 +199,9 @@ impl std::fmt::Display for RegistryError {
             RegistryError::Io(e) => write!(f, "registry I/O error: {e}"),
             RegistryError::Corrupt(msg) => write!(f, "registry corrupt: {msg}"),
             RegistryError::Incompatible(msg) => write!(f, "registry artifact incompatible: {msg}"),
-            RegistryError::LeaseHeld { key, holder } => write!(
+            RegistryError::LeaseHeld { key } => write!(
                 f,
-                "write lease for {key} held by live process {holder} past the wait budget"
+                "write lease for {key} held by another process past the wait budget"
             ),
             RegistryError::Fit(msg) => write!(f, "fit failed: {msg}"),
         }
@@ -314,59 +308,17 @@ pub struct SweepReport {
     /// Torn writer temps (`<name>.<pid>.<seq>.tmp` of dead writers, plus
     /// pid-less legacy `*.tmp` older than the age guard).
     pub temps: usize,
-    /// Lease claim files (`<slug>.claim-<pid>-<nonce>`) of dead acquirers.
-    pub claims: usize,
-    /// Lease grave files (`<slug>.stale-<pid>-<nonce>`) of dead stealers.
-    pub graves: usize,
 }
 
-impl SweepReport {
-    /// Total files removed.
-    pub fn total(&self) -> usize {
-        self.temps + self.claims + self.graves
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DebrisKind {
-    Temp,
-    Claim,
-    Grave,
-}
-
-/// Classifies a filename as sweepable crash debris, extracting the
-/// embedded writer pid when the name carries one. Lease claims and
-/// graves only exist in `leases/`, so they are only recognized there —
-/// an entry or object whose *slug* happens to contain `.claim-` is
-/// never misclassified.
-fn classify_debris(name: &str, in_leases: bool) -> Option<(DebrisKind, Option<u32>)> {
-    if let Some(stem) = name.strip_suffix(".tmp") {
-        // Writer temp: `<name>.<pid>.<seq>.tmp`; anything else ending in
-        // `.tmp` is a pid-less legacy temp judged by age instead.
-        let mut parts = stem.rsplit('.');
-        let seq_ok = parts.next().is_some_and(|s| s.parse::<u64>().is_ok());
-        let pid = parts.next().and_then(|s| s.parse::<u32>().ok());
-        return Some((DebrisKind::Temp, if seq_ok { pid } else { None }));
-    }
-    if !in_leases {
-        return None;
-    }
-    for (marker, kind) in [
-        (".claim-", DebrisKind::Claim),
-        (".stale-", DebrisKind::Grave),
-    ] {
-        if let Some(idx) = name.rfind(marker) {
-            // The tail must be exactly `<pid>-<nonce>`: a live lock file
-            // (`<slug>.lock`) or any other suffix never matches.
-            let mut tail = name[idx + marker.len()..].split('-');
-            let pid = tail.next().and_then(|s| s.parse::<u32>().ok());
-            let nonce_ok = tail.next().is_some_and(|s| s.parse::<u64>().is_ok());
-            if pid.is_some() && nonce_ok && tail.next().is_none() {
-                return Some((kind, pid));
-            }
-        }
-    }
-    None
+/// Classifies a filename as a writer temp: `Some(Some(pid))` for
+/// `<name>.<pid>.<seq>.tmp`, `Some(None)` for any other `*.tmp` (a
+/// pid-less legacy temp, judged by age instead), `None` for anything
+/// that is not debris.
+fn classify_debris(name: &str) -> Option<Option<u32>> {
+    let mut parts = name.strip_suffix(".tmp")?.rsplit('.');
+    let seq_ok = parts.next().is_some_and(|s| s.parse::<u64>().is_ok());
+    let pid = parts.next().and_then(|s| s.parse::<u32>().ok());
+    Some(if seq_ok { pid } else { None })
 }
 
 /// The on-disk artifact store (see module docs for layout and
@@ -415,19 +367,18 @@ impl Registry {
             root,
             fits: Counter::mirroring("registry.fits", &telemetry::REGISTRY_FITS),
         };
-        // Crashed writers leave torn temps and orphaned lease files that
-        // nothing ever reads or renames; sweep them (best-effort) so they
-        // don't pile up forever. Live writers are never swept — debris is
-        // only removed when its embedded writer pid is dead.
+        // Crashed writers leave torn temps that nothing ever reads or
+        // renames; sweep them (best-effort) so they don't pile up
+        // forever. Live writers are never swept — debris is only removed
+        // when its embedded writer pid is dead.
         let _ = registry.sweep_debris();
         Ok(registry)
     }
 
     /// Removes crash debris left by dead writers: torn `*.tmp` temps in
-    /// every registry directory, plus orphaned lease claim and grave
-    /// files in `leases/`. Files whose name embeds a still-live pid are
-    /// never touched (a live writer's in-flight temp, a claim mid-poll);
-    /// pid-less legacy temps are removed only past an age guard. Runs
+    /// `entries/` and `objects/`. Files whose name embeds a still-live
+    /// pid are never touched (a live writer's in-flight temp); pid-less
+    /// legacy temps are removed only past an age guard. Runs
     /// automatically on [`Registry::open`]; exposed so harnesses can
     /// sweep and report after a chaos run.
     ///
@@ -437,13 +388,12 @@ impl Registry {
     /// errors only if a registry directory itself is unreadable.
     pub fn sweep_debris(&self) -> std::io::Result<SweepReport> {
         let mut report = SweepReport::default();
-        for dir in ["entries", "objects", "leases"] {
-            let in_leases = dir == "leases";
+        for dir in ["entries", "objects"] {
             for item in std::fs::read_dir(self.root.join(dir))? {
                 let Ok(item) = item else { continue };
                 let name = item.file_name();
                 let Some(name) = name.to_str() else { continue };
-                let Some((kind, pid)) = classify_debris(name, in_leases) else {
+                let Some(pid) = classify_debris(name) else {
                     continue;
                 };
                 let abandoned = match pid {
@@ -456,11 +406,7 @@ impl Registry {
                         .is_some_and(|age| age >= LEGACY_DEBRIS_AGE),
                 };
                 if abandoned && std::fs::remove_file(item.path()).is_ok() {
-                    match kind {
-                        DebrisKind::Temp => report.temps += 1,
-                        DebrisKind::Claim => report.claims += 1,
-                        DebrisKind::Grave => report.graves += 1,
-                    }
+                    report.temps += 1;
                 }
             }
         }
@@ -604,7 +550,8 @@ impl Registry {
     /// # Errors
     ///
     /// As [`Registry::get`], plus `Fit` when the closure fails and
-    /// `LeaseHeld` when another live process wedges the key's lease.
+    /// `LeaseHeld` when another process holds the key's lease past the
+    /// wait budget.
     pub fn get_or_fit(
         &self,
         key: &ModelKey,
@@ -782,127 +729,38 @@ impl Registry {
         Ok(())
     }
 
-    /// Acquires the cross-process fit lease for `slug` (see module docs
-    /// for the publish-by-hard-link and steal-by-rename protocol).
-    fn acquire_lease(&self, key: &ModelKey, slug: &str) -> Result<Lease, RegistryError> {
-        static NONCE: AtomicU64 = AtomicU64::new(0);
+    /// Acquires the cross-process fit lease for `slug`: an exclusive lock
+    /// on `leases/<slug>.lock`, polled every `LEASE_POLL` for up to
+    /// `LEASE_WAIT` (see module docs). The returned file holds the lock;
+    /// dropping it releases the lock (also on panic unwind), and the file
+    /// is close-on-exec, so no child process inherits it.
+    fn acquire_lease(&self, key: &ModelKey, slug: &str) -> Result<File, RegistryError> {
         if let Some(failure) = failpoint::check(FP_LEASE_ACQUIRE) {
             return Err(failure.into_io_error(FP_LEASE_ACQUIRE).into());
         }
-        let path = self.lease_path(slug);
-        let token = format!(
-            "{} {}",
-            std::process::id(),
-            NONCE.fetch_add(1, Ordering::Relaxed)
-        );
-        // Private claim file: the lease's contents, staged under a name
-        // no other writer uses.
-        let claim = self
-            .root
-            .join("leases")
-            .join(format!("{slug}.claim-{}", token.replace(' ', "-")));
-        std::fs::write(&claim, &token)?;
+        let file = File::options()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(self.lease_path(slug))?;
         let deadline = Instant::now() + LEASE_WAIT;
         loop {
-            // Publish atomically: link(claim, lock) fails if the lock
-            // exists, and the lock appears with its full contents — it is
-            // never observable empty or half-written.
-            match std::fs::hard_link(&claim, &path) {
-                Ok(()) => {
-                    let _ = std::fs::remove_file(&claim);
-                    return Ok(Lease { path, token });
+            match file.try_lock() {
+                Ok(()) => return Ok(file),
+                Err(TryLockError::WouldBlock) if Instant::now() < deadline => {
+                    std::thread::sleep(LEASE_POLL);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let contents = std::fs::read_to_string(&path).unwrap_or_default();
-                    let holder: Option<u32> = contents
-                        .split_whitespace()
-                        .next()
-                        .and_then(|s| s.parse().ok());
-                    match holder {
-                        Some(pid) if process_alive(pid) => {
-                            if Instant::now() >= deadline {
-                                let _ = std::fs::remove_file(&claim);
-                                return Err(RegistryError::LeaseHeld {
-                                    key: key.clone(),
-                                    holder: pid,
-                                });
-                            }
-                            std::thread::sleep(LEASE_POLL);
-                        }
-                        // Dead holder (or an unreadable legacy lease):
-                        // steal it, carefully.
-                        _ => self.steal_stale_lease(&path, slug, &token, &contents),
-                    }
+                Err(TryLockError::WouldBlock) => {
+                    return Err(RegistryError::LeaseHeld { key: key.clone() })
                 }
-                Err(e) => {
-                    let _ = std::fs::remove_file(&claim);
-                    return Err(e.into());
-                }
+                Err(TryLockError::Error(e)) => return Err(e.into()),
             }
-        }
-    }
-
-    /// Removes a lease observed stale (`observed` bytes named a dead
-    /// pid). Claims the file by renaming it to a stealer-unique name —
-    /// rename is atomic, so of N concurrent stealers exactly one gets
-    /// the inode — then re-verifies the renamed bytes. If they changed
-    /// (the lease was released and re-acquired between our read and our
-    /// rename), the freshly-acquired lease is put back via `hard_link`.
-    fn steal_stale_lease(&self, path: &Path, slug: &str, token: &str, observed: &str) {
-        let grave = self
-            .root
-            .join("leases")
-            .join(format!("{slug}.stale-{}", token.replace(' ', "-")));
-        // Re-read first: the lease may have changed hands since
-        // `observed`, and renaming a fresh lease away hides it from its
-        // holder. If the holder releases before the restore below, the
-        // restored lease names a live process that holds nothing, and
-        // every waiter stalls for `LEASE_WAIT`.
-        if std::fs::read_to_string(path).unwrap_or_default() != observed
-            || std::fs::rename(path, &grave).is_err()
-        {
-            // Someone else stole or released it first; retry the acquire.
-            return;
-        }
-        let yanked = std::fs::read_to_string(&grave).unwrap_or_default();
-        let still_stale = yanked == observed
-            && !yanked
-                .split_whitespace()
-                .next()
-                .and_then(|s| s.parse().ok())
-                .is_some_and(process_alive);
-        if !still_stale {
-            // We yanked a live writer's fresh lease: restore it. If the
-            // restore loses a race with yet another acquirer, the worst
-            // case is a duplicate fit — commits stay safe regardless
-            // (module docs).
-            let _ = std::fs::hard_link(&grave, path);
-        }
-        let _ = std::fs::remove_file(&grave);
-    }
-}
-
-/// Held write lease; releasing is dropping (also on panic unwind).
-struct Lease {
-    path: PathBuf,
-    token: String,
-}
-
-impl Drop for Lease {
-    fn drop(&mut self) {
-        // Remove only our own lease: if a stealer raced us and the path
-        // now holds someone else's token, leave it alone.
-        let ours = std::fs::read_to_string(&self.path)
-            .map(|s| s == self.token)
-            .unwrap_or(false);
-        if ours {
-            let _ = std::fs::remove_file(&self.path);
         }
     }
 }
 
 /// Whether `pid` is a live process (Linux `/proc` probe; elsewhere,
-/// assume live and let the wait budget decide).
+/// assume live, so temps that carry a pid are never swept).
 fn process_alive(pid: u32) -> bool {
     if cfg!(target_os = "linux") {
         Path::new(&format!("/proc/{pid}")).exists()
@@ -966,6 +824,8 @@ fn parse_entry(text: &str) -> Result<Entry, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
 
     fn temp_root(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("archpredict_registry_{tag}_{}", std::process::id()))
@@ -1015,29 +875,14 @@ mod tests {
     fn debris_classification_is_precise() {
         // Writer temps carry a pid; legacy temps don't.
         assert_eq!(
-            classify_debris("entry.json.4000000.3.tmp", false),
-            Some((DebrisKind::Temp, Some(4_000_000)))
+            classify_debris("entry.json.4000000.3.tmp"),
+            Some(Some(4_000_000))
         );
-        assert_eq!(
-            classify_debris("entry.json.tmp", false),
-            Some((DebrisKind::Temp, None))
-        );
-        // Claims and graves exist only under leases/.
-        assert_eq!(
-            classify_debris("slug.claim-4000000-7", true),
-            Some((DebrisKind::Claim, Some(4_000_000)))
-        );
-        assert_eq!(
-            classify_debris("slug.stale-4000000-7", true),
-            Some((DebrisKind::Grave, Some(4_000_000)))
-        );
-        assert_eq!(classify_debris("slug.claim-4000000-7", false), None);
-        // Live locks and ordinary artifacts are never debris, even when
-        // a slug pathologically contains the claim marker.
-        assert_eq!(classify_debris("slug.lock", true), None);
-        assert_eq!(classify_debris("slug.claim-4-0.lock", true), None);
-        assert_eq!(classify_debris("entry.json", false), None);
-        assert_eq!(classify_debris("0011223344556677.json", false), None);
+        assert_eq!(classify_debris("entry.json.tmp"), Some(None));
+        // Lock files and ordinary artifacts are never debris.
+        assert_eq!(classify_debris("slug.lock"), None);
+        assert_eq!(classify_debris("entry.json"), None);
+        assert_eq!(classify_debris("0011223344556677.json"), None);
     }
 
     #[test]
@@ -1048,34 +893,19 @@ mod tests {
             let me = std::process::id();
             let leases = registry.root().join("leases");
             let entries = registry.root().join("entries");
-            // Dead-writer debris (pid 4M is beyond this container's pid
-            // space): a torn temp, an orphaned claim, an orphaned grave.
+            // A dead writer's torn temp (pid 4M is beyond this
+            // container's pid space).
             std::fs::write(entries.join("e.json.4000000.0.tmp"), "torn").unwrap();
-            std::fs::write(leases.join("k.claim-4000000-0"), "4000000 0").unwrap();
-            std::fs::write(leases.join("k.stale-4000000-1"), "4000000 1").unwrap();
-            // Live-writer files that must survive: our own in-flight
-            // temp, our own claim, a fresh legacy temp (age guard), and
-            // a held lock.
+            // Files that must survive: our own in-flight temp, a fresh
+            // legacy temp (age guard), and a lock file.
             std::fs::write(entries.join(format!("f.json.{me}.0.tmp")), "mine").unwrap();
-            std::fs::write(leases.join(format!("k.claim-{me}-1")), "live").unwrap();
             std::fs::write(entries.join("legacy.json.tmp"), "fresh").unwrap();
-            std::fs::write(leases.join("k.lock"), format!("{me} 0")).unwrap();
+            std::fs::write(leases.join("k.lock"), "").unwrap();
 
             let report = registry.sweep_debris().unwrap();
-            assert_eq!(
-                report,
-                SweepReport {
-                    temps: 1,
-                    claims: 1,
-                    graves: 1
-                }
-            );
-            assert_eq!(report.total(), 3);
+            assert_eq!(report, SweepReport { temps: 1 });
             assert!(!entries.join("e.json.4000000.0.tmp").exists());
-            assert!(!leases.join("k.claim-4000000-0").exists());
-            assert!(!leases.join("k.stale-4000000-1").exists());
             assert!(entries.join(format!("f.json.{me}.0.tmp")).exists());
-            assert!(leases.join(format!("k.claim-{me}-1")).exists());
             assert!(entries.join("legacy.json.tmp").exists());
             assert!(leases.join("k.lock").exists());
         }
@@ -1090,71 +920,78 @@ mod tests {
     }
 
     #[test]
-    fn stale_lease_of_dead_process_is_stolen() {
-        let root = temp_root("lease");
-        let registry = Registry::open(&root).unwrap();
-        let key = ModelKey::new("memory", "plain", "gzip", 1, 10);
-        // Pid 4_000_000 is far beyond this container's pid space.
-        std::fs::write(registry.lease_path(&key.slug()), "4000000 0").unwrap();
-        let lease = registry.acquire_lease(&key, &key.slug()).unwrap();
-        drop(lease);
-        assert!(!registry.lease_path(&key.slug()).exists());
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn lease_is_published_with_contents_and_released_only_by_owner() {
-        let root = temp_root("lease_token");
+    fn held_lease_makes_a_second_acquirer_wait_until_it_drops() {
+        let root = temp_root("lease_wait");
         let registry = Registry::open(&root).unwrap();
         let key = ModelKey::new("memory", "plain", "gzip", 2, 10);
-        let lease = registry.acquire_lease(&key, &key.slug()).unwrap();
-        let contents = std::fs::read_to_string(registry.lease_path(&key.slug())).unwrap();
-        let pid: u32 = contents.split_whitespace().next().unwrap().parse().unwrap();
-        assert_eq!(pid, std::process::id(), "lease names its holder");
-        // A stealer replaced the lease (simulating the ghost window):
-        // the original holder's release must not delete the new lease.
-        std::fs::write(registry.lease_path(&key.slug()), "4000001 9").unwrap();
-        drop(lease);
-        assert_eq!(
-            std::fs::read_to_string(registry.lease_path(&key.slug())).unwrap(),
-            "4000001 9",
-            "drop must not remove a lease it no longer owns"
-        );
+        let slug = key.slug();
+        let first = registry.acquire_lease(&key, &slug).unwrap();
+        let released = AtomicBool::new(false);
+        let started = Barrier::new(2);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                started.wait();
+                let second = registry.acquire_lease(&key, &slug).unwrap();
+                let after_release = released.load(Ordering::SeqCst);
+                drop(second);
+                after_release
+            });
+            started.wait();
+            std::thread::sleep(LEASE_POLL * 4);
+            let waited = !waiter.is_finished();
+            // Release before asserting: a panic while the lease is held
+            // would leave the waiter polling for the whole wait budget.
+            released.store(true, Ordering::SeqCst);
+            drop(first);
+            assert!(waited, "second acquirer did not wait");
+            assert!(
+                waiter.join().unwrap(),
+                "second acquirer got the lease before the first dropped it"
+            );
+        });
         std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
-    fn concurrent_stealers_of_one_stale_lease_converge_to_one_holder() {
-        let root = temp_root("steal_race");
-        let registry = Arc::new(Registry::open(&root).unwrap());
+    fn leftover_lock_file_is_acquired_at_once() {
+        let root = temp_root("lease_leftover");
+        let registry = Registry::open(&root).unwrap();
+        let key = ModelKey::new("memory", "plain", "gzip", 1, 10);
+        let path = registry.lease_path(&key.slug());
+        // A lock file whose holder is gone, here one of an older layout
+        // that wrote `pid nonce` into it: nobody holds a lock on it.
+        std::fs::write(&path, "4000000 0").unwrap();
+        let started = Instant::now();
+        let lease = registry.acquire_lease(&key, &key.slug()).unwrap();
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "a leftover lock file made the acquirer wait"
+        );
+        drop(lease);
+        assert!(path.exists(), "lock files are never deleted");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn concurrent_acquirers_never_hold_the_lease_at_once() {
+        let root = temp_root("lease_race");
+        let registry = Registry::open(&root).unwrap();
         let key = ModelKey::new("memory", "plain", "gzip", 3, 10);
         let slug = key.slug();
-        for _ in 0..20 {
-            std::fs::write(registry.lease_path(&slug), "4000000 0").unwrap();
-            let winners: Vec<bool> = std::thread::scope(|scope| {
-                (0..4)
-                    .map(|_| {
-                        let registry = Arc::clone(&registry);
-                        let key = &key;
-                        let slug = &slug;
-                        scope.spawn(move || {
-                            // Everyone must eventually acquire (they
-                            // serialize); each holds momentarily.
-                            let lease = registry.acquire_lease(key, slug).unwrap();
-                            let held = std::fs::read_to_string(registry.lease_path(slug))
-                                .unwrap_or_default();
-                            drop(lease);
-                            held.starts_with(&std::process::id().to_string())
-                        })
-                    })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|h| h.join().unwrap())
-                    .collect()
-            });
-            assert!(winners.iter().all(|&w| w), "every acquirer saw its own pid");
-            assert!(!registry.lease_path(&slug).exists(), "all leases released");
-        }
+        let held = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..20 {
+                        let lease = registry.acquire_lease(&key, &slug).unwrap();
+                        assert!(!held.swap(true, Ordering::SeqCst), "two holders at once");
+                        std::thread::yield_now();
+                        assert!(held.swap(false, Ordering::SeqCst));
+                        drop(lease);
+                    }
+                });
+            }
+        });
         std::fs::remove_dir_all(&root).ok();
     }
 }
