@@ -184,7 +184,9 @@ impl Ensemble {
     /// loop ([`TrainedModel::predict_reference_with`]) with one fresh
     /// scratch per call — structurally the pre-kernel production path
     /// ([`Ensemble::predict`] before the blocked kernels), kept as the
-    /// honest baseline the speedup gate measures against. Bit-for-bit
+    /// honest baseline that `crates/bench/tests/speed_gates.rs` times the
+    /// batched sweep against. Its own speed depends on the weight layout,
+    /// so the gate's ratio moves with layout changes too. Bit-for-bit
     /// identical to [`Ensemble::predict`]. Not for production use.
     #[doc(hidden)]
     pub fn predict_reference(&self, features: &[f64]) -> f64 {

@@ -570,9 +570,11 @@ impl Network {
     /// [`Self::predict_into`] with the textbook one-output-at-a-time layer
     /// loop instead of the blocked kernel — structurally the pre-kernel
     /// production forward pass (scratch ping-pong, no per-layer
-    /// allocation), kept as the honest baseline the speedup gate measures
-    /// the blocked kernels against. Bit-for-bit identical results. Not for
-    /// production use.
+    /// allocation), kept as the honest baseline the batched-sweep speed
+    /// gate (`crates/bench/tests/speed_gates.rs`) times the blocked
+    /// kernels against. It reads each output's weights with a stride, so
+    /// its speed, and the gate's ratio, depend on the weight layout.
+    /// Bit-for-bit identical results. Not for production use.
     #[doc(hidden)]
     pub fn predict_into_naive<'s>(
         &self,
@@ -753,10 +755,12 @@ impl Network {
     }
 
     /// The textbook backpropagation step the vectorized
-    /// [`Self::train_example`] is property-tested against: one-output-at-
-    /// a-time forward, strided delta gathers, index-addressed updates.
-    /// Bit-for-bit identical weights and return value, just slower. Not
-    /// for production use.
+    /// [`Self::train_example`] is property-tested against and the
+    /// training-step speed gate (`crates/bench/tests/speed_gates.rs`)
+    /// times it against: one-output-at-a-time forward, strided delta
+    /// gathers, index-addressed updates. Its speed, and the gate's ratio,
+    /// depend on the weight layout. Bit-for-bit identical weights and
+    /// return value, just slower. Not for production use.
     #[doc(hidden)]
     #[allow(clippy::needless_range_loop)]
     pub fn train_example_reference(

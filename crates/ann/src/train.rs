@@ -249,9 +249,10 @@ impl TrainedModel {
 
     /// [`TrainedModel::predict_with`] through the textbook per-output
     /// forward loop instead of the blocked kernel — structurally the
-    /// pre-kernel production path, kept as the honest baseline the speedup
-    /// gate measures the blocked kernels against. Bit-for-bit identical to
-    /// [`TrainedModel::predict`], just slower. Not for production use.
+    /// pre-kernel production path, kept as the per-member step of
+    /// `Ensemble::predict_reference`, the batched-sweep speed gate's
+    /// baseline. Bit-for-bit identical to [`TrainedModel::predict`], just
+    /// slower. Not for production use.
     #[doc(hidden)]
     pub fn predict_reference_with(&self, features: &[f64], buf: &mut PredictBuffer) -> f64 {
         buf.scaled.clear();

@@ -1096,31 +1096,47 @@ mod tests {
         let space = Study::MemorySystem.space();
         let generator = TraceGenerator::new(Benchmark::Gzip);
         let budget = SimBudget::spread(&generator, 2, 2_000, 4_000);
-        let indices: Vec<usize> = (0..23).map(|i| i * 101).collect();
-        let run = |parallelism| {
-            let cached = CachedEvaluator::with_parallelism(
-                StudyEvaluator::with_budget(Study::MemorySystem, Benchmark::Gzip, budget.clone()),
-                space.clone(),
-                parallelism,
-            );
-            let mut stats = SimStats::default();
-            cached.evaluate_batch(&space, &indices, &mut stats)
-        };
-        let reference = run(Parallelism::Fixed(1));
-        for parallelism in [Parallelism::Fixed(4), Parallelism::Auto] {
-            assert_eq!(reference, run(parallelism), "{parallelism:?}");
-        }
-        // The raw (uncached) fan-out honors the same contract.
         let evaluator =
             StudyEvaluator::with_budget(Study::MemorySystem, Benchmark::Gzip, budget.clone());
-        let raw = |parallelism| {
-            let mut stats = SimStats::default();
-            evaluate_indices(&evaluator, &space, &indices, parallelism, &mut stats)
-        };
-        let raw_reference = raw(Parallelism::Fixed(1));
-        assert_eq!(raw_reference, reference);
-        for parallelism in [Parallelism::Fixed(4), Parallelism::Auto] {
-            assert_eq!(raw_reference, raw(parallelism), "raw {parallelism:?}");
+        let unique: Vec<usize> = (0..23).map(|i| i * 101).collect();
+        // The same points, each twice, shuffled so duplicates land in
+        // different worker spans.
+        let mut duplicated = [&unique[..], &unique[..]].concat();
+        archpredict_stats::sampling::shuffle(&mut duplicated, &mut Xoshiro256::seed_from(7));
+        for indices in [&unique, &duplicated] {
+            // Every batch reproduces the point-at-a-time loop.
+            let expected: Vec<SimResult> = indices
+                .iter()
+                .map(|&i| Ok(evaluator.evaluate(&space.point(i))))
+                .collect();
+            for parallelism in [
+                Parallelism::Fixed(1),
+                Parallelism::Fixed(4),
+                Parallelism::Auto,
+            ] {
+                let cached = CachedEvaluator::with_parallelism(
+                    StudyEvaluator::with_budget(
+                        Study::MemorySystem,
+                        Benchmark::Gzip,
+                        budget.clone(),
+                    ),
+                    space.clone(),
+                    parallelism,
+                );
+                let mut stats = SimStats::default();
+                let results = cached.evaluate_batch(&space, indices, &mut stats);
+                assert_eq!(results, expected, "{parallelism:?}");
+                assert_eq!(stats.unique_simulations, 23, "{parallelism:?}");
+                assert_eq!(
+                    stats.cache_hits,
+                    indices.len() as u64 - 23,
+                    "{parallelism:?}"
+                );
+                // The raw (uncached) fan-out honors the same contract.
+                let mut stats = SimStats::default();
+                let raw = evaluate_indices(&evaluator, &space, indices, parallelism, &mut stats);
+                assert_eq!(raw, expected, "raw {parallelism:?}");
+            }
         }
     }
 

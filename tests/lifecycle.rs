@@ -214,7 +214,8 @@ fn signal(pid: u32, sig: &str) {
 /// SIGTERM with work in flight: the listener closes first (new
 /// connections refused), the in-flight request still gets its answer,
 /// the process exits 0, and a restarted daemon over the same registry
-/// answers the same fit warm.
+/// answers the same fit warm, serves predictions bit-identical to local
+/// inference, and exits 0 on `/shutdown`.
 #[test]
 fn sigterm_drains_in_flight_work_then_a_restart_answers_warm() {
     let root = temp_root("drain");
@@ -244,16 +245,21 @@ fn sigterm_drains_in_flight_work_then_a_restart_answers_warm() {
     let exit = daemon.0.wait().expect("reap daemon");
     assert!(exit.success(), "SIGTERM drain must exit 0, got {exit}");
 
-    // The drained commit is durable: a fresh daemon answers warm.
-    let (_restarted, addr) = spawn_daemon(&root, None);
+    // The drained commit is durable: a fresh daemon answers warm, serves
+    // the committed model's bits, and exits 0 on `/shutdown`.
+    let (mut restarted, addr) = spawn_daemon(&root, None);
     let (status, reply) = http_request(addr, "POST", "/fit", Some(&fit_body())).unwrap();
     assert_eq!(status, 200);
     assert!(
         reply.get("warm").unwrap().as_bool().unwrap(),
         "restarted daemon refitted instead of loading warm"
     );
+    let (status, reply) = http_request(addr, "POST", "/predict", Some(&predict_body())).unwrap();
+    assert_served_bits(status, &reply, &local_predictions(&root));
     let (status, _) = http_request(addr, "POST", "/shutdown", None).unwrap();
     assert_eq!(status, 200);
+    let exit = restarted.0.wait().expect("reap restarted daemon");
+    assert!(exit.success(), "/shutdown must exit 0, got {exit}");
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -17,6 +17,8 @@ use archpredict::studies::Study;
 use archpredict::telemetry;
 use archpredict_ann::{Parallelism, TrainConfig};
 use archpredict_workloads::{Benchmark, TraceGenerator};
+use std::collections::BTreeMap;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
@@ -140,9 +142,32 @@ fn campaign_csv_is_bit_identical_across_parallelism_and_trace_arming() {
     let _ = std::fs::remove_file(&trace);
 }
 
+/// Scrapes `GET /metrics` into a name → value map, checking the
+/// versioned header.
+fn scrape(addr: SocketAddr) -> BTreeMap<String, u64> {
+    let (status, text) = http_request_text(addr, "GET", "/metrics", None).unwrap();
+    assert_eq!(status, 200, "metrics scrape failed: {text}");
+    let mut lines = text.lines();
+    assert_eq!(
+        lines.next(),
+        Some("# archpredict metrics v1"),
+        "metrics header is versioned"
+    );
+    lines
+        .map(|line| {
+            let (name, value) = line
+                .rsplit_once(' ')
+                .unwrap_or_else(|| panic!("malformed metrics line {line:?}"));
+            let value = value.parse().expect("counter values are integers");
+            (name.to_owned(), value)
+        })
+        .collect()
+}
+
 /// `GET /metrics` on the daemon serves the unified counter registry in
-/// the stable text format, while `/stats` keeps answering its JSON shape
-/// from the same underlying counters.
+/// the stable text format, every counter cumulative across a fit and
+/// predictions, while `/stats` keeps answering its JSON shape from the
+/// same underlying counters.
 #[test]
 fn metrics_endpoint_serves_the_unified_registry() {
     let root = std::env::temp_dir().join(format!(
@@ -161,40 +186,55 @@ fn metrics_endpoint_serves_the_unified_registry() {
     let handle = server.spawn();
     let addr = handle.addr();
 
-    let (status, first) = http_request_text(addr, "GET", "/metrics", None).unwrap();
-    assert_eq!(status, 200);
-    assert_eq!(
-        first.lines().next(),
-        Some("# archpredict metrics v1"),
-        "metrics header is versioned"
-    );
-    let value_of = |scrape: &str, name: &str| -> u64 {
-        scrape
-            .lines()
-            .find_map(|l| l.strip_prefix(&format!("{name} ")))
-            .unwrap_or_else(|| panic!("counter {name} missing from /metrics"))
-            .parse()
-            .expect("counter values are integers")
-    };
+    // Names are part of the scrape contract: renaming one breaks
+    // dashboards, so it breaks this test first.
+    let first = scrape(addr);
     for name in [
         "serve.requests",
         "serve.predictions",
+        "serve.predict_batches",
+        "serve.coalesced_jobs",
+        "serve.model_cache_hits",
+        "serve.model_cache_misses",
+        "serve.errors",
         "infer.sweeps",
+        "infer.points",
         "registry.fits",
         "sim.unique_simulations",
         "campaign.rounds",
         "trace.spans_emitted",
     ] {
-        value_of(&first, name);
+        assert!(
+            first.contains_key(name),
+            "counter {name} missing from /metrics"
+        );
     }
 
-    // Counters are cumulative and process-wide: a second scrape sees at
-    // least the request the first scrape itself made.
-    let (_, second) = http_request_text(addr, "GET", "/metrics", None).unwrap();
-    assert!(
-        value_of(&second, "serve.requests") > value_of(&first, "serve.requests"),
-        "serve.requests did not move between scrapes"
-    );
+    // Real traffic between the scrapes: a quick fit, then predictions.
+    let fit = r#"{"study":"memory","app":"gzip","seed":"3e7","budget":10,"batch":5,"quick":true}"#;
+    let (status, reply) = http_request(addr, "POST", "/fit", Some(fit)).unwrap();
+    assert_eq!(status, 200, "fit failed: {}", reply.to_json());
+    let predict = r#"{"study":"memory","app":"gzip","seed":"3e7","budget":10,"batch":5,"quick":true,"indices":[0,17,999]}"#;
+    for _ in 0..3 {
+        let (status, reply) = http_request(addr, "POST", "/predict", Some(predict)).unwrap();
+        assert_eq!(status, 200, "predict failed: {}", reply.to_json());
+    }
+
+    // Counters are cumulative and process-wide: none disappears or goes
+    // backwards, and the serving funnel moved.
+    let second = scrape(addr);
+    for (name, &was) in &first {
+        let now = *second
+            .get(name)
+            .unwrap_or_else(|| panic!("counter {name} disappeared between scrapes"));
+        assert!(now >= was, "counter {name} went backwards: {was} -> {now}");
+    }
+    for name in ["serve.requests", "serve.predictions"] {
+        assert!(
+            second[name] > first[name],
+            "{name} did not move between scrapes"
+        );
+    }
 
     // `/stats` still answers its JSON schema alongside.
     let (status, stats) = http_request(addr, "GET", "/stats", None).unwrap();
