@@ -342,7 +342,6 @@ mod tests {
                 unique_simulations: 45,
                 cache_hits: 5,
                 simulated_instructions: 45_000,
-                wall_seconds: 0.25,
                 failures: 7,
                 retries: 5,
                 quarantined: 2,
@@ -399,7 +398,6 @@ mod tests {
         r.training_seconds = 99.0;
         r.simulation_seconds = 1.0;
         r.prediction_seconds = 2.0;
-        r.simulation.wall_seconds = 3.0;
         jittered.push(&r, None);
         assert_eq!(
             curve.to_csv_deterministic(),

@@ -63,7 +63,6 @@ use std::collections::{BTreeSet, HashMap};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 /// Why a single design-point evaluation failed.
 ///
@@ -128,7 +127,10 @@ pub const ENV_SIM_THREADS: &str = "ARCHPREDICT_SIM_THREADS";
 ///
 /// Counters are additive — pass the same record through several calls to
 /// accumulate, or [`SimStats::merge`] records from independent calls.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// Every field is a deterministic count, so equal runs give equal
+/// records at any parallelism; wall-clock time is timed by the caller
+/// (a round's `simulation_seconds`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Simulator invocations: configurations actually simulated. Under
     /// [`CachedEvaluator`] this counts *unique* points only (duplicates
@@ -141,8 +143,6 @@ pub struct SimStats {
     /// per-evaluation budget — failed attempts burn simulator work too) —
     /// the Figs. 5.6/5.7 reduction-factor currency.
     pub simulated_instructions: u64,
-    /// Wall-clock seconds spent inside the oracle.
-    pub wall_seconds: f64,
     /// Evaluation attempts that returned a [`SimError`], counted where the
     /// error originated: the faulty backend, or [`RetryingOracle`] for a
     /// fault injected at [`FP_ORACLE_EVALUATE`]. Quarantine
@@ -174,7 +174,6 @@ impl SimStats {
             unique_simulations,
             cache_hits,
             simulated_instructions,
-            wall_seconds,
             failures,
             retries,
             quarantined,
@@ -183,7 +182,6 @@ impl SimStats {
         self.unique_simulations += unique_simulations;
         self.cache_hits += cache_hits;
         self.simulated_instructions += simulated_instructions;
-        self.wall_seconds += wall_seconds;
         self.failures += failures;
         self.retries += retries;
         self.quarantined += quarantined;
@@ -284,14 +282,12 @@ pub fn evaluate_indices<E: PointEvaluator + ?Sized>(
     parallelism: Parallelism,
     stats: &mut SimStats,
 ) -> Vec<SimResult> {
-    let started = Instant::now();
     let results = fan_out(evaluator, space, indices, parallelism);
     let failed = results.iter().filter(|r| r.is_err()).count() as u64;
     stats.unique_simulations += indices.len() as u64 - failed;
     stats.failures += failed;
     // Failed attempts burn simulator work too.
     stats.simulated_instructions += indices.len() as u64 * evaluator.instructions_per_evaluation();
-    stats.wall_seconds += started.elapsed().as_secs_f64();
     results
 }
 
@@ -733,7 +729,6 @@ impl<E: PointEvaluator> Oracle for CachedEvaluator<E> {
         indices: &[usize],
         stats: &mut SimStats,
     ) -> Vec<SimResult> {
-        let started = Instant::now();
         let mut results = vec![Ok(0.0); indices.len()];
         // In-batch dedup: `misses` keeps unique uncached indices in first-
         // occurrence order; `pending` remembers which result slots each
@@ -775,7 +770,6 @@ impl<E: PointEvaluator> Oracle for CachedEvaluator<E> {
         stats.cache_hits += hits;
         stats.simulated_instructions +=
             misses.len() as u64 * self.inner.instructions_per_evaluation();
-        stats.wall_seconds += started.elapsed().as_secs_f64();
         results
     }
 }
@@ -1047,7 +1041,6 @@ mod tests {
         assert_eq!(stats.unique_simulations, 40);
         assert_eq!(stats.cache_hits, 0);
         assert_eq!(stats.simulated_instructions, 4_000);
-        assert!(stats.wall_seconds >= 0.0);
     }
 
     #[test]
@@ -1268,7 +1261,6 @@ mod tests {
             unique_simulations: 3,
             cache_hits: 2,
             simulated_instructions: 300,
-            wall_seconds: 0.5,
             failures: 1,
             retries: 2,
             quarantined: 1,
@@ -1278,7 +1270,6 @@ mod tests {
             unique_simulations: 1,
             cache_hits: 4,
             simulated_instructions: 100,
-            wall_seconds: 0.25,
             failures: 2,
             retries: 1,
             quarantined: 0,
@@ -1288,7 +1279,6 @@ mod tests {
         assert_eq!(a.cache_hits, 6);
         assert_eq!(a.evaluations(), 10);
         assert_eq!(a.simulated_instructions, 400);
-        assert!((a.wall_seconds - 0.75).abs() < 1e-12);
         assert_eq!(
             (a.failures, a.retries, a.quarantined, a.resampled),
             (3, 3, 1, 4)
@@ -1306,21 +1296,19 @@ mod tests {
             unique_simulations: 1,
             cache_hits: 2,
             simulated_instructions: 4,
-            wall_seconds: 8.0,
-            failures: 16,
-            retries: 32,
-            quarantined: 64,
-            resampled: 128,
+            failures: 8,
+            retries: 16,
+            quarantined: 32,
+            resampled: 64,
         };
         let rhs = SimStats {
-            unique_simulations: 256,
-            cache_hits: 512,
-            simulated_instructions: 1024,
-            wall_seconds: 2048.0,
-            failures: 4096,
-            retries: 8192,
-            quarantined: 16384,
-            resampled: 32768,
+            unique_simulations: 128,
+            cache_hits: 256,
+            simulated_instructions: 512,
+            failures: 1024,
+            retries: 2048,
+            quarantined: 4096,
+            resampled: 8192,
         };
         let mut merged = lhs;
         merged.merge(&rhs);
@@ -1329,20 +1317,18 @@ mod tests {
             unique_simulations,
             cache_hits,
             simulated_instructions,
-            wall_seconds,
             failures,
             retries,
             quarantined,
             resampled,
         } = merged;
-        assert_eq!(unique_simulations, 1 + 256);
-        assert_eq!(cache_hits, 2 + 512);
-        assert_eq!(simulated_instructions, 4 + 1024);
-        assert!((wall_seconds - (8.0 + 2048.0)).abs() < 1e-12);
-        assert_eq!(failures, 16 + 4096);
-        assert_eq!(retries, 32 + 8192);
-        assert_eq!(quarantined, 64 + 16384);
-        assert_eq!(resampled, 128 + 32768);
+        assert_eq!(unique_simulations, 1 + 128);
+        assert_eq!(cache_hits, 2 + 256);
+        assert_eq!(simulated_instructions, 4 + 512);
+        assert_eq!(failures, 8 + 1024);
+        assert_eq!(retries, 16 + 2048);
+        assert_eq!(quarantined, 32 + 4096);
+        assert_eq!(resampled, 64 + 8192);
     }
 
     #[test]

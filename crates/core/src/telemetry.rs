@@ -199,8 +199,7 @@ pub fn render_metrics() -> String {
 /// round, a pooled cross-app round, a multi-task fit) *after* the
 /// deterministic per-round bookkeeping is complete — the per-round
 /// record stays the source of truth for CSVs and equivalence gates;
-/// these counters are an observability view. `wall_seconds` is
-/// deliberately not mirrored: wall-clock never enters a counter.
+/// these counters are an observability view.
 pub fn record_sim(delta: &SimStats) {
     SIM_UNIQUE_SIMULATIONS.add(delta.unique_simulations);
     SIM_CACHE_HITS.add(delta.cache_hits);
@@ -494,7 +493,6 @@ mod tests {
             unique_simulations: 1,
             cache_hits: 2,
             simulated_instructions: 3,
-            wall_seconds: 99.0,
             failures: 4,
             retries: 5,
             quarantined: 6,
