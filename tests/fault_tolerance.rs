@@ -1,10 +1,14 @@
 //! Fault-tolerance integration tests over the full oracle stack
 //! (`RetryingOracle<CachedEvaluator<_>>` with the `oracle.evaluate`
 //! failpoint armed): the leaf simulator runs exactly once per surviving
-//! index no matter the fault schedule, exploration under faults is
-//! bit-for-bit deterministic at every parallelism setting, and a run
-//! killed between rounds replays from its persisted simcache into the
-//! identical learning curve.
+//! index no matter the fault schedule, exploration and cross-application
+//! fits under faults are bit-for-bit deterministic at every parallelism
+//! setting, and a run killed between rounds replays from its persisted
+//! simcache into the identical learning curve.
+//!
+//! The determinism tests take two leaves: a cheap counting stand-in, and
+//! the real memory-study simulator at quickstart scale, whose
+//! deterministic CSVs are pinned by digest.
 //!
 //! Every test arms the plan through [`oracle_faults::arm`], which holds a
 //! file-wide lock and disarms on drop.
@@ -16,13 +20,14 @@ use archpredict::explorer::{Explorer, ExplorerConfig, Round};
 use archpredict::failpoint::{self, FailAction};
 use archpredict::report::LearningCurve;
 use archpredict::simulate::{
-    CachedEvaluator, Oracle, PointEvaluator, RetryPolicy, RetryingOracle, SimError, SimStats,
-    FP_ORACLE_EVALUATE,
+    CachedEvaluator, Oracle, PointEvaluator, RetryPolicy, RetryingOracle, SimBudget, SimError,
+    SimStats, StudyEvaluator, FP_ORACLE_EVALUATE,
 };
 use archpredict::space::{DesignPoint, DesignSpace};
 use archpredict::studies::Study;
 use archpredict_ann::{Parallelism, TrainConfig};
-use archpredict_workloads::Benchmark;
+use archpredict_stats::hash::fnv1a_64;
+use archpredict_workloads::{Benchmark, TraceGenerator};
 use oracle_faults::arm;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -61,21 +66,39 @@ impl PointEvaluator for CountingEvaluator {
     }
 }
 
-type Stack = RetryingOracle<CachedEvaluator<CountingEvaluator>>;
+/// The real simulator at quickstart scale: memory-study points of `app`
+/// over two intervals of 4 000 warm-up and 8 000 measured instructions.
+fn study_leaf(app: Benchmark) -> StudyEvaluator {
+    let budget = SimBudget::spread(&TraceGenerator::new(app), 2, 4_000, 8_000);
+    StudyEvaluator::with_budget(Study::MemorySystem, app, budget)
+}
 
-/// A faulted stack whose schedule under the armed plan is drawn by
-/// `retry_seed`.
-fn stack(space: &DesignSpace, retry_seed: u64, parallelism: Parallelism) -> Stack {
+type Stack<E = CountingEvaluator> = RetryingOracle<CachedEvaluator<E>>;
+
+/// `leaf` behind the dedup cache and the retrying oracle, whose fault
+/// schedule under the armed plan is drawn by `retry_seed`.
+fn faulted<E: PointEvaluator>(
+    leaf: E,
+    space: &DesignSpace,
+    retry_seed: u64,
+    parallelism: Parallelism,
+) -> Stack<E> {
     RetryingOracle::with_policy(
-        CachedEvaluator::with_parallelism(
-            CountingEvaluator::new(space.clone()),
-            space.clone(),
-            parallelism,
-        ),
+        CachedEvaluator::with_parallelism(leaf, space.clone(), parallelism),
         RetryPolicy {
             seed: retry_seed,
             ..RetryPolicy::default()
         },
+    )
+}
+
+/// The counting leaf's faulted stack.
+fn stack(space: &DesignSpace, retry_seed: u64, parallelism: Parallelism) -> Stack {
+    faulted(
+        CountingEvaluator::new(space.clone()),
+        space,
+        retry_seed,
+        parallelism,
     )
 }
 
@@ -88,6 +111,22 @@ fn leaf_calls(oracle: &Stack) -> usize {
 const PLAN_SEED: u64 = 0xFA_17ED;
 const RETRY_SEED: u64 = 0x5EED_BACC;
 const RATE: f64 = 0.3;
+
+/// The real leaf's fault rate: an index is quarantined after three
+/// faulted attempts (6.4%).
+const STUDY_RATE: f64 = 0.4;
+/// The real leaf's retry seed for `app`: one schedule per application.
+fn study_retry_seed(app: Benchmark) -> u64 {
+    RetryPolicy::default().seed + app as u64
+}
+
+/// FNV-1a digests of the real leaf's deterministic CSVs at one thread:
+/// the gzip exploration (20 points a round, two rounds) and the gzip+mcf
+/// cross-application fit (20 points each). Re-record them only with a
+/// change that moves simulated values (and the golden constants with
+/// them).
+const STUDY_CURVE_DIGEST: u64 = 0xc11f_37c2_bb4d_a28a;
+const STUDY_CROSSAPP_DIGEST: u64 = 0x21c8_895d_f802_8636;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -152,8 +191,25 @@ fn faulted_config(parallelism: Parallelism) -> ExplorerConfig {
     }
 }
 
-fn curve_of(history: &[Round]) -> LearningCurve {
-    let mut curve = LearningCurve::new("counting");
+/// The real leaf's campaign: two rounds of 20 points.
+fn study_config(parallelism: Parallelism) -> ExplorerConfig {
+    ExplorerConfig {
+        batch: 20,
+        target_error: 0.0,
+        max_samples: 40,
+        train: TrainConfig {
+            max_epochs: 40,
+            patience: 10,
+            parallelism,
+            ..TrainConfig::default()
+        },
+        seed: 0x1BEC,
+        ..ExplorerConfig::default()
+    }
+}
+
+fn curve_of(label: &str, history: &[Round]) -> LearningCurve {
+    let mut curve = LearningCurve::new(label);
     for round in history {
         curve.push(round, None);
     }
@@ -164,31 +220,105 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|x| x.to_bits()).collect()
 }
 
-fn run_curve(parallelism: Parallelism) -> (String, Vec<usize>, Vec<u64>) {
-    let space = Study::MemorySystem.space();
-    let oracle = stack(&space, RETRY_SEED, parallelism);
-    let mut explorer = Explorer::new(&space, &oracle, faulted_config(parallelism));
-    explorer.run();
-    (
-        curve_of(explorer.history()).to_csv_deterministic(),
-        explorer.sampled_indices().to_vec(),
-        bits(&explorer.predict_indices(&[0, 123, 4_567, 11_000])),
-    )
+/// What the determinism tests compare: the deterministic CSV, every
+/// round's estimate bits (the CSV prints estimates to four decimals),
+/// the sampled indices and a few predictions' bits.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    csv: String,
+    estimates: Vec<(u64, u64)>,
+    indices: Vec<usize>,
+    probes: Vec<u64>,
 }
 
-/// Exploration under a 30% injected fault rate is bit-for-bit identical at
-/// one thread, four threads, and auto parallelism: same sampled indices,
-/// same learning curve, same predictions.
+impl Outcome {
+    fn new(curve: &LearningCurve, indices: &[usize], probes: &[f64]) -> Self {
+        Self {
+            csv: curve.to_csv_deterministic(),
+            estimates: curve
+                .points
+                .iter()
+                .map(|p| (p.estimated_mean.to_bits(), p.estimated_std_dev.to_bits()))
+                .collect(),
+            indices: indices.to_vec(),
+            probes: bits(probes),
+        }
+    }
+}
+
+/// Explores the memory space through `leaf`'s faulted stack to the
+/// configured sample cap; returns the outcome and the simulation totals.
+fn explore<E: PointEvaluator>(
+    leaf: E,
+    retry_seed: u64,
+    config: ExplorerConfig,
+    label: &str,
+) -> (Outcome, SimStats) {
+    let space = Study::MemorySystem.space();
+    let oracle = faulted(leaf, &space, retry_seed, config.train.parallelism);
+    let (batch, max_samples) = (config.batch, config.max_samples);
+    let mut explorer = Explorer::new(&space, &oracle, config);
+    explorer.run();
+    let mut totals = SimStats::default();
+    for (round_number, round) in explorer.history().iter().enumerate() {
+        assert_eq!(
+            round.samples,
+            batch * (round_number + 1),
+            "[{label}] round {round_number} fell short of its budget"
+        );
+        totals.merge(&round.simulation);
+    }
+    assert_eq!(explorer.samples(), max_samples, "[{label}]");
+    let outcome = Outcome::new(
+        &curve_of(label, explorer.history()),
+        explorer.sampled_indices(),
+        &explorer.predict_indices(&[0, 123, 4_567, 11_000]),
+    );
+    (outcome, totals)
+}
+
+/// Asserts `run` gives the same outcome at four threads and at auto
+/// parallelism as at one thread, and returns the one-thread outcome.
+fn assert_deterministic<T: std::fmt::Debug + PartialEq>(run: impl Fn(Parallelism) -> T) -> T {
+    let one_thread = run(Parallelism::Fixed(1));
+    for parallelism in [Parallelism::Fixed(4), Parallelism::Auto] {
+        assert_eq!(run(parallelism), one_thread, "diverged at {parallelism:?}");
+    }
+    one_thread
+}
+
+/// Exploration under injected faults is bit-for-bit identical at one
+/// thread, four threads, and auto parallelism: same sampled indices,
+/// same learning curve and estimate bits, same predictions. The counting
+/// leaf runs at a 30% fault rate, the real simulator at 40%; every round
+/// of both reaches its budget, and the real leaf's CSV is pinned.
 #[test]
 fn faulted_exploration_is_deterministic_across_parallelism() {
-    let _armed = arm(PLAN_SEED, FailAction::Error, RATE);
-    let (csv_1, indices_1, probes_1) = run_curve(Parallelism::Fixed(1));
-    for parallelism in [Parallelism::Fixed(4), Parallelism::Auto] {
-        let (csv, indices, probes) = run_curve(parallelism);
-        assert_eq!(csv_1, csv, "curve diverged at {parallelism:?}");
-        assert_eq!(indices_1, indices, "samples diverged at {parallelism:?}");
-        assert_eq!(probes_1, probes, "predictions diverged at {parallelism:?}");
+    {
+        let _armed = arm(PLAN_SEED, FailAction::Error, RATE);
+        let space = Study::MemorySystem.space();
+        assert_deterministic(|parallelism| {
+            let leaf = CountingEvaluator::new(space.clone());
+            explore(leaf, RETRY_SEED, faulted_config(parallelism), "counting").0
+        });
     }
+
+    let _armed = arm(PLAN_SEED, FailAction::Error, STUDY_RATE);
+    let app = Benchmark::Gzip;
+    let (outcome, totals) = assert_deterministic(|parallelism| {
+        let config = study_config(parallelism);
+        explore(study_leaf(app), study_retry_seed(app), config, "gzip")
+    });
+    assert!(
+        totals.quarantined > 0 && totals.resampled > 0,
+        "the real leaf never quarantined and resampled a point: {totals:?}"
+    );
+    assert_eq!(
+        fnv1a_64(outcome.csv.as_bytes()),
+        STUDY_CURVE_DIGEST,
+        "the real leaf's curve moved:\n{}",
+        outcome.csv
+    );
 }
 
 /// A run killed after any round and re-run against the simcache it
@@ -246,12 +376,12 @@ fn killed_run_replays_into_identical_curve() {
         let mut replayed = Explorer::new(&space, &oracle, faulted_config(parallelism));
         replayed.try_run().expect("replay the study");
 
-        let mut expected = curve_of(history);
+        let mut expected = curve_of("counting", history);
         for point in &mut expected.points[..killed_after] {
             *point = point.replayed();
         }
         assert_eq!(
-            curve_of(replayed.history()).to_csv_deterministic(),
+            curve_of("counting", replayed.history()).to_csv_deterministic(),
             expected.to_csv_deterministic(),
             "killed after round {killed_after}"
         );
@@ -278,54 +408,109 @@ fn killed_run_replays_into_identical_curve() {
     std::fs::remove_dir_all(&dir).expect("clean up simcache dir");
 }
 
-fn crossapp_run(parallelism: Parallelism) -> (CrossAppModel, String, Vec<u64>) {
+/// A pooled gzip+mcf fit through `leaf`'s faulted stacks, with the
+/// retry seed `retry_seed(app)` per application; returns the model and
+/// its outcome (no sampled indices: the pool has its own per app).
+fn crossapp_run<E: PointEvaluator>(
+    leaf: impl Fn(Benchmark) -> E,
+    retry_seed: impl Fn(Benchmark) -> u64,
+    per_app: usize,
+    train: TrainConfig,
+    seed: u64,
+    label: &str,
+) -> (CrossAppModel, Outcome) {
     let space = Study::MemorySystem.space();
-    // Under a 50% fault rate (an index is quarantined after three, 12.5%),
-    // with a distinct schedule per app, the pooled sampler goes through
-    // its quarantine-and-resample loop.
-    let evaluators = vec![
-        (Benchmark::Gzip, stack(&space, 0xA9_01, parallelism)),
-        (Benchmark::Mcf, stack(&space, 0xA9_02, parallelism)),
-    ];
-    let train = TrainConfig {
-        max_epochs: 25,
-        patience: 8,
+    let parallelism = train.parallelism;
+    let evaluators: Vec<_> = [Benchmark::Gzip, Benchmark::Mcf]
+        .into_iter()
+        .map(|app| {
+            (
+                app,
+                faulted(leaf(app), &space, retry_seed(app), parallelism),
+            )
+        })
+        .collect();
+    let model = CrossAppModel::fit(&space, &evaluators, per_app, &train, seed);
+    let mut curve = LearningCurve::new(label);
+    curve.push(&model.round(), None);
+    let probes = model.predict_indices(&space, &[0, 123, 4_567], Benchmark::Mcf, parallelism);
+    let outcome = Outcome::new(&curve, &[], &probes);
+    (model, outcome)
+}
+
+/// The same model at every parallelism setting; the outcome carries its
+/// simulation totals so the comparison covers them too.
+fn crossapp_outcome(
+    run: impl Fn(Parallelism) -> (CrossAppModel, Outcome),
+) -> (SimStats, usize, Outcome) {
+    assert_deterministic(|parallelism| {
+        let (model, outcome) = run(parallelism);
+        (model.simulation, model.samples, outcome)
+    })
+}
+
+/// A pooled cross-application fit under injected faults fills every
+/// application's quota, records the faults in its telemetry, and is
+/// bit-for-bit identical at one thread, four threads, and auto
+/// parallelism. The counting leaf runs at a 50% fault rate, where the
+/// resample loop fires; the real simulator at 40%, where its CSV is
+/// pinned.
+#[test]
+fn faulted_crossapp_fit_is_deterministic_across_parallelism() {
+    let train = |max_epochs, patience, parallelism| TrainConfig {
+        max_epochs,
+        patience,
         parallelism,
         ..TrainConfig::default()
     };
-    let model = CrossAppModel::fit(&space, &evaluators, 40, &train, 0xCA_FA17);
-    let mut curve = LearningCurve::new("crossapp-faulted");
-    curve.push(&model.round(), None);
-    let probes: Vec<u64> = model
-        .predict_indices(&space, &[0, 123, 4_567], Benchmark::Mcf, parallelism)
-        .iter()
-        .map(|p| p.to_bits())
-        .collect();
-    (model, curve.to_csv_deterministic(), probes)
-}
-
-/// A pooled cross-application fit under a 50% injected fault rate still
-/// fills every application's quota (the resample loop fires), records the
-/// faults in its telemetry, and is bit-for-bit identical at one thread,
-/// four threads, and auto parallelism.
-#[test]
-fn faulted_crossapp_fit_is_deterministic_across_parallelism() {
-    let _armed = arm(PLAN_SEED, FailAction::Error, 0.5);
-    let (model, csv_1, probes_1) = crossapp_run(Parallelism::Fixed(1));
-    assert_eq!(model.samples, 80, "both apps reach their quota");
-    assert!(
-        model.simulation.failures > 0 && model.simulation.retries > 0,
-        "fault schedule never fired: {:?}",
-        model.simulation
-    );
-    assert!(
-        model.simulation.resampled > 0,
-        "resample loop never exercised: {:?}",
-        model.simulation
-    );
-    for parallelism in [Parallelism::Fixed(4), Parallelism::Auto] {
-        let (_, csv, probes) = crossapp_run(parallelism);
-        assert_eq!(csv_1, csv, "curve diverged at {parallelism:?}");
-        assert_eq!(probes_1, probes, "predictions diverged at {parallelism:?}");
+    {
+        // An index is quarantined after three faulted attempts (12.5%).
+        let _armed = arm(PLAN_SEED, FailAction::Error, 0.5);
+        let space = Study::MemorySystem.space();
+        let (stats, samples, _) = crossapp_outcome(|parallelism| {
+            crossapp_run(
+                |_| CountingEvaluator::new(space.clone()),
+                |app| match app {
+                    Benchmark::Gzip => 0xA9_01,
+                    _ => 0xA9_02,
+                },
+                40,
+                train(25, 8, parallelism),
+                0xCA_FA17,
+                "crossapp-faulted",
+            )
+        });
+        assert_eq!(samples, 80, "both apps reach their quota");
+        assert!(
+            stats.failures > 0 && stats.retries > 0,
+            "fault schedule never fired: {stats:?}"
+        );
+        assert!(
+            stats.resampled > 0,
+            "resample loop never exercised: {stats:?}"
+        );
     }
+
+    let _armed = arm(PLAN_SEED, FailAction::Error, STUDY_RATE);
+    let (stats, samples, outcome) = crossapp_outcome(|parallelism| {
+        crossapp_run(
+            study_leaf,
+            study_retry_seed,
+            20,
+            train(40, 10, parallelism),
+            0x1BEC,
+            "crossapp",
+        )
+    });
+    assert_eq!(samples, 40, "both apps reach their quota");
+    assert!(
+        stats.failures > 0 && stats.retries > 0,
+        "fault schedule never fired: {stats:?}"
+    );
+    assert_eq!(
+        fnv1a_64(outcome.csv.as_bytes()),
+        STUDY_CROSSAPP_DIGEST,
+        "the real leaf's cross-application curve moved:\n{}",
+        outcome.csv
+    );
 }
