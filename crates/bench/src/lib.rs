@@ -27,7 +27,8 @@ pub mod daemon;
 pub mod opts;
 pub mod runner;
 
-pub use daemon::{locate_served_binary, wait_ready, Daemon};
+pub use archpredict::serve::wait_ready;
+pub use daemon::locate_served_binary;
 pub use opts::ExperimentOpts;
 pub use runner::{
     curve_for, reduction_analysis, registered_curve_for, run_curves, run_figure, write_artifact,

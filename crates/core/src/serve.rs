@@ -575,8 +575,8 @@ fn request_shutdown(inner: &ServerInner) {
 }
 
 /// Minimal HTTP/1.1 client for the daemon's protocol: one request, one
-/// JSON response. Returns `(status, parsed body)`. Shared by the load
-/// generator, the CI smoke gate, and the tests.
+/// JSON response. Returns `(status, parsed body)`. Shared by the `perf`
+/// benchmark and the tests.
 ///
 /// # Errors
 ///
@@ -647,6 +647,40 @@ pub fn http_request_text(
         .map_err(|e| format!("read body failed: {e}"))?;
     let text = String::from_utf8(body).map_err(|_| "response body not UTF-8".to_owned())?;
     Ok((status, text))
+}
+
+/// Polls `GET /ready` at `addr` until the daemon reports itself ready to
+/// accept work (200 with `"ready": true`), or `deadline` elapses.
+///
+/// Transient failures — connection refused during startup, a 500 from an
+/// armed handler failpoint — are retried; only the deadline is fatal. A
+/// draining daemon answers 503 forever, so a harness waiting on one fails
+/// here instead of hanging on its first real request. This is the one
+/// readiness wait every harness shares; none of them poll `/health`,
+/// which stays 200 on a daemon that will never take their work.
+///
+/// # Errors
+///
+/// When the deadline passes without a ready answer; the message carries
+/// the last observed probe outcome.
+pub fn wait_ready(addr: SocketAddr, deadline: Duration) -> Result<(), String> {
+    let give_up = Instant::now() + deadline;
+    let mut last: String;
+    loop {
+        match http_request(addr, "GET", "/ready", None) {
+            Ok((200, body)) if matches!(body.get("ready").and_then(|v| v.as_bool()), Ok(true)) => {
+                return Ok(());
+            }
+            Ok((status, _)) => last = format!("last probe answered {status}"),
+            Err(e) => last = format!("last probe failed: {e}"),
+        }
+        if Instant::now() >= give_up {
+            return Err(format!(
+                "daemon at {addr} not ready after {deadline:?} ({last})"
+            ));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 fn handle_connection(stream: TcpStream, inner: &ServerInner) {
@@ -1358,5 +1392,56 @@ mod tests {
         assert!(!gate.wait_idle(Instant::now() + Duration::from_millis(20)));
         drop(held);
         assert!(gate.wait_idle(Instant::now() + Duration::from_secs(5)));
+    }
+
+    /// Answers every connection at the returned address with `status` and
+    /// `body` until the listener is dropped with the thread.
+    fn fake_daemon(status: &'static str, body: &'static str) -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake daemon");
+        let addr = listener.local_addr().expect("local addr");
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(mut stream) = stream else { break };
+                let mut buf = [0u8; 1024];
+                let _ = stream.read(&mut buf);
+                let response = format!(
+                    "HTTP/1.1 {status}\r\nContent-Type: application/json\r\n\
+                     Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                    body.len()
+                );
+                let _ = stream.write_all(response.as_bytes());
+            }
+        });
+        addr
+    }
+
+    #[test]
+    fn ready_wait_passes_a_ready_daemon() {
+        let addr = fake_daemon("200 OK", r#"{"ok":true,"ready":true,"draining":false}"#);
+        wait_ready(addr, Duration::from_secs(5)).expect("ready daemon passes the wait");
+    }
+
+    /// Regression for the `/health` -> `/ready` switch: a draining daemon
+    /// is alive (its `/health` would answer 200) but answers `/ready`
+    /// with 503, and the readiness wait must reject it instead of handing
+    /// it to a harness.
+    #[test]
+    fn ready_wait_rejects_a_draining_daemon() {
+        let addr = fake_daemon(
+            "503 Service Unavailable",
+            r#"{"ok":false,"error":"draining; not accepting new work"}"#,
+        );
+        let err = wait_ready(addr, Duration::from_millis(200))
+            .expect_err("draining daemon must fail the wait");
+        assert!(err.contains("503"), "error should carry the probe: {err}");
+    }
+
+    #[test]
+    fn ready_wait_requires_the_ready_flag_not_just_a_200() {
+        // A liveness-style answer (200 without `ready: true`) must not
+        // satisfy a readiness wait.
+        let addr = fake_daemon("200 OK", r#"{"ok":true,"ready":false,"draining":true}"#);
+        wait_ready(addr, Duration::from_millis(200))
+            .expect_err("200 with ready=false must fail the wait");
     }
 }

@@ -5,11 +5,12 @@
 //! saturated connection gate, the readiness/liveness split, and hostile
 //! request bodies.
 //!
-//! The real-daemon tests build `archpredict-served` before first use
-//! (same profile as this test binary) so the suite passes under plain
-//! `cargo test` and never drives a stale daemon. In-process tests that
-//! arm failpoints serialize on a lock because failpoint state is
-//! process-global.
+//! The real-daemon tests drive the process through [`daemon::Daemon`],
+//! which builds `archpredict-served` from this source before first use.
+//! In-process tests that arm failpoints serialize on a lock because
+//! failpoint state is process-global.
+
+mod daemon;
 
 use archpredict::campaign::CampaignConfig;
 use archpredict::failpoint::{self, FailAction, SiteSpec};
@@ -20,11 +21,11 @@ use archpredict::studies::Study;
 use archpredict_ann::Parallelism;
 use archpredict_stats::json::Value;
 use archpredict_workloads::Benchmark;
-use std::io::{BufRead, BufReader, Read, Write};
+use daemon::Daemon;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Serializes failpoint-armed sections across test threads; the guard
@@ -138,79 +139,6 @@ fn stat(addr: SocketAddr, name: &str) -> u64 {
     stats.get(name).unwrap().as_u64().unwrap()
 }
 
-/// Builds `archpredict-served` in this test binary's profile (a no-op
-/// when it is current) and locates it, so the daemon under test is built
-/// from this source, never a stale binary left in the target directory.
-fn served_binary() -> &'static PathBuf {
-    static BINARY: OnceLock<PathBuf> = OnceLock::new();
-    BINARY.get_or_init(|| {
-        let mut build = Command::new(env!("CARGO"));
-        build.args(["build", "-p", "archpredict-served"]);
-        if !cfg!(debug_assertions) {
-            build.arg("--release");
-        }
-        let status = build.status().expect("run cargo build for the daemon");
-        assert!(status.success(), "building archpredict-served failed");
-        let exe = std::env::current_exe().expect("test binary path");
-        exe.ancestors()
-            .skip(1)
-            .take(3)
-            .map(|dir| dir.join("archpredict-served"))
-            .find(|candidate| candidate.is_file())
-            .expect("daemon binary after building it")
-    })
-}
-
-/// Kills the daemon child on drop so a panicking test doesn't leak it.
-struct DaemonGuard(Child);
-
-impl Drop for DaemonGuard {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-/// Spawns the real daemon over `root`, optionally enrolled in a chaos
-/// schedule via `ARCHPREDICT_FAILPOINTS`, and scrapes its address line.
-fn spawn_daemon(root: &Path, failpoints: Option<&str>) -> (DaemonGuard, SocketAddr) {
-    let mut command = Command::new(served_binary());
-    command
-        .args(["--addr", "127.0.0.1:0", "--root"])
-        .arg(root)
-        .stdout(Stdio::piped());
-    match failpoints {
-        Some(plan) => {
-            command.env(failpoint::ENV_FAILPOINTS, plan);
-        }
-        None => {
-            command.env_remove(failpoint::ENV_FAILPOINTS);
-        }
-    }
-    let mut child = command.spawn().expect("spawn archpredict-served");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut first_line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut first_line)
-        .expect("daemon address line");
-    let addr = first_line
-        .trim()
-        .rsplit(' ')
-        .next()
-        .expect("address token")
-        .parse()
-        .expect("daemon printed its address");
-    (DaemonGuard(child), addr)
-}
-
-fn signal(pid: u32, sig: &str) {
-    let status = Command::new("/usr/bin/kill")
-        .args([format!("-{sig}"), pid.to_string()])
-        .status()
-        .expect("run kill");
-    assert!(status.success(), "kill -{sig} {pid} failed");
-}
-
 /// SIGTERM with work in flight: the listener closes first (new
 /// connections refused), the in-flight request still gets its answer,
 /// the process exits 0, and a restarted daemon over the same registry
@@ -219,15 +147,17 @@ fn signal(pid: u32, sig: &str) {
 #[test]
 fn sigterm_drains_in_flight_work_then_a_restart_answers_warm() {
     let root = temp_root("drain");
-    // Delay the first request 1.5 s inside the handler so it is
-    // reliably in flight when the signal lands.
-    let plan = "seed=1;serve.handler=delay:1500@1@1";
-    let (mut daemon, addr) = spawn_daemon(&root, Some(plan));
+    // Delay the first two requests 1.5 s inside the handler: the spawn's
+    // `/ready` probe, then the fit, so the fit is reliably in flight when
+    // the signal lands.
+    let plan = "seed=1;serve.handler=delay:1500@1@2";
+    let mut daemon = Daemon::spawn(&root, Some(plan), &[]);
+    let addr = daemon.addr();
 
     let in_flight =
         std::thread::spawn(move || http_request(addr, "POST", "/fit", Some(&fit_body())));
     std::thread::sleep(Duration::from_millis(500));
-    signal(daemon.0.id(), "TERM");
+    daemon.signal("TERM");
     std::thread::sleep(Duration::from_millis(500));
 
     // Drain closes the listener before finishing in-flight work: new
@@ -242,12 +172,13 @@ fn sigterm_drains_in_flight_work_then_a_restart_answers_warm() {
         .expect("client thread")
         .expect("in-flight fit answered during drain");
     assert_eq!(status, 200, "drained fit failed: {}", reply.to_json());
-    let exit = daemon.0.wait().expect("reap daemon");
+    let exit = daemon.exit_within(Duration::from_secs(30));
     assert!(exit.success(), "SIGTERM drain must exit 0, got {exit}");
 
     // The drained commit is durable: a fresh daemon answers warm, serves
     // the committed model's bits, and exits 0 on `/shutdown`.
-    let (mut restarted, addr) = spawn_daemon(&root, None);
+    let mut restarted = Daemon::spawn(&root, None, &[]);
+    let addr = restarted.addr();
     let (status, reply) = http_request(addr, "POST", "/fit", Some(&fit_body())).unwrap();
     assert_eq!(status, 200);
     assert!(
@@ -258,29 +189,20 @@ fn sigterm_drains_in_flight_work_then_a_restart_answers_warm() {
     assert_served_bits(status, &reply, &local_predictions(&root));
     let (status, _) = http_request(addr, "POST", "/shutdown", None).unwrap();
     assert_eq!(status, 200);
-    let exit = restarted.0.wait().expect("reap restarted daemon");
+    let exit = restarted.exit_within(Duration::from_secs(30));
     assert!(exit.success(), "/shutdown must exit 0, got {exit}");
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// SIGTERM reaches an idle daemon too: no connection ever arrives to
-/// wake its accept loop, and the signal alone must start the drain.
+/// SIGTERM reaches an idle daemon too: no connection arrives after the
+/// signal to wake its accept loop, and the signal alone must start the
+/// drain.
 #[test]
 fn sigterm_stops_an_idle_daemon_within_a_second() {
     let root = temp_root("idle_term");
-    let (mut daemon, _) = spawn_daemon(&root, None);
-    signal(daemon.0.id(), "TERM");
-    let signaled = Instant::now();
-    let exit = loop {
-        if let Some(exit) = daemon.0.try_wait().expect("poll daemon") {
-            break exit;
-        }
-        assert!(
-            signaled.elapsed() < Duration::from_secs(1),
-            "idle daemon still running 1 s after SIGTERM"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    };
+    let mut daemon = Daemon::spawn(&root, None, &[]);
+    daemon.signal("TERM");
+    let exit = daemon.exit_within(Duration::from_secs(1));
     assert!(exit.success(), "SIGTERM drain must exit 0, got {exit}");
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -441,7 +363,8 @@ fn raw_request(addr: SocketAddr, request: &str) -> String {
 #[test]
 fn hostile_bodies_answer_promptly_and_the_daemon_keeps_serving() {
     let root = temp_root("hostile");
-    let (_daemon, addr) = spawn_daemon(&root, None);
+    let daemon = Daemon::spawn(&root, None, &[]);
+    let addr = daemon.addr();
     let post = |body: &str| {
         raw_request(
             addr,
