@@ -299,10 +299,11 @@ fn parallel_fit_is_twice_the_sequential_fit_on_four_cores() {
 }
 
 /// Over 48 gzip memory points each evaluated three times, best of 3, the
-/// one-thread cached batch is no slower than the naive point-at-a-time
-/// loop (it simulates each point once), and with at least 4 cores the
-/// fastest parallel batch is at least 1.5× the one-thread batch. Every
-/// batch equals the loop and counts 48 simulations and 96 hits.
+/// one-thread cached batch is at least 2× the naive point-at-a-time loop
+/// (it simulates each point once, a third of the loop's evaluations),
+/// and with at least 4 cores the fastest parallel batch is at least 1.5×
+/// the one-thread batch. Every batch equals the loop and counts 48
+/// simulations and 96 hits.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -310,6 +311,7 @@ fn parallel_fit_is_twice_the_sequential_fit_on_four_cores() {
 )]
 fn cached_simulation_batch_beats_the_naive_loop() {
     const REPEATS: usize = 3;
+    const MIN_CACHED_SPEEDUP: f64 = 2.0;
     const MIN_PARALLEL_SPEEDUP: f64 = 1.5;
     const MIN_CORES: usize = 4;
     let _gate = gate();
@@ -357,9 +359,9 @@ fn cached_simulation_batch_beats_the_naive_loop() {
         cached_s / parallel_s
     );
     assert!(
-        cached_s <= naive_s,
-        "one-thread cached batch ({cached_s:.4} s) is slower than the naive loop \
-         ({naive_s:.4} s) although it simulates a third of the evaluations"
+        naive_s >= cached_s * MIN_CACHED_SPEEDUP,
+        "one-thread cached batch ({cached_s:.4} s) is not {MIN_CACHED_SPEEDUP}x the naive \
+         loop ({naive_s:.4} s) although it simulates a third of the evaluations"
     );
     if cores >= MIN_CORES {
         assert!(
