@@ -14,9 +14,7 @@ use archpredict_stats::json::{JsonError, Value};
 /// vectorized `fastmath` kernels redefined every trained weight, so a
 /// model persisted under one format mispredicts silently under another.
 /// Version 2 is the fastmath-kernel era; headerless JSON predates
-/// versioning and is treated as unknown legacy (loadable through the
-/// unchecked [`Ensemble::from_json`], rejected by
-/// [`Ensemble::from_json_checked`]).
+/// versioning and is rejected.
 pub const MODEL_FORMAT_VERSION: u32 = 2;
 
 /// The versioned header stamped onto persisted model artifacts.
@@ -51,19 +49,22 @@ impl ModelHeader {
         ]
     }
 
-    /// Reads the header out of a parsed artifact, `None` when the JSON
-    /// predates versioning (no `format` key).
-    pub fn from_json_value(value: &Value) -> Result<Option<Self>, JsonError> {
-        let Ok(format) = value.get("format") else {
-            return Ok(None);
-        };
+    /// Reads the header out of a parsed artifact. JSON that predates
+    /// versioning (no `format` key) is an error: an unstamped artifact
+    /// cannot prove what space it was trained on.
+    pub fn from_json_value(value: &Value) -> Result<Self, JsonError> {
+        let format = value.get("format").map_err(|_| {
+            JsonError::custom(
+                "artifact has no version header (pre-versioning legacy); refit the model",
+            )
+        })?;
         let fingerprint = value.get("fingerprint")?.as_str()?;
         let fingerprint = u64::from_str_radix(fingerprint, 16)
             .map_err(|_| JsonError::custom(format!("bad hex fingerprint {fingerprint:?}")))?;
-        Ok(Some(Self {
+        Ok(Self {
             format: format.as_u64()? as u32,
             fingerprint,
-        }))
+        })
     }
 
     /// Errors unless the header matches the current format and the
@@ -293,14 +294,6 @@ impl Ensemble {
         buf.m2 = m2;
     }
 
-    /// Serializes the ensemble to a JSON string with the current
-    /// [`ModelHeader`] and a fingerprint of 0 ("not stamped"). Callers
-    /// that know what space/encoding produced the model should use
-    /// [`Ensemble::to_json_fingerprinted`] so loads can be checked.
-    pub fn to_json(&self) -> String {
-        self.to_json_fingerprinted(0)
-    }
-
     /// Serializes the ensemble with a versioned header carrying
     /// `fingerprint` (the trainer's space/encoder identity), so
     /// [`Ensemble::from_json_checked`] can refuse incompatible artifacts.
@@ -318,42 +311,13 @@ impl Ensemble {
         Value::Object(fields).to_json()
     }
 
-    /// Deserializes an ensemble written by [`Ensemble::to_json`].
-    ///
-    /// Accepts both current headered artifacts and legacy headerless JSON
-    /// (written before versioning) without any compatibility check — use
-    /// [`Ensemble::from_json_checked`] when the artifact must match a
-    /// known space/encoding. A present-but-wrong format still fails: the
-    /// header, once written, is never ignored.
-    pub fn from_json(text: &str) -> Result<Self, JsonError> {
-        let value = Value::parse(text)?;
-        if let Some(header) = ModelHeader::from_json_value(&value)? {
-            if header.format != MODEL_FORMAT_VERSION {
-                return Err(JsonError::custom(format!(
-                    "model format {} is incompatible with this build (format {MODEL_FORMAT_VERSION}); refit the model",
-                    header.format
-                )));
-            }
-        }
-        Self::models_from_json_value(&value)
-    }
-
-    /// Deserializes an ensemble and enforces the artifact header: the
+    /// Deserializes an ensemble written by
+    /// [`Ensemble::to_json_fingerprinted`] and enforces its header: the
     /// format must be current and the stored fingerprint must equal
-    /// `expected_fingerprint`. Legacy headerless JSON is rejected —
-    /// an unstamped artifact cannot prove what space it was trained on.
+    /// `expected_fingerprint`. Headerless JSON is rejected.
     pub fn from_json_checked(text: &str, expected_fingerprint: u64) -> Result<Self, JsonError> {
         let value = Value::parse(text)?;
-        let header = ModelHeader::from_json_value(&value)?.ok_or_else(|| {
-            JsonError::custom(
-                "artifact has no version header (pre-versioning legacy); refit the model",
-            )
-        })?;
-        header.check(expected_fingerprint)?;
-        Self::models_from_json_value(&value)
-    }
-
-    fn models_from_json_value(value: &Value) -> Result<Self, JsonError> {
+        ModelHeader::from_json_value(&value)?.check(expected_fingerprint)?;
         let models: Vec<TrainedModel> = value
             .get("models")?
             .as_array()?
@@ -425,23 +389,26 @@ mod tests {
     #[test]
     fn json_round_trip_preserves_predictions() {
         let ensemble = Ensemble::new(vec![trained(7), trained(8), trained(9)]);
-        let json = ensemble.to_json();
-        let restored = Ensemble::from_json(&json).unwrap();
+        let json = ensemble.to_json_fingerprinted(7);
+        let restored = Ensemble::from_json_checked(&json, 7).unwrap();
         for x in [0.1, 0.5, 0.9] {
             // Shortest-round-trip float formatting makes this exact.
             assert_eq!(ensemble.predict(&[x]), restored.predict(&[x]));
         }
         assert_eq!(restored.len(), 3);
-        assert!(Ensemble::from_json("{\"models\":[]}").is_err());
+        let empty = format!(
+            r#"{{"format":{MODEL_FORMAT_VERSION},"fingerprint":"{:016x}","models":[]}}"#,
+            7
+        );
+        let err = Ensemble::from_json_checked(&empty, 7).unwrap_err();
+        assert!(err.to_string().contains("at least one model"), "{err}");
     }
 
     #[test]
     fn header_carries_format_and_fingerprint() {
         let ensemble = Ensemble::new(vec![trained(10)]);
         let json = ensemble.to_json_fingerprinted(0xDEAD_BEEF_0123_4567);
-        let header = ModelHeader::from_json_value(&Value::parse(&json).unwrap())
-            .unwrap()
-            .expect("header present");
+        let header = ModelHeader::from_json_value(&Value::parse(&json).unwrap()).unwrap();
         assert_eq!(header.format, MODEL_FORMAT_VERSION);
         assert_eq!(header.fingerprint, 0xDEAD_BEEF_0123_4567);
         let restored = Ensemble::from_json_checked(&json, 0xDEAD_BEEF_0123_4567).unwrap();
@@ -455,7 +422,7 @@ mod tests {
         // Wrong fingerprint fails loudly.
         let err = Ensemble::from_json_checked(&json, 2).unwrap_err();
         assert!(err.to_string().contains("fingerprint"), "{err}");
-        // Legacy headerless JSON loads unchecked but never checked.
+        // Headerless JSON is refused.
         let legacy = Value::parse(&json)
             .map(|v| match v {
                 Value::Object(fields) => Value::Object(
@@ -468,17 +435,16 @@ mod tests {
             })
             .unwrap()
             .to_json();
-        assert!(Ensemble::from_json(&legacy).is_ok());
         let err = Ensemble::from_json_checked(&legacy, 1).unwrap_err();
         assert!(err.to_string().contains("header"), "{err}");
-        // A stale format version is rejected by both paths.
+        // So is a stale format version.
         let stale = json.replacen(
             &format!("\"format\":{MODEL_FORMAT_VERSION}.0"),
             "\"format\":1.0",
             1,
         );
         assert_ne!(stale, json, "format field should have been rewritten");
-        assert!(Ensemble::from_json(&stale).is_err());
-        assert!(Ensemble::from_json_checked(&stale, 1).is_err());
+        let err = Ensemble::from_json_checked(&stale, 1).unwrap_err();
+        assert!(err.to_string().contains("format 1"), "{err}");
     }
 }

@@ -284,11 +284,7 @@ impl TrainedModel {
             target_scaler: TargetScaler::from_json_value(value.get("target_scaler")?)?,
             epochs: value.get("epochs")?.as_usize()?,
             best_es_error: value.get("best_es_error")?.as_f64_or(f64::INFINITY)?,
-            // Absent in models written before the fault-tolerance work.
-            diverged: value
-                .get("diverged")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false),
+            diverged: value.get("diverged")?.as_bool()?,
         })
     }
 }
@@ -485,10 +481,7 @@ impl MultiTrainedModel {
             primary,
             epochs: value.get("epochs")?.as_usize()?,
             best_es_error: value.get("best_es_error")?.as_f64_or(f64::INFINITY)?,
-            diverged: value
-                .get("diverged")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false),
+            diverged: value.get("diverged")?.as_bool()?,
         })
     }
 
@@ -508,12 +501,7 @@ impl MultiTrainedModel {
     /// (current format, matching fingerprint).
     pub fn from_json_checked(text: &str, expected_fingerprint: u64) -> Result<Self, JsonError> {
         let value = Value::parse(text)?;
-        let header = crate::ensemble::ModelHeader::from_json_value(&value)?.ok_or_else(|| {
-            JsonError::custom(
-                "artifact has no version header (pre-versioning legacy); refit the model",
-            )
-        })?;
-        header.check(expected_fingerprint)?;
+        crate::ensemble::ModelHeader::from_json_value(&value)?.check(expected_fingerprint)?;
         Self::from_json_value(value.get("model")?)
     }
 }

@@ -82,10 +82,6 @@ use std::time::{Duration, Instant};
 const LEASE_WAIT: Duration = Duration::from_secs(600);
 /// Lease poll interval.
 const LEASE_POLL: Duration = Duration::from_millis(50);
-/// Age before a pid-less legacy `*.tmp` is treated as abandoned debris.
-/// Pid-carrying debris is judged by writer liveness instead, so live
-/// writers are never swept regardless of how long a write takes.
-const LEGACY_DEBRIS_AGE: Duration = Duration::from_secs(600);
 
 /// Failpoint site evaluated at the top of a commit, before the object
 /// write: firing fails the commit with nothing durable on disk.
@@ -305,20 +301,16 @@ fn key_lock(root: &Path, slug: &str) -> Arc<Mutex<()>> {
 /// writers, which would otherwise accumulate forever.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SweepReport {
-    /// Torn writer temps (`<name>.<pid>.<seq>.tmp` of dead writers, plus
-    /// pid-less legacy `*.tmp` older than the age guard).
+    /// Torn writer temps (`<name>.<pid>.<seq>.tmp` of dead writers).
     pub temps: usize,
 }
 
-/// Classifies a filename as a writer temp: `Some(Some(pid))` for
-/// `<name>.<pid>.<seq>.tmp`, `Some(None)` for any other `*.tmp` (a
-/// pid-less legacy temp, judged by age instead), `None` for anything
-/// that is not debris.
-fn classify_debris(name: &str) -> Option<Option<u32>> {
+/// The writer pid of a [`persist`] temp named `<name>.<pid>.<seq>.tmp`,
+/// `None` for any other file.
+fn classify_debris(name: &str) -> Option<u32> {
     let mut parts = name.strip_suffix(".tmp")?.rsplit('.');
-    let seq_ok = parts.next().is_some_and(|s| s.parse::<u64>().is_ok());
-    let pid = parts.next().and_then(|s| s.parse::<u32>().ok());
-    Some(if seq_ok { pid } else { None })
+    parts.next()?.parse::<u64>().ok()?;
+    parts.next()?.parse().ok()
 }
 
 /// The on-disk artifact store (see module docs for layout and
@@ -375,12 +367,12 @@ impl Registry {
         Ok(registry)
     }
 
-    /// Removes crash debris left by dead writers: torn `*.tmp` temps in
-    /// `entries/` and `objects/`. Files whose name embeds a still-live
-    /// pid are never touched (a live writer's in-flight temp); pid-less
-    /// legacy temps are removed only past an age guard. Runs
-    /// automatically on [`Registry::open`]; exposed so harnesses can
-    /// sweep and report after a chaos run.
+    /// Removes crash debris left by dead writers: torn
+    /// `<name>.<pid>.<seq>.tmp` temps in `entries/` and `objects/`. A
+    /// temp whose pid is still live is never touched (a live writer's
+    /// in-flight temp), and no other file is. Runs automatically on
+    /// [`Registry::open`]; exposed so harnesses can sweep and report
+    /// after a chaos run.
     ///
     /// # Errors
     ///
@@ -396,16 +388,7 @@ impl Registry {
                 let Some(pid) = classify_debris(name) else {
                     continue;
                 };
-                let abandoned = match pid {
-                    Some(pid) => !process_alive(pid),
-                    None => item
-                        .metadata()
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|m| m.elapsed().ok())
-                        .is_some_and(|age| age >= LEGACY_DEBRIS_AGE),
-                };
-                if abandoned && std::fs::remove_file(item.path()).is_ok() {
+                if !process_alive(pid) && std::fs::remove_file(item.path()).is_ok() {
                     report.temps += 1;
                 }
             }
@@ -873,13 +856,12 @@ mod tests {
 
     #[test]
     fn debris_classification_is_precise() {
-        // Writer temps carry a pid; legacy temps don't.
-        assert_eq!(
-            classify_debris("entry.json.4000000.3.tmp"),
-            Some(Some(4_000_000))
-        );
-        assert_eq!(classify_debris("entry.json.tmp"), Some(None));
-        // Lock files and ordinary artifacts are never debris.
+        // Writer temps carry a pid and a sequence number.
+        assert_eq!(classify_debris("entry.json.4000000.3.tmp"), Some(4_000_000));
+        // A temp no writer names that way, lock files and ordinary
+        // artifacts are never debris.
+        assert_eq!(classify_debris("entry.json.tmp"), None);
+        assert_eq!(classify_debris("entry.json.x.3.tmp"), None);
         assert_eq!(classify_debris("slug.lock"), None);
         assert_eq!(classify_debris("entry.json"), None);
         assert_eq!(classify_debris("0011223344556677.json"), None);
@@ -896,17 +878,17 @@ mod tests {
             // A dead writer's torn temp (pid 4M is beyond this
             // container's pid space).
             std::fs::write(entries.join("e.json.4000000.0.tmp"), "torn").unwrap();
-            // Files that must survive: our own in-flight temp, a fresh
-            // legacy temp (age guard), and a lock file.
+            // Files that must survive: our own in-flight temp, a temp
+            // without a writer pid, and a lock file.
             std::fs::write(entries.join(format!("f.json.{me}.0.tmp")), "mine").unwrap();
-            std::fs::write(entries.join("legacy.json.tmp"), "fresh").unwrap();
+            std::fs::write(entries.join("other.json.tmp"), "foreign").unwrap();
             std::fs::write(leases.join("k.lock"), "").unwrap();
 
             let report = registry.sweep_debris().unwrap();
             assert_eq!(report, SweepReport { temps: 1 });
             assert!(!entries.join("e.json.4000000.0.tmp").exists());
             assert!(entries.join(format!("f.json.{me}.0.tmp")).exists());
-            assert!(entries.join("legacy.json.tmp").exists());
+            assert!(entries.join("other.json.tmp").exists());
             assert!(leases.join("k.lock").exists());
         }
         // Reopening sweeps automatically; the survivors still survive.
@@ -914,7 +896,7 @@ mod tests {
         assert!(reopened
             .root()
             .join("entries")
-            .join("legacy.json.tmp")
+            .join("other.json.tmp")
             .exists());
         std::fs::remove_dir_all(&root).ok();
     }
