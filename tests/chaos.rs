@@ -243,23 +243,19 @@ fn daemon_heals_from_faults_and_kills_with_identical_artifacts() {
         spec(Study::Processor, Benchmark::Mcf, SEED, BUDGET),
     ]
     .map(|spec| SpecRef::fit(&clean_room, spec));
-    let killed: Vec<SpecRef> = (1..)
-        .zip(
-            schedule
-                .iter()
-                .filter(|(kind, _)| *kind == Disruption::Sigkill),
-        )
-        .map(|(n, _)| {
-            SpecRef::fit(
-                &clean_room,
-                spec(
-                    Study::MemorySystem,
-                    Benchmark::Gzip,
-                    SEED + n,
-                    KILLED_BUDGET,
-                ),
+    let kills = schedule
+        .iter()
+        .filter(|(kind, _)| *kind == Disruption::Sigkill);
+    let killed: Vec<SpecRef> = (1..=kills.count() as u64)
+        .map(|n| {
+            spec(
+                Study::MemorySystem,
+                Benchmark::Gzip,
+                SEED + n,
+                KILLED_BUDGET,
             )
         })
+        .map(|spec| SpecRef::fit(&clean_room, spec))
         .collect();
 
     // ---- Warm both served models through the chaotic daemon, so most
@@ -289,49 +285,44 @@ fn daemon_heals_from_faults_and_kills_with_identical_artifacts() {
                 });
             }
             std::thread::sleep(delay);
-            match kind {
-                Disruption::LoadOnly => {}
-                Disruption::Sigterm => {
-                    daemon.signal("TERM");
-                    let status = daemon.exit_within(DRAIN_LIMIT);
+            if kind == Disruption::LoadOnly {
+                return;
+            }
+            // A SIGKILL round starts a fit that no earlier round made and
+            // kills the daemon as soon as the fit holds its lease file,
+            // which it takes before fitting and keeps until it commits.
+            let fit = (kind == Disruption::Sigkill).then(|| {
+                let spec_ref = killed_refs.next().expect("one spec per SIGKILL round");
+                let (addr, counters) = (&addr, &counters);
+                let fit = scope.spawn(move || fit_until_ok(addr, spec_ref, counters));
+                let lease = registry_root
+                    .join("leases")
+                    .join(format!("{}.lock", spec_ref.spec.key().slug()));
+                let give_up = Instant::now() + CLIENT_DEADLINE;
+                while !lease.exists() {
                     assert!(
-                        status.success(),
-                        "round {round}: SIGTERM'd daemon must drain and exit 0, got {status}"
+                        Instant::now() < give_up,
+                        "round {round}: the fit never started"
                     );
-                    incarnation += 1;
-                    daemon = spawn_incarnation(&registry_root, incarnation);
-                    addr.set(daemon.addr());
+                    std::thread::sleep(Duration::from_millis(1));
                 }
-                Disruption::Sigkill => {
-                    let spec_ref = killed_refs.next().expect("one spec per SIGKILL round");
-                    let (addr, counters) = (&addr, &counters);
-                    let fit = scope.spawn(move || fit_until_ok(addr, spec_ref, counters));
-                    // The fit holds its lease file from before it starts
-                    // until after it commits; kill as soon as it appears.
-                    let lease = registry_root
-                        .join("leases")
-                        .join(format!("{}.lock", spec_ref.spec.key().slug()));
-                    let give_up = Instant::now() + CLIENT_DEADLINE;
-                    while !lease.exists() {
-                        assert!(
-                            Instant::now() < give_up,
-                            "round {round}: the fit never started"
-                        );
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    daemon.signal("KILL");
-                    let status = daemon.exit_within(DRAIN_LIMIT);
-                    assert!(
-                        !status.success(),
-                        "round {round}: SIGKILL'd daemon cannot have exited cleanly"
-                    );
-                    incarnation += 1;
-                    daemon = spawn_incarnation(&registry_root, incarnation);
-                    addr.set(daemon.addr());
-                    let reply = fit.join().expect("fit client");
-                    if !reply.get("warm").unwrap().as_bool().unwrap() {
-                        cold_refits_after_kill += 1;
-                    }
+                fit
+            });
+            daemon.signal(if fit.is_some() { "KILL" } else { "TERM" });
+            let status = daemon.exit_within(DRAIN_LIMIT);
+            assert_eq!(
+                status.success(),
+                fit.is_none(),
+                "round {round}: a SIGTERM'd daemon drains and exits 0, a SIGKILL'd one \
+                 cannot; the {kind:?} round's exited {status}"
+            );
+            incarnation += 1;
+            daemon = spawn_incarnation(&registry_root, incarnation);
+            addr.set(daemon.addr());
+            if let Some(fit) = fit {
+                let reply = fit.join().expect("fit client");
+                if !reply.get("warm").unwrap().as_bool().unwrap() {
+                    cold_refits_after_kill += 1;
                 }
             }
         });
