@@ -1,8 +1,8 @@
 //! End-to-end chaos test of the serving stack: drives the real
-//! `archpredict-served` daemon under concurrent predict load while a
-//! **seeded** disruption schedule SIGTERMs it mid-flight, SIGKILLs it in
-//! the middle of a fit, and injects handler, registry and persist faults
-//! through the failpoint layer, then proves the stack healed:
+//! `archpredict-served` daemon under concurrent predict load, with a
+//! failpoint plan that arms handler, registry and persist faults, while
+//! a **seeded** disruption schedule SIGTERMs it mid-flight and SIGKILLs
+//! it in the middle of a fit, then proves the stack healed:
 //!
 //! * every request was answered or cleanly shed (clients retry to
 //!   completion; none time out), and injected faults did answer some;
@@ -120,8 +120,8 @@ impl SpecRef {
     }
 }
 
-/// Client outcomes, per round and summed over the run (warm-up
-/// included): the evidence that every request was answered or shed.
+/// Client outcomes over the run, warm-up included: the evidence that
+/// every request was answered or shed.
 struct Counters {
     ok: Counter,
     retried: Counter,
@@ -139,20 +139,6 @@ impl Default for Counters {
             injected: Counter::new("chaos.injected"),
             shed: Counter::new("chaos.shed"),
             refits: Counter::new("chaos.refits"),
-        }
-    }
-}
-
-impl Counters {
-    fn add(&self, other: &Counters) {
-        for (total, part) in [
-            (&self.ok, &other.ok),
-            (&self.retried, &other.retried),
-            (&self.injected, &other.injected),
-            (&self.shed, &other.shed),
-            (&self.refits, &other.refits),
-        ] {
-            total.add(part.get());
         }
     }
 }
@@ -263,16 +249,16 @@ fn daemon_heals_from_faults_and_kills_with_identical_artifacts() {
     let mut incarnation = 0;
     let mut daemon = spawn_incarnation(&registry_root, incarnation);
     let addr = AddrCell(Mutex::new(daemon.addr()));
-    let totals = Counters::default();
+    let counters = Counters::default();
     for spec_ref in &served {
-        fit_until_ok(&addr, spec_ref, &totals);
+        fit_until_ok(&addr, spec_ref, &counters);
     }
+    let injected_in_warm_up = counters.injected.get();
 
     // ---- Disruption rounds.
     let mut killed_refs = killed.iter();
-    let (mut injected_in_rounds, mut cold_refits_after_kill) = (0, 0);
+    let mut cold_refits_after_kill = 0;
     for (round, &(kind, delay)) in schedule.iter().enumerate() {
-        let counters = Counters::default();
         std::thread::scope(|scope| {
             for client in 0..CLIENTS {
                 let (addr, served, counters) = (&addr, &served, &counters);
@@ -328,17 +314,8 @@ fn daemon_heals_from_faults_and_kills_with_identical_artifacts() {
         });
         wait_ready(addr.get(), READY_LIMIT)
             .unwrap_or_else(|e| panic!("round {round}: daemon not ready after the round: {e}"));
-        eprintln!(
-            "chaos: round {round:>2} [{kind:?}] ok {} retried {} (injected {}) shed {} refits {}",
-            counters.ok.get(),
-            counters.retried.get(),
-            counters.injected.get(),
-            counters.shed.get(),
-            counters.refits.get(),
-        );
-        injected_in_rounds += counters.injected.get();
-        totals.add(&counters);
     }
+    let injected_in_rounds = counters.injected.get() - injected_in_warm_up;
     assert!(
         injected_in_rounds > 0,
         "no request in the rounds was answered by an injected fault"
@@ -356,8 +333,8 @@ fn daemon_heals_from_faults_and_kills_with_identical_artifacts() {
 
     // ---- Registry verification. Reopening sweeps whatever debris the
     // kills left behind; after that the tree must be byte-perfect.
+    let swept = remaining_debris(&registry_root).len();
     let registry = Registry::open(&registry_root).expect("reopen chaos registry");
-    let swept = registry.sweep_debris().expect("sweep");
     let debris = remaining_debris(&registry_root);
     assert!(
         debris.is_empty(),
@@ -401,14 +378,13 @@ fn daemon_heals_from_faults_and_kills_with_identical_artifacts() {
     eprintln!(
         "chaos: {ROUNDS} rounds over {} daemons; {} requests answered, {} retried ({} injected \
          in the rounds), {} shed, {} refits, {cold_refits_after_kill} killed fits refitted, \
-         {} debris files swept on reopen",
+         {swept} torn temps swept on reopen",
         incarnation + 1,
-        totals.ok.get(),
-        totals.retried.get(),
+        counters.ok.get(),
+        counters.retried.get(),
         injected_in_rounds,
-        totals.shed.get(),
-        totals.refits.get(),
-        swept.temps,
+        counters.shed.get(),
+        counters.refits.get(),
     );
     let _ = std::fs::remove_dir_all(&scratch);
 }
@@ -487,7 +463,7 @@ fn assert_served_matches(spec_ref: &SpecRef, served: &[f64]) {
     }
 }
 
-/// Torn temps left anywhere in the registry after the final sweep.
+/// Torn temps anywhere in the registry.
 fn remaining_debris(root: &Path) -> Vec<String> {
     let mut found = Vec::new();
     for dir in ["entries", "objects", "leases"] {

@@ -409,8 +409,9 @@ fn killed_run_replays_into_identical_curve() {
 }
 
 /// A pooled gzip+mcf fit through `leaf`'s faulted stacks, with the
-/// retry seed `retry_seed(app)` per application; returns the model and
-/// its outcome (no sampled indices: the pool has its own per app).
+/// retry seed `retry_seed(app)` per application; returns the fit's
+/// simulation totals, its sample count and its outcome (no sampled
+/// indices: the pool has its own per app).
 fn crossapp_run<E: PointEvaluator>(
     leaf: impl Fn(Benchmark) -> E,
     retry_seed: impl Fn(Benchmark) -> u64,
@@ -418,7 +419,7 @@ fn crossapp_run<E: PointEvaluator>(
     train: TrainConfig,
     seed: u64,
     label: &str,
-) -> (CrossAppModel, Outcome) {
+) -> (SimStats, usize, Outcome) {
     let space = Study::MemorySystem.space();
     let parallelism = train.parallelism;
     let evaluators: Vec<_> = [Benchmark::Gzip, Benchmark::Mcf]
@@ -435,18 +436,7 @@ fn crossapp_run<E: PointEvaluator>(
     curve.push(&model.round(), None);
     let probes = model.predict_indices(&space, &[0, 123, 4_567], Benchmark::Mcf, parallelism);
     let outcome = Outcome::new(&curve, &[], &probes);
-    (model, outcome)
-}
-
-/// The same model at every parallelism setting; the outcome carries its
-/// simulation totals so the comparison covers them too.
-fn crossapp_outcome(
-    run: impl Fn(Parallelism) -> (CrossAppModel, Outcome),
-) -> (SimStats, usize, Outcome) {
-    assert_deterministic(|parallelism| {
-        let (model, outcome) = run(parallelism);
-        (model.simulation, model.samples, outcome)
-    })
+    (model.simulation, model.samples, outcome)
 }
 
 /// A pooled cross-application fit under injected faults fills every
@@ -467,7 +457,7 @@ fn faulted_crossapp_fit_is_deterministic_across_parallelism() {
         // An index is quarantined after three faulted attempts (12.5%).
         let _armed = arm(PLAN_SEED, FailAction::Error, 0.5);
         let space = Study::MemorySystem.space();
-        let (stats, samples, _) = crossapp_outcome(|parallelism| {
+        let (stats, samples, _) = assert_deterministic(|parallelism| {
             crossapp_run(
                 |_| CountingEvaluator::new(space.clone()),
                 |app| match app {
@@ -492,7 +482,7 @@ fn faulted_crossapp_fit_is_deterministic_across_parallelism() {
     }
 
     let _armed = arm(PLAN_SEED, FailAction::Error, STUDY_RATE);
-    let (stats, samples, outcome) = crossapp_outcome(|parallelism| {
+    let (stats, samples, outcome) = assert_deterministic(|parallelism| {
         crossapp_run(
             study_leaf,
             study_retry_seed,
