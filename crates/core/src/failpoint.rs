@@ -423,7 +423,7 @@ mod tests {
 
     /// Pins the fire pattern of 256 hits at p = 0.3 under two seeds, as
     /// an FNV-1a digest of one byte per hit, so a rewrite of the decision
-    /// path cannot move any existing schedule (`chaos_test`,
+    /// path cannot move any existing schedule (`tests/chaos.rs`,
     /// `tests/failpoints.rs`) unnoticed.
     #[test]
     fn unkeyed_schedule_is_pinned() {
