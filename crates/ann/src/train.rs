@@ -13,6 +13,7 @@ use crate::scaling::{MinMaxScaler, TargetScaler};
 use archpredict_stats::json::{JsonError, Value};
 use archpredict_stats::rng::Xoshiro256;
 use archpredict_stats::sampling::WeightedAlias;
+use std::sync::OnceLock;
 
 /// Worker-thread policy for per-fold ensemble training
 /// (see [`crate::cross_validation::fit_ensemble`]).
@@ -45,21 +46,32 @@ impl Parallelism {
     /// override for the `Auto` branch. Subsystems with their own thread
     /// knob (e.g. batch simulation's `ARCHPREDICT_SIM_THREADS`) resolve
     /// through this so `Fixed(n)` semantics stay identical everywhere.
+    ///
+    /// At most one task needs one worker whatever the policy, so that
+    /// case returns before reading the environment or the core count.
     pub fn worker_count_with_env(self, tasks: usize, env_threads: &str) -> usize {
+        if tasks <= 1 {
+            return 1;
+        }
         let workers = match self {
             Parallelism::Fixed(n) => n.max(1),
             Parallelism::Auto => std::env::var(env_threads)
                 .ok()
                 .and_then(|v| v.trim().parse::<usize>().ok())
                 .filter(|&n| n > 0)
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                }),
+                .unwrap_or_else(available_cores),
         };
-        workers.min(tasks.max(1))
+        workers.min(tasks)
     }
+}
+
+/// `std::thread::available_parallelism`, resolved once per process. Each
+/// call re-reads the cgroup CPU quota (several microseconds), which a
+/// daemon's sweeps would otherwise pay on every request; a quota changed
+/// after the first call is not seen.
+fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Hyperparameters for network training.

@@ -50,14 +50,17 @@
 //! A long-lived daemon must not let one misbehaving client (or many
 //! distinct model specs) grow its footprint without limit:
 //!
-//! - at most [`ServeConfig::max_connections`] connection threads exist
-//!   at once — when all slots are taken the accept loop waits at most
-//!   [`ServeConfig::gate_wait`] for one to free, then **sheds** the
-//!   connection with `503` + `Retry-After` (`requests_shed` in `/stats`)
-//!   instead of blocking the accept loop behind a saturated gate;
+//! - connections are served by persistent worker threads, at most
+//!   [`ServeConfig::max_connections`] of them: the accept loop hands each
+//!   connection to a parked worker and starts one only when none is
+//!   parked (`workers_started` in `/stats`). When every worker is busy it
+//!   waits at most [`ServeConfig::gate_wait`] for one to finish, then
+//!   **sheds** the connection with `503` + `Retry-After`
+//!   (`requests_shed` in `/stats`) instead of blocking behind a saturated
+//!   pool;
 //! - request parsing bounds header count and per-line length, and the
 //!   socket carries read/write timeouts, so a stalled or malicious
-//!   client cannot pin a thread or buffer unbounded memory;
+//!   client cannot pin a worker or buffer unbounded memory;
 //! - the in-memory model map holds at most [`ServeConfig::max_models`]
 //!   ensembles; beyond that the least-recently-used entry is evicted
 //!   (`models_evicted` in `/stats`) and reloads warm from the registry
@@ -75,9 +78,9 @@
 //!
 //! Each connection runs its handler under `catch_unwind`: a panicking
 //! handler answers that client `500`, increments `panics_caught`, and
-//! the daemon keeps serving. A panic inside a sweep fails every request
-//! in its batch with a `500` as well, and the next request on that model
-//! sweeps normally. The dispatch path and the sweep
+//! the daemon and the worker keep serving. A panic inside a sweep fails
+//! every request in its batch with a `500` as well, and the next request
+//! on that model sweeps normally. The dispatch path and the sweep
 //! carry [`crate::failpoint`] sites ([`FP_HANDLER`], [`FP_SWEEP`]) so
 //! chaos schedules can inject exactly these failures.
 
@@ -92,12 +95,13 @@ use crate::telemetry::{self, Counter};
 use archpredict_ann::{Ensemble, Parallelism};
 use archpredict_stats::json::Value;
 use archpredict_workloads::Benchmark;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Upper bound on request bodies (a full-space index list is ~10 MB of
@@ -196,13 +200,13 @@ fn wait_for_connection(_listener: &TcpListener) {}
 pub struct ServeConfig {
     /// Registry root the daemon loads from and fits into.
     pub registry_root: PathBuf,
-    /// Most connection threads alive at once (further accepts shed after
-    /// [`ServeConfig::gate_wait`]).
+    /// Most connections served at once, and so most connection worker
+    /// threads (further accepts shed after [`ServeConfig::gate_wait`]).
     pub max_connections: usize,
     /// Most warm models held in memory (least-recently-used eviction).
     pub max_models: usize,
-    /// How long the accept loop waits for a free connection slot before
-    /// shedding the connection with `503` + `Retry-After`.
+    /// How long the accept loop waits for a busy connection worker to
+    /// finish before shedding the connection with `503` + `Retry-After`.
     pub gate_wait: Duration,
     /// How long a drain (shutdown request or signal) waits for in-flight
     /// connections to finish before giving up on them.
@@ -221,64 +225,120 @@ impl Default for ServeConfig {
     }
 }
 
-/// Counting semaphore bounding live connection threads.
-struct ConnectionGate {
+/// What [`WorkerPool::offer`] did with a connection.
+enum Offer<T> {
+    /// A parked worker took it.
+    HandedOff,
+    /// No worker was parked: the caller starts one to serve it, in the
+    /// slot the offer claimed.
+    Start(T),
+    /// Every slot stayed busy for the whole wait: the caller sheds it.
+    Shed(T),
+}
+
+/// The connection workers: persistent threads that each serve one
+/// connection, then park until the accept loop hands them the next, so a
+/// request pays no thread spawn. At most `capacity` workers are busy at
+/// once, and a worker starts only when none is parked, so at most
+/// `capacity` exist.
+struct WorkerPool<T> {
     capacity: usize,
-    free: Mutex<usize>,
+    state: Mutex<PoolState<T>>,
+    /// Signalled when a busy worker finishes: the accept loop's wait for a
+    /// slot and the drain's wait for idle. Parked workers wait on
+    /// `handed` instead, so finishing a connection wakes none of them.
     freed: Condvar,
+    /// Signalled on a hand-off (one parked worker) or a close (all).
+    handed: Condvar,
 }
 
-impl ConnectionGate {
-    fn new(slots: usize) -> Self {
-        let capacity = slots.max(1);
+struct PoolState<T> {
+    /// Workers serving a connection, plus hand-offs not yet taken.
+    busy: usize,
+    /// Parked workers no hand-off has claimed.
+    idle: usize,
+    /// Connections handed to parked workers, oldest first.
+    handoffs: VecDeque<T>,
+    /// Set by the drain: parked workers exit instead of waiting.
+    closed: bool,
+}
+
+impl<T> WorkerPool<T> {
+    fn new(capacity: usize) -> Self {
         Self {
-            capacity,
-            free: Mutex::new(capacity),
+            capacity: capacity.max(1),
+            state: Mutex::new(PoolState {
+                busy: 0,
+                idle: 0,
+                handoffs: VecDeque::new(),
+                closed: false,
+            }),
             freed: Condvar::new(),
+            handed: Condvar::new(),
         }
     }
 
-    /// Claims a slot (released on drop) if one frees within `wait`;
-    /// `None` means the caller should shed the connection — the accept
-    /// loop must never block indefinitely behind a saturated gate.
-    fn acquire_timeout(self: &Arc<Self>, wait: Duration) -> Option<ConnectionPermit> {
-        let free = self.free.lock().expect("connection gate poisoned");
-        let (mut free, _) = self
+    fn lock(&self) -> MutexGuard<'_, PoolState<T>> {
+        self.state.lock().expect("worker pool poisoned")
+    }
+
+    /// Claims a slot for `conn` if one frees within `wait`, and hands the
+    /// connection to a parked worker or back to the caller to start one.
+    /// The accept loop must never block indefinitely behind a saturated
+    /// pool, so past `wait` the connection comes back to be shed.
+    fn offer(&self, conn: T, wait: Duration) -> Offer<T> {
+        let (mut state, _) = self
             .freed
-            .wait_timeout_while(free, wait, |free| *free == 0)
-            .expect("connection gate poisoned");
-        if *free == 0 {
-            return None;
+            .wait_timeout_while(self.lock(), wait, |s| s.busy >= self.capacity)
+            .expect("worker pool poisoned");
+        if state.busy >= self.capacity {
+            return Offer::Shed(conn);
         }
-        *free -= 1;
-        Some(ConnectionPermit {
-            gate: Arc::clone(self),
-        })
+        state.busy += 1;
+        if state.idle == 0 {
+            return Offer::Start(conn);
+        }
+        state.idle -= 1;
+        state.handoffs.push_back(conn);
+        drop(state);
+        self.handed.notify_one();
+        Offer::HandedOff
     }
 
-    /// Waits until every permit is back (all connection threads done) or
-    /// `deadline` passes; `true` means fully idle.
+    /// A worker's call when its connection is done: frees its slot and
+    /// parks until a connection is handed to it (`Some`), or returns
+    /// `None` once the pool is closed and nothing is left to take.
+    fn finish(&self) -> Option<T> {
+        let mut state = self.lock();
+        state.busy -= 1;
+        state.idle += 1;
+        self.freed.notify_all();
+        let mut state = self
+            .handed
+            .wait_while(state, |s| s.handoffs.is_empty() && !s.closed)
+            .expect("worker pool poisoned");
+        let next = state.handoffs.pop_front();
+        if next.is_none() {
+            state.idle -= 1;
+        }
+        next
+    }
+
+    /// Waits until no worker is busy or `deadline` passes; `true` means
+    /// fully idle.
     fn wait_idle(&self, deadline: Instant) -> bool {
-        let free = self.free.lock().expect("connection gate poisoned");
         let left = deadline.saturating_duration_since(Instant::now());
-        let (free, _) = self
+        let (state, _) = self
             .freed
-            .wait_timeout_while(free, left, |free| *free < self.capacity)
-            .expect("connection gate poisoned");
-        *free == self.capacity
+            .wait_timeout_while(self.lock(), left, |s| s.busy > 0)
+            .expect("worker pool poisoned");
+        state.busy == 0
     }
-}
 
-struct ConnectionPermit {
-    gate: Arc<ConnectionGate>,
-}
-
-impl Drop for ConnectionPermit {
-    fn drop(&mut self) {
-        *self.gate.free.lock().expect("connection gate poisoned") += 1;
-        // Both kinds of waiters (acquirers and the drain's wait_idle) may
-        // be parked on this condvar.
-        self.gate.freed.notify_all();
+    /// Lets every parked worker exit, and each busy one once it finishes.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.handed.notify_all();
     }
 }
 
@@ -331,11 +391,14 @@ struct ServeStats {
     warm_loads: Counter,
     models_evicted: Counter,
     errors: Counter,
-    /// Connections refused with `503` because the gate stayed saturated
+    /// Connections refused with `503` because every worker stayed busy
     /// past [`ServeConfig::gate_wait`].
     requests_shed: Counter,
     /// Handler panics contained by the per-connection `catch_unwind`.
     panics_caught: Counter,
+    /// Connection worker threads started: one per connection that found
+    /// no parked worker.
+    workers_started: Counter,
 }
 
 impl Default for ServeStats {
@@ -373,6 +436,10 @@ impl Default for ServeStats {
                 "serve.panics_caught",
                 &telemetry::SERVE_PANICS_CAUGHT,
             ),
+            workers_started: Counter::mirroring(
+                "serve.workers_started",
+                &telemetry::SERVE_WORKERS_STARTED,
+            ),
         }
     }
 }
@@ -384,7 +451,7 @@ struct ServerInner {
     models: Mutex<HashMap<String, Arc<ModelEntry>>>,
     /// Monotonic logical clock stamping model accesses for LRU eviction.
     clock: AtomicU64,
-    gate: Arc<ConnectionGate>,
+    pool: WorkerPool<TcpStream>,
     stats: ServeStats,
     /// Set when a drain is requested or begins; `/ready` answers 503 from
     /// then on while `/health` stays 200 (readiness vs liveness).
@@ -452,15 +519,14 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let registry = Registry::open(&config.registry_root)?;
         let addr = listener.local_addr()?;
-        let gate = Arc::new(ConnectionGate::new(config.max_connections));
         Ok(Self {
             inner: Arc::new(ServerInner {
                 registry,
+                pool: WorkerPool::new(config.max_connections),
                 config,
                 addr,
                 models: Mutex::new(HashMap::new()),
                 clock: AtomicU64::new(0),
-                gate,
                 stats: ServeStats::default(),
                 draining: AtomicBool::new(false),
             }),
@@ -474,11 +540,11 @@ impl Server {
     }
 
     /// Serves until `POST /shutdown` or a handled signal, then drains
-    /// gracefully. Each connection is handled on its own thread; one
-    /// request per connection; at most [`ServeConfig::max_connections`]
-    /// threads at once — when the gate stays saturated past
-    /// [`ServeConfig::gate_wait`], further connections are shed with
-    /// `503` + `Retry-After` instead of queueing without bound.
+    /// gracefully. One request per connection. Each connection goes to a
+    /// parked connection worker, or to a new one when none is parked; at
+    /// most [`ServeConfig::max_connections`] are busy at once — when none
+    /// frees within [`ServeConfig::gate_wait`], further connections are
+    /// shed with `503` + `Retry-After` instead of queueing without bound.
     ///
     /// Between connections the accept loop sleeps in `poll(2)` on the
     /// listener. A connection, a shutdown request's self-connect, or a
@@ -506,15 +572,14 @@ impl Server {
             // The listener may be nonblocking; the per-connection socket must
             // not be (its reads are bounded by IO_TIMEOUT instead).
             let _ = stream.set_nonblocking(false);
-            match self.inner.gate.acquire_timeout(self.inner.config.gate_wait) {
-                Some(permit) => {
+            match self.inner.pool.offer(stream, self.inner.config.gate_wait) {
+                Offer::HandedOff => {}
+                Offer::Start(stream) => {
+                    self.inner.stats.workers_started.incr();
                     let inner = Arc::clone(&self.inner);
-                    std::thread::spawn(move || {
-                        let _permit = permit;
-                        handle_connection(stream, &inner);
-                    });
+                    std::thread::spawn(move || serve_connections(&inner, stream));
                 }
-                None => {
+                Offer::Shed(stream) => {
                     self.inner.stats.requests_shed.incr();
                     shed(stream);
                 }
@@ -526,18 +591,20 @@ impl Server {
 
     /// Graceful drain, with readiness already at 503: close the listener
     /// **first** (new connections are refused from here on), give
-    /// in-flight connection threads up to [`ServeConfig::drain_deadline`]
-    /// to finish, then flush a final stats snapshot to stderr.
+    /// in-flight connections up to [`ServeConfig::drain_deadline`] to
+    /// finish, let the connection workers exit, then flush a final stats
+    /// snapshot to stderr.
     fn drain(self) {
         let Server { inner, listener } = self;
         drop(listener);
         let deadline = Instant::now() + inner.config.drain_deadline;
-        if !inner.gate.wait_idle(deadline) {
+        if !inner.pool.wait_idle(deadline) {
             eprintln!(
                 "archpredict-served: drain deadline ({:?}) passed with connections in flight",
                 inner.config.drain_deadline
             );
         }
+        inner.pool.close();
         eprintln!(
             "archpredict-served: drained; final stats {}",
             stats_json(&inner).to_json()
@@ -683,10 +750,27 @@ pub fn wait_ready(addr: SocketAddr, deadline: Duration) -> Result<(), String> {
     }
 }
 
+/// A connection worker: serves `stream`, then each connection the accept
+/// loop hands it, until the drain closes the pool.
+fn serve_connections(inner: &ServerInner, mut stream: TcpStream) {
+    loop {
+        // `handle_connection` answers a panicking dispatch with a 500
+        // itself; this keeps any other unwind from taking the worker and
+        // its slot with it.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            handle_connection(stream, inner)
+        }));
+        match inner.pool.finish() {
+            Some(next) => stream = next,
+            None => return,
+        }
+    }
+}
+
 fn handle_connection(stream: TcpStream, inner: &ServerInner) {
     inner.stats.requests.incr();
     let mut stream = stream;
-    // A stalled client must not pin this thread: every socket read and
+    // A stalled client must not pin this worker: every socket read and
     // write is individually bounded.
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
@@ -795,10 +879,10 @@ fn dispatch(
     }
 }
 
-/// Refuses a connection the gate could not admit: `503` with
-/// `Retry-After` so well-behaved clients back off. Written on a
-/// short-lived thread with a tight timeout — the accept loop must not
-/// stall behind a client that won't read.
+/// Refuses a connection no worker could take: `503` with `Retry-After` so
+/// well-behaved clients back off. Written on a short-lived thread with a
+/// tight timeout — the accept loop must not stall behind a client that
+/// won't read.
 fn shed(stream: TcpStream) {
     std::thread::spawn(move || {
         let mut stream = stream;
@@ -814,22 +898,9 @@ fn shed(stream: TcpStream) {
                 _ => break,
             }
         }
-        let body = Value::Object(vec![
-            ("ok".into(), Value::Bool(false)),
-            (
-                "error".into(),
-                Value::Str("server saturated; retry after backoff".into()),
-            ),
-        ])
-        .to_json();
-        let header = format!(
-            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
-             Retry-After: 1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-            body.len()
-        );
-        let _ = stream.write_all(header.as_bytes());
-        let _ = stream.write_all(body.as_bytes());
-        let _ = stream.flush();
+        let body = error_json("server saturated; retry after backoff");
+        let retry = "Retry-After: 1\r\n";
+        respond_with_type(&mut stream, 503, "Service Unavailable", JSON, retry, &body);
     });
 }
 
@@ -876,30 +947,48 @@ fn read_request(stream: &mut TcpStream) -> Result<(String, String, String), Stri
     Ok((method, path, body))
 }
 
+const JSON: &str = "application/json";
+const TEXT: &str = "text/plain; charset=utf-8";
+
 fn respond(stream: &mut TcpStream, status: u16, reason: &str, body: &str) {
-    respond_with_type(stream, status, reason, "application/json", body);
+    respond_with_type(stream, status, reason, JSON, "", body);
 }
 
 /// Plain-text response — the `/metrics` scrape format.
 fn respond_text(stream: &mut TcpStream, status: u16, reason: &str, body: &str) {
-    respond_with_type(stream, status, reason, "text/plain; charset=utf-8", body);
+    respond_with_type(stream, status, reason, TEXT, "", body);
 }
 
+/// Writes one whole reply — status line, headers (`extra_headers` are
+/// complete `\r\n`-terminated lines) and body — in one `write_all` of
+/// one buffer. Header and body written apart leave as two TCP segments,
+/// and the client waits for the second.
 fn respond_with_type(
     stream: &mut TcpStream,
     status: u16,
     reason: &str,
     content_type: &str,
+    extra_headers: &str,
     body: &str,
 ) {
-    let header = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
+    let mut reply = String::with_capacity(160 + extra_headers.len() + body.len());
+    let _ = write!(
+        reply,
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n{extra_headers}\
          Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    let _ = stream.write_all(header.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
+    reply.push_str(body);
+    let _ = stream.write_all(reply.as_bytes());
+}
+
+/// The JSON body of every error reply.
+fn error_json(message: &str) -> String {
+    Value::Object(vec![
+        ("ok".into(), Value::Bool(false)),
+        ("error".into(), Value::Str(message.to_owned())),
+    ])
+    .to_json()
 }
 
 fn respond_error(stream: &mut TcpStream, status: u16, message: &str) {
@@ -910,12 +999,7 @@ fn respond_error(stream: &mut TcpStream, status: u16, message: &str) {
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     };
-    let body = Value::Object(vec![
-        ("ok".into(), Value::Bool(false)),
-        ("error".into(), Value::Str(message.to_owned())),
-    ])
-    .to_json();
-    respond(stream, status, reason, &body);
+    respond(stream, status, reason, &error_json(message));
 }
 
 fn stats_json(inner: &ServerInner) -> Value {
@@ -934,6 +1018,7 @@ fn stats_json(inner: &ServerInner) -> Value {
         ("errors".into(), count(&s.errors)),
         ("requests_shed".into(), count(&s.requests_shed)),
         ("panics_caught".into(), count(&s.panics_caught)),
+        ("workers_started".into(), count(&s.workers_started)),
         (
             "fits_performed".into(),
             Value::num(inner.registry.fits_performed() as f64),
@@ -1364,34 +1449,50 @@ mod tests {
     }
 
     #[test]
-    fn connection_gate_bounds_concurrency_and_releases() {
-        let gate = Arc::new(ConnectionGate::new(2));
-        let a = gate.acquire_timeout(Duration::from_secs(5)).unwrap();
-        let _b = gate.acquire_timeout(Duration::from_secs(5)).unwrap();
-        // Third acquire waits until a permit drops.
-        let gate2 = Arc::clone(&gate);
-        let waiter =
-            std::thread::spawn(move || gate2.acquire_timeout(Duration::from_secs(5)).is_some());
+    fn worker_pool_bounds_busy_workers_and_hands_off_on_release() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let wait = Duration::from_secs(5);
+        assert!(matches!(pool.offer(1, wait), Offer::Start(1)));
+        assert!(matches!(pool.offer(2, wait), Offer::Start(2)));
+        // A third connection waits until a worker finishes, then goes to
+        // that worker instead of a new one.
+        let offering = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || matches!(pool.offer(3, wait), Offer::HandedOff))
+        };
         std::thread::sleep(Duration::from_millis(20));
-        assert!(!waiter.is_finished(), "third connection must wait");
-        drop(a);
-        assert!(waiter.join().unwrap());
+        assert!(!offering.is_finished(), "third connection must wait");
+        let worker = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || pool.finish())
+        };
+        assert!(offering.join().unwrap());
+        assert_eq!(worker.join().unwrap(), Some(3));
     }
 
     #[test]
-    fn saturated_gate_times_out_instead_of_blocking_forever() {
-        let gate = Arc::new(ConnectionGate::new(1));
-        let held = gate.acquire_timeout(Duration::from_secs(5)).unwrap();
+    fn saturated_worker_pool_sheds_instead_of_blocking_forever() {
+        let pool = Arc::new(WorkerPool::new(1));
+        assert!(matches!(
+            pool.offer((), Duration::from_secs(5)),
+            Offer::Start(())
+        ));
         let start = Instant::now();
         assert!(
-            gate.acquire_timeout(Duration::from_millis(30)).is_none(),
-            "saturated gate must shed, not block"
+            matches!(pool.offer((), Duration::from_millis(30)), Offer::Shed(())),
+            "saturated pool must shed, not block"
         );
         assert!(start.elapsed() >= Duration::from_millis(25));
-        // Idle-wait sees the outstanding permit, then its return.
-        assert!(!gate.wait_idle(Instant::now() + Duration::from_millis(20)));
-        drop(held);
-        assert!(gate.wait_idle(Instant::now() + Duration::from_secs(5)));
+        // Idle-wait sees the outstanding slot, then its return; the parked
+        // worker exits when the pool closes.
+        assert!(!pool.wait_idle(Instant::now() + Duration::from_millis(20)));
+        let worker = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || pool.finish())
+        };
+        assert!(pool.wait_idle(Instant::now() + Duration::from_secs(5)));
+        pool.close();
+        assert_eq!(worker.join().unwrap(), None);
     }
 
     /// Answers every connection at the returned address with `status` and

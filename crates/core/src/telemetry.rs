@@ -173,6 +173,8 @@ global_counters! {
     SERVE_REQUESTS_SHED => "serve.requests_shed",
     /// Handler panics contained by `catch_unwind`.
     SERVE_PANICS_CAUGHT => "serve.panics_caught",
+    /// Connection worker threads started by serving daemons.
+    SERVE_WORKERS_STARTED => "serve.workers_started",
     /// Span events appended to the trace log.
     TRACE_SPANS_EMITTED => "trace.spans_emitted",
 }

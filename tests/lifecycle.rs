@@ -1,9 +1,9 @@
 //! Lifecycle integration for the serving daemon: graceful SIGTERM drain
 //! with in-flight work against the real `archpredict-served` binary,
 //! prompt shutdown of an idle daemon, per-connection panic isolation,
-//! group-commit sweeps and their failure path, load shedding under a
-//! saturated connection gate, the readiness/liveness split, and hostile
-//! request bodies.
+//! group-commit sweeps and their failure path, load shedding when every
+//! connection worker is busy, worker reuse across connections, the
+//! readiness/liveness split, and hostile request bodies.
 //!
 //! The real-daemon tests drive the process through [`daemon::Daemon`],
 //! which builds `archpredict-served` from this source before first use.
@@ -444,6 +444,37 @@ fn saturated_gate_sheds_with_retry_after_and_recovers() {
     let (status, stats) = http_request(addr, "GET", "/stats", None).unwrap();
     assert_eq!(status, 200);
     assert!(stats.get("requests_shed").unwrap().as_u64().unwrap() >= 1);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Connection workers persist: 200 sequential requests, each on a fresh
+/// connection, go to parked workers instead of starting a thread apiece.
+/// A second worker starts when a request arrives before the previous
+/// one's worker has parked.
+#[test]
+fn sequential_connections_reuse_parked_workers() {
+    let _guard = arm(0, &[]);
+    let root = temp_root("workers");
+    let handle = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            registry_root: root.clone(),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap()
+    .spawn();
+    let addr = handle.addr();
+    for _ in 0..200 {
+        let (status, _) = http_request(addr, "GET", "/health", None).unwrap();
+        assert_eq!(status, 200);
+    }
+    let started = stat(addr, "workers_started");
+    assert!(
+        (1..=4).contains(&started),
+        "200 sequential requests started {started} connection workers"
+    );
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -197,6 +197,7 @@ fn metrics_endpoint_serves_the_unified_registry() {
         "serve.model_cache_hits",
         "serve.model_cache_misses",
         "serve.errors",
+        "serve.workers_started",
         "infer.sweeps",
         "infer.points",
         "registry.fits",
