@@ -110,7 +110,7 @@ pub mod telemetry;
 pub use campaign::{AppEncoder, Campaign, CampaignConfig, Encoder, PlainEncoder};
 pub use explorer::{ExploreError, Explorer, ExplorerConfig, Round, TrueError};
 pub use param::{Param, ParamKind, ParamValue};
-pub use registry::{FitOutcome, ModelKey, Registry, RegistryError, StudyFitSpec, SweepReport};
+pub use registry::{FitOutcome, ModelKey, Registry, RegistryError, StudyFitSpec};
 pub use serve::{install_signal_handlers, shutdown_signaled, ServeConfig, Server, ServerHandle};
 pub use simulate::{
     CachedEvaluator, Oracle, PointEvaluator, RetryPolicy, RetryingOracle, SimBudget, SimError,

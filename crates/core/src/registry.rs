@@ -52,9 +52,9 @@
 //! duplicate fits.
 //!
 //! Crashed writers leave torn temps that are inert by construction but
-//! accumulate forever. [`Registry::open`] sweeps them
-//! ([`Registry::sweep_debris`]), removing only files whose embedded
-//! writer pid is dead (live writers are never swept). The commit and
+//! accumulate forever. [`Registry::open`] sweeps them, removing only
+//! files whose embedded writer pid is dead (live writers are never
+//! swept). The commit and
 //! lease paths also carry [`crate::failpoint`] sites
 //! ([`FP_COMMIT_OBJECT`], [`FP_COMMIT_ENTRY`], [`FP_LEASE_ACQUIRE`]) so
 //! chaos schedules can inject I/O failures at the exact points the
@@ -297,14 +297,6 @@ fn key_lock(root: &Path, slug: &str) -> Arc<Mutex<()>> {
         .clone()
 }
 
-/// What [`Registry::sweep_debris`] removed: crash leftovers from dead
-/// writers, which would otherwise accumulate forever.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SweepReport {
-    /// Torn writer temps (`<name>.<pid>.<seq>.tmp` of dead writers).
-    pub temps: usize,
-}
-
 /// The writer pid of a [`persist`] temp named `<name>.<pid>.<seq>.tmp`,
 /// `None` for any other file.
 fn classify_debris(name: &str) -> Option<u32> {
@@ -370,16 +362,15 @@ impl Registry {
     /// Removes crash debris left by dead writers: torn
     /// `<name>.<pid>.<seq>.tmp` temps in `entries/` and `objects/`. A
     /// temp whose pid is still live is never touched (a live writer's
-    /// in-flight temp), and no other file is. Runs automatically on
-    /// [`Registry::open`]; exposed so harnesses can sweep and report
-    /// after a chaos run.
+    /// in-flight temp), and no other file is. Runs on [`Registry::open`].
+    /// Returns the number of temps removed.
     ///
     /// # Errors
     ///
     /// Never fails on individual files (they may vanish concurrently);
     /// errors only if a registry directory itself is unreadable.
-    pub fn sweep_debris(&self) -> std::io::Result<SweepReport> {
-        let mut report = SweepReport::default();
+    fn sweep_debris(&self) -> std::io::Result<usize> {
+        let mut removed = 0;
         for dir in ["entries", "objects"] {
             for item in std::fs::read_dir(self.root.join(dir))? {
                 let Ok(item) = item else { continue };
@@ -389,11 +380,11 @@ impl Registry {
                     continue;
                 };
                 if !process_alive(pid) && std::fs::remove_file(item.path()).is_ok() {
-                    report.temps += 1;
+                    removed += 1;
                 }
             }
         }
-        Ok(report)
+        Ok(removed)
     }
 
     /// The registry's root directory.
@@ -884,8 +875,7 @@ mod tests {
             std::fs::write(entries.join("other.json.tmp"), "foreign").unwrap();
             std::fs::write(leases.join("k.lock"), "").unwrap();
 
-            let report = registry.sweep_debris().unwrap();
-            assert_eq!(report, SweepReport { temps: 1 });
+            assert_eq!(registry.sweep_debris().unwrap(), 1);
             assert!(!entries.join("e.json.4000000.0.tmp").exists());
             assert!(entries.join(format!("f.json.{me}.0.tmp")).exists());
             assert!(entries.join("other.json.tmp").exists());
