@@ -5,7 +5,8 @@
 //! it in the middle of a fit, then proves the stack healed:
 //!
 //! * every request was answered or cleanly shed (clients retry to
-//!   completion; none time out), and injected faults did answer some;
+//!   completion; none time out), injected handler faults did answer
+//!   some, and each registry and persist site failed at least one fit;
 //! * a SIGTERM'd daemon always drains and exits 0, a SIGKILL'd one never
 //!   does;
 //! * a fit killed before its commit is fitted again by the restarted
@@ -120,13 +121,23 @@ impl SpecRef {
     }
 }
 
+/// The sites whose injected errors a retried reply can name, in the
+/// order [`Counters::injected`] counts them. The handler site answers any
+/// request; the other three answer fits.
+const FAULT_SITES: [&str; 4] = [
+    FP_HANDLER,
+    FP_COMMIT_OBJECT,
+    FP_WRITE_ATOMIC,
+    FP_COMMIT_ENTRY,
+];
+
 /// Client outcomes over the run, warm-up included: the evidence that
 /// every request was answered or shed.
 struct Counters {
     ok: Counter,
     retried: Counter,
-    /// Retried requests that the handler failpoint answered.
-    injected: Counter,
+    /// Retried requests that each of [`FAULT_SITES`] answered.
+    injected: [Counter; 4],
     shed: Counter,
     refits: Counter,
 }
@@ -136,7 +147,7 @@ impl Default for Counters {
         Self {
             ok: Counter::new("chaos.ok"),
             retried: Counter::new("chaos.retried"),
-            injected: Counter::new("chaos.injected"),
+            injected: FAULT_SITES.map(Counter::new),
             shed: Counter::new("chaos.shed"),
             refits: Counter::new("chaos.refits"),
         }
@@ -183,18 +194,35 @@ fn schedule() -> Vec<(Disruption, Duration)> {
 /// draws its own failpoint schedule: a site's hits count from 1 in every
 /// process, so one plan shared by all of them would replay the same
 /// first fires in each and never reach a later one.
+///
+/// Later incarnations make a fit or two each, too few hits for a
+/// registry or persist site to fire at a low probability, so the first
+/// incarnation fires each of them at its first hit instead. Its first
+/// warm-up fit then fails three times before it commits: at the object
+/// commit, at the object write (torn, leaving a half-written temp), and
+/// at the entry commit.
 fn spawn_incarnation(root: &Path, incarnation: u64) -> Daemon {
     let site = |action, probability, max_fires| SiteSpec {
         action,
         probability,
         max_fires,
     };
+    let commit_site = |action, probability, max_fires| match incarnation {
+        0 => SiteSpec::once(action),
+        _ => site(action, probability, max_fires),
+    };
     let plan = render_plan(
         Xoshiro256::seed_from(SEED).derive(incarnation).next_u64(),
         &[
-            (FP_WRITE_ATOMIC, site(FailAction::Torn, 0.05, None)),
-            (FP_COMMIT_OBJECT, site(FailAction::Error, 0.10, Some(4))),
-            (FP_COMMIT_ENTRY, site(FailAction::Error, 0.10, Some(4))),
+            (FP_WRITE_ATOMIC, commit_site(FailAction::Torn, 0.05, None)),
+            (
+                FP_COMMIT_OBJECT,
+                commit_site(FailAction::Error, 0.10, Some(4)),
+            ),
+            (
+                FP_COMMIT_ENTRY,
+                commit_site(FailAction::Error, 0.10, Some(4)),
+            ),
             (FP_HANDLER, site(FailAction::Error, 0.02, None)),
         ],
     );
@@ -253,7 +281,10 @@ fn daemon_heals_from_faults_and_kills_with_identical_artifacts() {
     for spec_ref in &served {
         fit_until_ok(&addr, spec_ref, &counters);
     }
-    let injected_in_warm_up = counters.injected.get();
+    let torn = remaining_debris(&registry_root);
+    assert_eq!(torn.len(), 1, "the torn write left {torn:?}");
+    let handler_faults = &counters.injected[0];
+    let injected_in_warm_up = handler_faults.get();
 
     // ---- Disruption rounds.
     let mut killed_refs = killed.iter();
@@ -315,11 +346,17 @@ fn daemon_heals_from_faults_and_kills_with_identical_artifacts() {
         wait_ready(addr.get(), READY_LIMIT)
             .unwrap_or_else(|e| panic!("round {round}: daemon not ready after the round: {e}"));
     }
-    let injected_in_rounds = counters.injected.get() - injected_in_warm_up;
+    let injected_in_rounds = handler_faults.get() - injected_in_warm_up;
     assert!(
         injected_in_rounds > 0,
         "no request in the rounds was answered by an injected fault"
     );
+    for (site, fits) in FAULT_SITES.iter().zip(&counters.injected).skip(1) {
+        assert!(
+            fits.get() > 0,
+            "no fit was answered by an injected `{site}` fault"
+        );
+    }
     assert!(
         cold_refits_after_kill > 0,
         "no fit killed before its commit was fitted again after the restart"
@@ -375,14 +412,20 @@ fn daemon_heals_from_faults_and_kills_with_identical_artifacts() {
     let exit = clean.exit_within(DRAIN_LIMIT);
     assert!(exit.success(), "clean daemon exited {exit}");
 
+    let answered_by: Vec<String> = FAULT_SITES
+        .iter()
+        .zip(&counters.injected)
+        .map(|(site, count)| format!("{site} {}", count.get()))
+        .collect();
     eprintln!(
         "chaos: {ROUNDS} rounds over {} daemons; {} requests answered, {} retried ({} injected \
-         in the rounds), {} shed, {} refits, {cold_refits_after_kill} killed fits refitted, \
-         {swept} torn temps swept on reopen",
+         in the rounds; answered by {}), {} shed, {} refits, {cold_refits_after_kill} killed \
+         fits refitted, {swept} torn temps swept on the final reopen",
         incarnation + 1,
         counters.ok.get(),
         counters.retried.get(),
         injected_in_rounds,
+        answered_by.join(", "),
         counters.shed.get(),
         counters.refits.get(),
     );
@@ -435,8 +478,10 @@ fn post_until_answered(
             Ok((503, _)) => counters.shed.incr(),
             Ok((_, reply)) => {
                 let error = reply.get("error").and_then(|e| e.as_str()).unwrap_or("");
-                if error.contains(&format!("`{FP_HANDLER}`")) {
-                    counters.injected.incr();
+                for (site, count) in FAULT_SITES.iter().zip(&counters.injected) {
+                    if error.contains(&format!("`{site}`")) {
+                        count.incr();
+                    }
                 }
                 counters.retried.incr();
             }
