@@ -401,9 +401,11 @@ fn disarmed_and_armed<T>(
 
 /// With the JSONL trace sink armed, eight one-thread sweeps of 8 192
 /// points and one cached batch of 48 × 3 simulations each run less than
-/// 2 % slower than disarmed, best of 5; predictions and simulation
+/// 2 % slower than disarmed, best of 15; predictions and simulation
 /// results are bit-identical either way, and the armed runs write at
-/// least one span event per sweep.
+/// least one span event per sweep. Best of 5 spread about as wide as the
+/// bound and failed about one run in ten with no change to the traced
+/// code; the extra repeats narrow the best-of toward each side's floor.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -412,7 +414,7 @@ fn disarmed_and_armed<T>(
 fn armed_tracing_slows_the_hot_paths_by_under_two_percent() {
     const POINTS: usize = 8_192;
     const SWEEPS: usize = 8;
-    const REPEATS: usize = 5;
+    const REPEATS: usize = 15;
     const MAX_OVERHEAD_PCT: f64 = 2.0;
     let _gate = gate();
     let trace = std::env::temp_dir().join(format!(
