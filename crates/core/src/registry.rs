@@ -54,9 +54,8 @@
 //! Crashed writers leave torn temps that are inert by construction but
 //! accumulate forever. [`Registry::open`] sweeps them, removing only
 //! files whose embedded writer pid is dead (live writers are never
-//! swept). The commit and
-//! lease paths also carry [`crate::failpoint`] sites
-//! ([`FP_COMMIT_OBJECT`], [`FP_COMMIT_ENTRY`], [`FP_LEASE_ACQUIRE`]) so
+//! swept). The commit and lease paths also carry [`crate::failpoint`]
+//! sites ([`FP_COMMIT_OBJECT`], [`FP_COMMIT_ENTRY`], [`FP_LEASE_ACQUIRE`]) so
 //! chaos schedules can inject I/O failures at the exact points the
 //! crash-safety argument hinges on.
 
