@@ -4,6 +4,7 @@
 //! their predictions — "an approach frequently used in weather forecasting"
 //! that usually beats a single network trained on all the data.
 
+use crate::network::{transpose_into, BLOCK_POINTS};
 use crate::train::{PredictBuffer, TrainedModel};
 use archpredict_stats::describe::Accumulator;
 use archpredict_stats::json::{JsonError, Value};
@@ -146,17 +147,48 @@ impl Ensemble {
 
     /// Predicts raw-scale targets for a row-major matrix of raw feature
     /// rows (each [`Ensemble::input_dims`] wide), appending one averaged
-    /// prediction per row to `out`. The loop runs member-outer so each
-    /// model's weights stay hot across the whole chunk, and every member
-    /// pushes the chunk through its blocked matrix-matrix kernel
-    /// ([`TrainedModel::predict_batch_into`]); per-row sums still
-    /// accumulate in member order, so results are bit-for-bit identical to
-    /// per-row [`Ensemble::predict`].
+    /// prediction per row to `out`.
+    ///
+    /// Rows go in blocks of at most [`BLOCK_POINTS`] points. Each block is
+    /// transposed once into `buf`, feature-major; every member then scales
+    /// that shared block into its network scratch and runs its layers on
+    /// it, member-outer so each model's weights stay hot across the block.
+    /// Per-row sums still accumulate in member order, so results are
+    /// bit-for-bit identical to per-row [`Ensemble::predict`].
     ///
     /// # Panics
     ///
     /// Panics if `rows.len()` is not a multiple of the input width.
     pub fn predict_batch_into(&self, rows: &[f64], out: &mut Vec<f64>, buf: &mut PredictBuffer) {
+        let dims = self.batch_width(rows);
+        let start = out.len();
+        out.resize(start + rows.len() / dims, 0.0);
+        let PredictBuffer { scratch, block, .. } = buf;
+        for (chunk, sums) in rows
+            .chunks(BLOCK_POINTS * dims)
+            .zip(out[start..].chunks_mut(BLOCK_POINTS))
+        {
+            let n = sums.len();
+            block.resize(chunk.len(), 0.0);
+            transpose_into(chunk, dims, block);
+            for model in &self.models {
+                for (slot, y) in sums.iter_mut().zip(model.predict_block(block, n, scratch)) {
+                    *slot += y;
+                }
+            }
+        }
+        let n = self.models.len() as f64;
+        for slot in &mut out[start..] {
+            *slot /= n;
+        }
+    }
+
+    /// The feature width of a batch of raw rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len()` is not a multiple of the input width.
+    fn batch_width(&self, rows: &[f64]) -> usize {
         let dims = self.input_dims();
         assert_eq!(
             rows.len() % dims,
@@ -164,21 +196,7 @@ impl Ensemble {
             "batch length {} is not a multiple of the feature width {dims}",
             rows.len()
         );
-        let start = out.len();
-        out.resize(start + rows.len() / dims, 0.0);
-        let mut member = std::mem::take(&mut buf.member);
-        for model in &self.models {
-            member.clear();
-            model.predict_batch_into(rows, &mut member, buf);
-            for (slot, &y) in out[start..].iter_mut().zip(&member) {
-                *slot += y;
-            }
-        }
-        buf.member = member;
-        let n = self.models.len() as f64;
-        for slot in &mut out[start..] {
-            *slot /= n;
-        }
+        dims
     }
 
     /// Ensemble average through each member's textbook per-output forward
@@ -240,11 +258,12 @@ impl Ensemble {
     /// appending one score per row to `out` — the batched counterpart of
     /// [`Ensemble::disagreement_with`], bit for bit.
     ///
-    /// Runs member-outer: each member predicts the whole chunk through its
-    /// blocked kernel, and the predictions fold into per-row Welford
-    /// states (running mean and M2, updated elementwise in member order —
-    /// the exact `Accumulator::add` recurrence), so the kernel's batch
-    /// throughput carries over to query-by-committee scoring.
+    /// Blocks run as in [`Ensemble::predict_batch_into`]: one transpose
+    /// per block, then each member predicts the whole block, and the
+    /// predictions fold into per-row Welford states (running mean and M2,
+    /// updated elementwise in member order — the exact `Accumulator::add`
+    /// recurrence), so the kernel's batch throughput carries over to
+    /// query-by-committee scoring.
     ///
     /// # Panics
     ///
@@ -255,43 +274,42 @@ impl Ensemble {
         out: &mut Vec<f64>,
         buf: &mut PredictBuffer,
     ) {
-        let dims = self.input_dims();
-        assert_eq!(
-            rows.len() % dims,
-            0,
-            "batch length {} is not a multiple of the feature width {dims}",
-            rows.len()
-        );
-        let n_rows = rows.len() / dims;
-        let mut member = std::mem::take(&mut buf.member);
-        let mut mean = std::mem::take(&mut buf.mean);
-        let mut m2 = std::mem::take(&mut buf.m2);
-        mean.clear();
-        mean.resize(n_rows, 0.0);
-        m2.clear();
-        m2.resize(n_rows, 0.0);
-        for (k, model) in self.models.iter().enumerate() {
-            member.clear();
-            model.predict_batch_into(rows, &mut member, buf);
-            let count = (k + 1) as f64;
-            for ((m, s), &x) in mean.iter_mut().zip(&mut m2).zip(&member) {
-                let delta = x - *m;
-                *m += delta / count;
-                *s += delta * (x - *m);
+        let dims = self.batch_width(rows);
+        out.reserve(rows.len() / dims);
+        let PredictBuffer {
+            scratch,
+            block,
+            mean,
+            m2,
+            ..
+        } = buf;
+        for chunk in rows.chunks(BLOCK_POINTS * dims) {
+            let n = chunk.len() / dims;
+            block.resize(chunk.len(), 0.0);
+            transpose_into(chunk, dims, block);
+            mean.clear();
+            mean.resize(n, 0.0);
+            m2.clear();
+            m2.resize(n, 0.0);
+            for (k, model) in self.models.iter().enumerate() {
+                let count = (k + 1) as f64;
+                let predictions = model.predict_block(block, n, scratch);
+                for ((m, s), x) in mean.iter_mut().zip(m2.iter_mut()).zip(predictions) {
+                    let delta = x - *m;
+                    *m += delta / count;
+                    *s += delta * (x - *m);
+                }
+            }
+            // Sample standard deviation, matching
+            // `Accumulator::sample_std_dev` (0.0 for fewer than two
+            // members).
+            if self.models.len() < 2 {
+                out.resize(out.len() + n, 0.0);
+            } else {
+                let denom = (self.models.len() - 1) as f64;
+                out.extend(m2.iter().map(|&s| (s / denom).sqrt()));
             }
         }
-        // Sample standard deviation, matching `Accumulator::sample_std_dev`
-        // (0.0 for fewer than two members).
-        out.reserve(n_rows);
-        if self.models.len() < 2 {
-            out.resize(out.len() + n_rows, 0.0);
-        } else {
-            let denom = (self.models.len() - 1) as f64;
-            out.extend(m2.iter().map(|&s| (s / denom).sqrt()));
-        }
-        buf.member = member;
-        buf.mean = mean;
-        buf.m2 = m2;
     }
 
     /// Serializes the ensemble with a versioned header carrying

@@ -47,7 +47,7 @@ pub mod train;
 pub use cross_validation::{fit_ensemble, CvFit, ErrorEstimate, FoldRecord};
 pub use dataset::{Dataset, Sample};
 pub use ensemble::{Ensemble, ModelHeader, MODEL_FORMAT_VERSION};
-pub use network::{Network, NetworkSnapshot, PredictScratch};
+pub use network::{Network, NetworkSnapshot, PredictScratch, BLOCK_POINTS};
 pub use train::{
     train_multi_network, MultiTrainedModel, Parallelism, PredictBuffer, TrainConfig, TrainedModel,
 };

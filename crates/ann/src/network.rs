@@ -36,18 +36,33 @@ const LANES: usize = 8;
 /// Tuning constant only — per-unit summation order is unchanged.
 const UNIT_TILE: usize = 4;
 
-/// Points per internal block of [`Network::predict_batch`]. Matches the
-/// 256-point chunks `core::infer` hands the ensemble, and bounds the
-/// activation-matrix scratch at `2 * max_width * BLOCK_POINTS` floats per
-/// worker regardless of sweep size.
-const BLOCK_POINTS: usize = 256;
+/// Points per block of the batched forward pass: [`Network::predict_batch`]
+/// and the ensemble's batch paths run at most this many points through
+/// `Network::forward_block` at a time, and `core::infer` encodes its
+/// sweeps in chunks of this size, so each chunk is one block. It bounds a
+/// worker's activation-matrix scratch at `2 * max_width * BLOCK_POINTS`
+/// floats regardless of sweep size.
+pub const BLOCK_POINTS: usize = 256;
 
-/// Transposes a row-major matrix of `cols` columns.
-fn transpose(matrix: &[f64], cols: usize) -> Vec<f64> {
-    let mut out = Vec::with_capacity(matrix.len());
-    for c in 0..cols {
-        out.extend(matrix[c..].iter().step_by(cols));
+/// Transposes a row-major matrix of `cols` columns into `out`, which must
+/// have the same length: `out[c * rows + r] = matrix[r * cols + c]`.
+pub(crate) fn transpose_into(matrix: &[f64], cols: usize, out: &mut [f64]) {
+    assert_eq!(matrix.len(), out.len(), "transpose size");
+    if matrix.is_empty() {
+        return;
     }
+    let rows = matrix.len() / cols;
+    for (c, column) in out.chunks_exact_mut(rows).enumerate() {
+        for (dst, src) in column.iter_mut().zip(matrix[c..].iter().step_by(cols)) {
+            *dst = *src;
+        }
+    }
+}
+
+/// Transposes a row-major matrix of `cols` columns into a new vector.
+fn transpose(matrix: &[f64], cols: usize) -> Vec<f64> {
+    let mut out = vec![0.0; matrix.len()];
+    transpose_into(matrix, cols, &mut out);
     out
 }
 
@@ -197,7 +212,7 @@ impl Layer {
     /// holds `inputs` rows of `n` points each (`input_t[i * n + p]` is
     /// feature `i` of point `p`), `out_t` receives `outputs` rows in the
     /// same layout. This is the matrix-matrix kernel behind
-    /// [`Network::predict_batch`].
+    /// [`Network::forward_block`].
     ///
     /// Net inputs are accumulated in register tiles of [`UNIT_TILE`]
     /// output units × [`LANES`] lanes: the tile keeps one row of eight
@@ -299,17 +314,22 @@ impl Layer {
 
 /// Caller-owned scratch for allocation-free forward passes.
 ///
-/// Two flat buffers, ping-ponged between layers. Single-point passes
-/// ([`Network::predict_into`]) use them as activation vectors of the
-/// widest layer; batched passes ([`Network::predict_batch`]) use them as
-/// whole feature-major activation *matrices* of up to
+/// Two flat buffers, ping-ponged between layers, and a block's input
+/// matrix. Single-point passes ([`Network::predict_into`]) use the pair
+/// as activation vectors of the widest layer. Block passes
+/// (`Network::forward_block`) read the feature-major input matrix that
+/// `Network::block_input` sized and the caller filled, and use the pair
+/// as whole feature-major activation *matrices* of up to
 /// `max_width * BLOCK_POINTS` floats, ping-ponging one full layer of the
-/// block at a time. A scratch grows to the largest use it has seen and is
-/// reused verbatim afterwards, so a long prediction sweep allocates
-/// exactly once per worker. One scratch may be shared across networks of
-/// different topologies (it re-sizes as needed).
+/// block at a time. The input matrix is never written by the layers, so
+/// a block can be run again without refilling it. A scratch grows to the
+/// largest use it has seen and is reused verbatim afterwards, so a long
+/// prediction sweep allocates exactly once per worker. One scratch may be
+/// shared across networks of different topologies (it re-sizes as
+/// needed).
 #[derive(Debug, Clone, Default)]
 pub struct PredictScratch {
+    input: Vec<f64>,
     a: Vec<f64>,
     b: Vec<f64>,
 }
@@ -479,7 +499,7 @@ impl Network {
         scratch.a.resize(width, 0.0);
         scratch.b.resize(width, 0.0);
         scratch.a[..input.len()].copy_from_slice(input);
-        let PredictScratch { a, b } = scratch;
+        let PredictScratch { a, b, .. } = scratch;
         let (mut current, mut next) = (a, b);
         let mut len = input.len();
         for layer in &self.layers {
@@ -490,23 +510,70 @@ impl Network {
         &current[..len]
     }
 
+    /// Sizes `scratch`'s block input matrix for `n` points and returns it
+    /// for the caller to fill **feature-major**: `inputs()` rows of `n`
+    /// values, feature `i` of point `p` at `[i * n + p]`.
+    /// [`Self::forward_block`] then runs the block.
+    pub(crate) fn block_input<'s>(
+        &self,
+        n: usize,
+        scratch: &'s mut PredictScratch,
+    ) -> &'s mut [f64] {
+        scratch.input.resize(self.inputs() * n, 0.0);
+        &mut scratch.input
+    }
+
+    /// Runs the block of `n` points whose feature-major input matrix
+    /// `scratch` holds (see [`Self::block_input`]) through every layer and
+    /// returns the output matrix, feature-major: `outputs()` rows of `n`
+    /// values. This is the one batched forward pass; every batch path
+    /// (prediction sweeps, ensemble scoring, early-stopping evaluation)
+    /// runs through it.
+    ///
+    /// Whole activation matrices ping-pong between the layers'
+    /// register-tiled kernels (`Layer::forward_batch_t`). The lane
+    /// dimension of the tiles is the *batch* dimension: each point keeps
+    /// its own accumulator chain in the scalar path's exact summation
+    /// order, which is what makes the block bit-for-bit identical to
+    /// [`Self::predict_into`] per point, at any `n`, while the chains
+    /// vectorize. The input matrix is left as it was, so the same block
+    /// can be run again (the early-stopping set is, every epoch).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input matrix does not hold `inputs() * n` values.
+    pub(crate) fn forward_block<'s>(&self, n: usize, scratch: &'s mut PredictScratch) -> &'s [f64] {
+        let PredictScratch { input, a, b } = scratch;
+        assert_eq!(input.len(), self.inputs() * n, "block input matrix size");
+        let elems = self.max_width() * n;
+        if a.len() < elems {
+            a.resize(elems, 0.0);
+        }
+        if b.len() < elems {
+            b.resize(elems, 0.0);
+        }
+        let (first, rest) = self.layers.split_first().expect("nonempty");
+        first.forward_batch_t(input, &mut a[..first.outputs * n], n);
+        let (mut cur, mut next) = (a, b);
+        let mut width = first.outputs;
+        for layer in rest {
+            layer.forward_batch_t(&cur[..width * n], &mut next[..layer.outputs * n], n);
+            width = layer.outputs;
+            std::mem::swap(&mut cur, &mut next);
+        }
+        &cur[..width * n]
+    }
+
     /// Runs the network forward over a row-major feature matrix
     /// (`rows.len() / inputs()` rows, each `inputs()` wide), appending each
     /// row's output activations to `outputs`. Equivalent to calling
     /// [`Self::predict`] per row, bit for bit, without the per-call
-    /// allocations — and, unlike the per-row path, through a blocked
-    /// matrix-matrix kernel.
+    /// allocations.
     ///
-    /// Rows are processed in blocks of at most `BLOCK_POINTS` points. Each
-    /// block is transposed once into the scratch as a feature-major
-    /// activation matrix, whole activation matrices are then ping-ponged
-    /// between the layers' register-tiled kernels
-    /// (`Layer::forward_batch_t`), and the final layer's matrix is
-    /// transposed back into row-major order on append. The lane dimension
-    /// of the tiles is the *batch* dimension: each point keeps its own
-    /// accumulator chain in the scalar path's exact summation order, which
-    /// is what makes the blocked kernel bit-for-bit identical to
-    /// [`Self::predict_into`] while the chains vectorize.
+    /// Rows go in blocks of at most [`BLOCK_POINTS`] points: each block is
+    /// transposed into the scratch's input matrix, run through
+    /// `Network::forward_block`, and its output matrix is transposed back
+    /// into row-major order on append.
     ///
     /// # Panics
     ///
@@ -524,46 +591,14 @@ impl Network {
             "batch length {} is not a multiple of the input width {dims}",
             rows.len()
         );
-        let total = rows.len() / dims;
-        if total == 0 {
-            return;
-        }
-        outputs.reserve(total * self.outputs());
-        let block = total.min(BLOCK_POINTS);
-        let elems = self.max_width() * block;
-        if scratch.a.len() < elems {
-            scratch.a.resize(elems, 0.0);
-        }
-        if scratch.b.len() < elems {
-            scratch.b.resize(elems, 0.0);
-        }
-        for chunk in rows.chunks(block * dims) {
+        outputs.reserve(rows.len() / dims * self.outputs());
+        for chunk in rows.chunks(BLOCK_POINTS * dims) {
             let n = chunk.len() / dims;
-            let PredictScratch { a, b } = scratch;
-            // Transpose the block once: feature-major, one row per input.
-            for (i, row) in a.chunks_exact_mut(n).take(dims).enumerate() {
-                for (dst, src) in row.iter_mut().zip(chunk[i..].iter().step_by(dims)) {
-                    *dst = *src;
-                }
-            }
-            let (mut cur, mut next) = (a, b);
-            let mut width = dims;
-            for layer in &self.layers {
-                layer.forward_batch_t(&cur[..width * n], &mut next[..layer.outputs * n], n);
-                width = layer.outputs;
-                std::mem::swap(&mut cur, &mut next);
-            }
-            // Transpose the output matrix back to row-major on append. A
-            // single output unit (the common regression head) is already
-            // row-major: one contiguous copy.
-            let out_t = &cur[..width * n];
-            if width == 1 {
-                outputs.extend_from_slice(out_t);
-            } else {
-                for p in 0..n {
-                    outputs.extend(out_t.iter().skip(p).step_by(n));
-                }
-            }
+            transpose_into(chunk, dims, self.block_input(n, scratch));
+            let out_t = self.forward_block(n, scratch);
+            let start = outputs.len();
+            outputs.resize(start + out_t.len(), 0.0);
+            transpose_into(out_t, n, &mut outputs[start..]);
         }
     }
 
@@ -586,7 +621,7 @@ impl Network {
         scratch.a.resize(width, 0.0);
         scratch.b.resize(width, 0.0);
         scratch.a[..input.len()].copy_from_slice(input);
-        let PredictScratch { a, b } = scratch;
+        let PredictScratch { a, b, .. } = scratch;
         let (mut current, mut next) = (a, b);
         let mut len = input.len();
         for layer in &self.layers {

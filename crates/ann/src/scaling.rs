@@ -101,18 +101,52 @@ impl MinMaxScaler {
         out.extend(
             row.iter()
                 .zip(self.mins.iter().zip(&self.maxs))
-                .map(|(&x, (&lo, &hi))| {
-                    // Degenerate (constant, non-finite, or never-fitted) ranges
-                    // map to the interval midpoint instead of producing NaN/Inf
-                    // that would poison every downstream weight.
-                    if lo.is_finite() && hi.is_finite() && hi > lo {
-                        (x - lo) / (hi - lo)
-                    } else {
-                        0.5
-                    }
+                .map(|(&x, (&lo, &hi))| match range(lo, hi) {
+                    Some(range) => (x - lo) / range,
+                    None => 0.5,
                 }),
         );
     }
+
+    /// Scales a **feature-major** block of `n` points: `raw_t` holds
+    /// `dims()` rows of `n` raw values (feature `i` of point `p` at
+    /// `[i * n + p]`) and `out_t` receives the scaled rows in the same
+    /// layout. One contiguous pass per feature, with the degenerate-range
+    /// test made once per feature instead of once per value; per element
+    /// bit-for-bit [`MinMaxScaler::transform`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both matrices hold `dims() * n` values.
+    pub(crate) fn transform_block(&self, raw_t: &[f64], n: usize, out_t: &mut [f64]) {
+        assert_eq!(raw_t.len(), self.dims() * n, "block size");
+        assert_eq!(out_t.len(), raw_t.len(), "block size");
+        if n == 0 {
+            return;
+        }
+        for ((src, dst), (&lo, &hi)) in raw_t
+            .chunks_exact(n)
+            .zip(out_t.chunks_exact_mut(n))
+            .zip(self.mins.iter().zip(&self.maxs))
+        {
+            match range(lo, hi) {
+                Some(range) => {
+                    for (d, &x) in dst.iter_mut().zip(src) {
+                        *d = (x - lo) / range;
+                    }
+                }
+                None => dst.fill(0.5),
+            }
+        }
+    }
+}
+
+/// The width `hi - lo` of a usable feature range, or `None` for a
+/// degenerate (constant, non-finite, or never-fitted) one, which the
+/// transforms map to the interval midpoint instead of producing NaN/Inf
+/// that would poison every downstream weight.
+fn range(lo: f64, hi: f64) -> Option<f64> {
+    (lo.is_finite() && hi.is_finite() && hi > lo).then_some(hi - lo)
 }
 
 /// Minimax scaler for a scalar target.

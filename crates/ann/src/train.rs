@@ -8,7 +8,7 @@
 //! percentage error on a held-aside set and restores the best weights.
 
 use crate::dataset::Sample;
-use crate::network::{Network, NetworkSnapshot, PredictScratch};
+use crate::network::{transpose_into, Network, NetworkSnapshot, PredictScratch};
 use crate::scaling::{MinMaxScaler, TargetScaler};
 use archpredict_stats::json::{JsonError, Value};
 use archpredict_stats::rng::Xoshiro256;
@@ -176,19 +176,19 @@ pub struct TrainedModel {
 }
 
 /// Caller-owned scratch for allocation-free model and ensemble inference:
-/// a buffer for scaled input rows (one row or a whole chunk matrix), the
-/// network's ping-pong scratch, and the batch kernels' staging buffers.
-/// One buffer per worker thread is the intended usage; it may be shared
-/// across models of different widths (it re-sizes as needed).
+/// a buffer for one scaled input row, the network's scratch (whose input
+/// matrix each member of a batch scales its block into), the ensemble's
+/// shared feature-major block of raw features, and the batched committee
+/// disagreement's running sums. One buffer per worker thread is the
+/// intended usage; it may be shared across models of different widths (it
+/// re-sizes as needed).
 #[derive(Debug, Clone, Default)]
 pub struct PredictBuffer {
     scaled: Vec<f64>,
-    scratch: PredictScratch,
-    /// Normalized network outputs for one batch, before target unscaling.
-    values: Vec<f64>,
-    /// One member model's raw-scale chunk predictions (ensemble batch
-    /// paths accumulate member-outer over this).
-    pub(crate) member: Vec<f64>,
+    pub(crate) scratch: PredictScratch,
+    /// One block of raw feature rows, transposed feature-major once and
+    /// read by every member of an ensemble.
+    pub(crate) block: Vec<f64>,
     /// Per-row Welford running means for batched committee disagreement.
     pub(crate) mean: Vec<f64>,
     /// Per-row Welford running sums of squared deviations.
@@ -200,7 +200,8 @@ impl TrainedModel {
     ///
     /// Convenience wrapper over [`TrainedModel::predict_with`] that pays
     /// one scratch allocation per call; sweeps should hold a
-    /// [`PredictBuffer`] and use `predict_with` / `predict_batch_into`.
+    /// [`PredictBuffer`] and use `predict_with` or the ensemble's batch
+    /// paths.
     pub fn predict(&self, features: &[f64]) -> f64 {
         self.predict_with(features, &mut PredictBuffer::default())
     }
@@ -223,40 +224,25 @@ impl TrainedModel {
         self.input_scaler.dims()
     }
 
-    /// Predicts raw-scale targets for a row-major matrix of raw feature
-    /// rows (each [`TrainedModel::input_dims`] wide), appending one
-    /// prediction per row to `out`. Equivalent to per-row
-    /// [`TrainedModel::predict`], bit for bit — but the whole chunk is
-    /// scaled into one matrix and pushed through the blocked
-    /// [`Network::predict_batch`] kernel instead of row-at-a-time forward
-    /// passes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.len()` is not a multiple of the input width.
-    pub fn predict_batch_into(&self, rows: &[f64], out: &mut Vec<f64>, buf: &mut PredictBuffer) {
-        let dims = self.input_dims();
-        assert_eq!(
-            rows.len() % dims,
-            0,
-            "batch length {} is not a multiple of the feature width {dims}",
-            rows.len()
-        );
-        buf.scaled.clear();
-        for row in rows.chunks_exact(dims) {
-            self.input_scaler.transform_into(row, &mut buf.scaled);
-        }
-        buf.values.clear();
-        let PredictBuffer {
-            scaled,
-            scratch,
-            values,
-            ..
-        } = buf;
-        self.network.predict_batch(scaled, values, scratch);
-        assert_eq!(values.len(), rows.len() / dims, "one prediction per row");
-        out.reserve(values.len());
-        out.extend(values.iter().map(|&y| self.target_scaler.unscale(y)));
+    /// Predicts raw-scale targets for a block of `n` points whose raw
+    /// features arrive feature-major (`raw_t[i * n + p]` is feature `i` of
+    /// point `p`), yielding one prediction per point in point order. The
+    /// model scales each feature row straight into the network scratch's
+    /// input matrix and runs [`Network::forward_block`]; per point the
+    /// result is bit-for-bit [`TrainedModel::predict`].
+    pub(crate) fn predict_block<'s>(
+        &self,
+        raw_t: &[f64],
+        n: usize,
+        scratch: &'s mut PredictScratch,
+    ) -> impl Iterator<Item = f64> + 's {
+        self.input_scaler
+            .transform_block(raw_t, n, self.network.block_input(n, scratch));
+        let target = self.target_scaler;
+        self.network
+            .forward_block(n, scratch)
+            .iter()
+            .map(move |&y| target.unscale(y))
     }
 
     /// [`TrainedModel::predict_with`] through the textbook per-output
@@ -301,32 +287,28 @@ impl TrainedModel {
     }
 }
 
-/// Mean absolute percentage error (in percent) of one output head over a
-/// pre-scaled row-major feature matrix with raw-scale targets. The
-/// early-stopping loop calls this every epoch, so the scaler transform is
-/// hoisted to the caller (done once per training run) and the whole set
-/// runs through the blocked [`Network::predict_batch`] kernel on reusable
-/// buffers — zero allocations and no scalar forward passes per epoch.
-/// Bit-for-bit identical to per-row `predict_into` evaluation.
+/// Mean absolute percentage error (in percent) of one output head over
+/// the early-stopping block that `scratch` holds, against raw-scale
+/// `targets`. The early-stopping loop calls this every epoch, so the block
+/// is scaled and transposed once per training run and each epoch only runs
+/// [`Network::forward_block`] on it: zero allocations and no scalar
+/// forward passes per epoch. Bit-for-bit identical to per-row
+/// `predict_into` evaluation.
 fn percent_error(
     network: &Network,
     target_scaler: &TargetScaler,
     head: usize,
-    scaled_rows: &[f64],
     targets: &[f64],
     scratch: &mut PredictScratch,
-    values: &mut Vec<f64>,
 ) -> f64 {
-    values.clear();
-    network.predict_batch(scaled_rows, values, scratch);
-    let heads = network.outputs();
-    assert_eq!(values.len(), targets.len() * heads, "one row per target");
+    let n = targets.len();
+    let out_t = network.forward_block(n, scratch);
     let mut total = 0.0;
-    for (ys, &target) in values.chunks_exact(heads).zip(targets) {
-        let y = target_scaler.unscale(ys[head]);
+    for (&y, &target) in out_t[head * n..(head + 1) * n].iter().zip(targets) {
+        let y = target_scaler.unscale(y);
         total += 100.0 * (y - target).abs() / target.abs().max(1e-12);
     }
-    total / targets.len() as f64
+    total / n as f64
 }
 
 /// Trains one network on `train`, early-stopping on `es`, with scalers
@@ -579,17 +561,21 @@ pub fn train_multi_network(
     };
     let alias = WeightedAlias::new(&weights);
 
-    // The early-stopping set is evaluated every epoch: scale it once up
-    // front (the per-epoch loop then runs allocation-free on one scratch).
-    let mut es_inputs: Vec<f64> = Vec::with_capacity(es.len() * dims);
-    for (x, _) in es {
-        input_scaler.transform_into(x, &mut es_inputs);
-    }
-    let es_targets: Vec<f64> = es.iter().map(|(_, row)| row[primary]).collect();
-    let mut es_scratch = PredictScratch::default();
-    let mut es_values = Vec::with_capacity(es.len() * tasks);
-
     let mut network = Network::new(&layer_sizes(dims, config, tasks), rng);
+
+    // The early-stopping set is evaluated every epoch: transpose and scale
+    // it once, as one feature-major block in its own scratch, which every
+    // epoch's forward pass reads without refilling.
+    let es_rows: Vec<f64> = es.iter().flat_map(|(x, _)| x.iter().copied()).collect();
+    let mut es_raw_t = vec![0.0; es_rows.len()];
+    transpose_into(&es_rows, dims, &mut es_raw_t);
+    let mut es_scratch = PredictScratch::default();
+    input_scaler.transform_block(
+        &es_raw_t,
+        es.len(),
+        network.block_input(es.len(), &mut es_scratch),
+    );
+    let es_targets: Vec<f64> = es.iter().map(|(_, row)| row[primary]).collect();
     // Best-epoch bookkeeping: a weights/velocity-only snapshot overwritten
     // in place, instead of cloning the network (and its scratch and delta
     // buffers) on every improving epoch.
@@ -615,10 +601,8 @@ pub fn train_multi_network(
             &network,
             &target_scalers[primary],
             primary,
-            &es_inputs,
             &es_targets,
             &mut es_scratch,
-            &mut es_values,
         );
         if !es_error.is_finite() {
             // Exploding weights: further epochs only compound NaN/Inf.

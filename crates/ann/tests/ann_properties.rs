@@ -1,8 +1,10 @@
 //! Property tests for the neural-network stack.
 
-use archpredict_ann::dataset::fold_ranges;
+use archpredict_ann::dataset::{fold_ranges, Sample};
 use archpredict_ann::network::{Network, NetworkSnapshot, PredictScratch};
 use archpredict_ann::scaling::{MinMaxScaler, TargetScaler};
+use archpredict_ann::train::{train_network, TrainConfig, TrainedModel};
+use archpredict_ann::{Ensemble, PredictBuffer};
 use archpredict_stats::json::Value;
 use archpredict_stats::rng::Xoshiro256;
 use proptest::prelude::*;
@@ -39,6 +41,95 @@ fn trained(topology: &[usize], seed: u64, steps: usize) -> Network {
         net.train_example(&x, &t, 0.5, 0.5);
     }
     net
+}
+
+/// A member of `dims` inputs with hidden layers `hidden` (`hidden.1 == 0`
+/// is one hidden layer), trained for a few epochs on its own seeded data,
+/// so every member's input scaler has its own bounds. With
+/// `constant_feature`, that feature holds one value in every sample, so
+/// the scaler's range for it is degenerate and maps it to 0.5.
+fn member(
+    dims: usize,
+    hidden: (usize, usize),
+    seed: u64,
+    constant_feature: Option<usize>,
+) -> TrainedModel {
+    let mut rng = Xoshiro256::seed_from(seed);
+    let samples: Vec<Sample> = (0..24)
+        .map(|_| {
+            let mut x: Vec<f64> = (0..dims).map(|_| rng.next_f64()).collect();
+            if let Some(i) = constant_feature {
+                x[i] = 0.37;
+            }
+            // The noise term keeps the target range open when the one
+            // feature of a one-input member is the constant one.
+            let t = 0.4 + 0.3 * x[0] + 0.2 * x[dims - 1] * x[0] + 0.1 * rng.next_f64();
+            Sample::new(x, t)
+        })
+        .collect();
+    let refs: Vec<&Sample> = samples.iter().collect();
+    let (train, es) = refs.split_at(16);
+    let config = TrainConfig {
+        hidden_units: hidden.0,
+        second_hidden_units: hidden.1,
+        max_epochs: 4,
+        ..TrainConfig::default()
+    };
+    train_network(train, es, &config, &mut rng)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The ensemble's block paths are bit-for-bit per-row `predict` and
+    /// `disagreement` for 1–5 members of random topologies, one of which
+    /// saw a constant feature (its scaler's 0.5 branch), at row counts on
+    /// both sides of the 8-lane tile and the 256-point block, with one
+    /// buffer reused across every call. Both paths append, never clobber.
+    #[test]
+    fn ensemble_block_paths_match_per_row_bit_for_bit(
+        dims in 1usize..MAX_INPUTS + 1,
+        hidden in prop::collection::vec((1usize..12, 0usize..6), 1..6),
+        constant in 0usize..5 * MAX_INPUTS,
+        seed in 0u64..1000,
+    ) {
+        let constant_member = constant % hidden.len();
+        let models: Vec<TrainedModel> = hidden
+            .iter()
+            .enumerate()
+            .map(|(k, &h)| {
+                let feature = (k == constant_member).then_some(constant % dims);
+                member(dims, h, seed * 8 + k as u64, feature)
+            })
+            .collect();
+        let ensemble = Ensemble::new(models);
+        let mut buf = PredictBuffer::default();
+        let mut rng = Xoshiro256::seed_from(seed ^ 0xB10C);
+        for n_rows in [1, 7, 8, 255, 256, 257, 600] {
+            let rows: Vec<f64> = (0..n_rows * dims).map(|_| rng.range_f64(-1.5, 2.5)).collect();
+            let mut predictions = vec![f64::NAN];
+            ensemble.predict_batch_into(&rows, &mut predictions, &mut buf);
+            let mut scores = vec![f64::NAN];
+            ensemble.disagreement_batch_into(&rows, &mut scores, &mut buf);
+            prop_assert_eq!(predictions.len(), 1 + n_rows);
+            prop_assert_eq!(scores.len(), 1 + n_rows);
+            prop_assert!(predictions[0].is_nan() && scores[0].is_nan(), "append, not clobber");
+            for (p, row) in rows.chunks_exact(dims).enumerate() {
+                let (batch, single) = (predictions[1 + p], ensemble.predict(row));
+                prop_assert_eq!(
+                    batch.to_bits(),
+                    single.to_bits(),
+                    "prediction of row {} of {}: {} vs {}", p, n_rows, batch, single
+                );
+                let (batch, single) = (scores[1 + p], ensemble.disagreement(row));
+                prop_assert_eq!(
+                    batch.to_bits(),
+                    single.to_bits(),
+                    "disagreement of row {} of {}: {} vs {}", p, n_rows, batch, single
+                );
+            }
+        }
+    }
 }
 
 proptest! {

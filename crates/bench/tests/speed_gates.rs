@@ -126,9 +126,10 @@ fn duplicated_indices(space: &DesignSpace) -> Vec<usize> {
 }
 
 /// The one-thread batched sweep is at least 4× the point-at-a-time
-/// reference loop over 8 192 points, best of 2, and every faster path
+/// reference loop over 8 192 points, best of 10, and every faster path
 /// (per-point blocked kernel, batched sweep at each thread count) is
-/// bit-identical to it.
+/// bit-identical to it. At best of 2, host load that covered both
+/// ~7 ms batched runs once took it to 3.60× on a busy 2-vCPU host.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -136,7 +137,7 @@ fn duplicated_indices(space: &DesignSpace) -> Vec<usize> {
 )]
 fn batched_sweep_is_four_times_the_point_at_a_time_reference() {
     const POINTS: usize = 8_192;
-    const REPEATS: usize = 2;
+    const REPEATS: usize = 10;
     const MIN_SPEEDUP: f64 = 4.0;
     let _gate = gate();
     let space = Study::MemorySystem.space();

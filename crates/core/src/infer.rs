@@ -3,13 +3,14 @@
 //! The paper's payoff step is predicting the metric over the *entire*
 //! exponential design space from a model trained on 1–4 % of it. This
 //! module is the engine for that sweep: indices are encoded into row-major
-//! feature matrices chunk by chunk and pushed through the ensemble's
-//! blocked matrix-matrix batch kernels ([`Ensemble::predict_batch_into`],
-//! [`Ensemble::disagreement_batch_into`] for query-by-committee scores),
-//! with chunks fanned out across scoped worker threads per the existing
-//! [`Parallelism`] knob. The `CHUNK` size here is also the block size the
-//! network kernel tiles internally, so each chunk is transposed once and
-//! streamed straight through.
+//! feature matrices of [`BLOCK_POINTS`] points and pushed through the
+//! ensemble's blocked matrix-matrix batch kernels
+//! ([`Ensemble::predict_batch_into`], [`Ensemble::disagreement_batch_into`]
+//! for query-by-committee scores), with spans of chunks fanned out across
+//! scoped worker threads per the existing [`Parallelism`] knob. Each chunk
+//! is one block of the ensemble's kernel: it is transposed once, and every
+//! member scales that block into its own network scratch and runs its
+//! layers on it.
 //!
 //! # Determinism contract
 //!
@@ -22,11 +23,7 @@
 
 use crate::space::DesignSpace;
 use crate::telemetry;
-use archpredict_ann::{Ensemble, Parallelism, PredictBuffer};
-
-/// Points encoded and predicted per inner batch. Bounds each worker's
-/// feature-matrix buffer while amortizing the batch-call overhead.
-const CHUNK: usize = 256;
+use archpredict_ann::{Ensemble, Parallelism, PredictBuffer, BLOCK_POINTS};
 
 /// Predicts the metric at each design-point index, in input order.
 ///
@@ -124,7 +121,7 @@ where
     telemetry::INFER_SWEEPS.incr();
     telemetry::INFER_POINTS.add(indices.len() as u64);
     let mut out = vec![0.0; indices.len()];
-    let workers = parallelism.worker_count(indices.len().div_ceil(CHUNK));
+    let workers = parallelism.worker_count(indices.len().div_ceil(BLOCK_POINTS));
     if workers <= 1 {
         sweep_span(indices, &mut out, &encode, dims, &score);
     } else {
@@ -139,17 +136,21 @@ where
     out
 }
 
-/// One worker's contiguous span, processed in `CHUNK`-sized batches with
-/// buffers reused across the whole span.
+/// One worker's contiguous span, processed in [`BLOCK_POINTS`]-sized
+/// chunks with buffers reused across the whole span.
 fn sweep_span<E, F>(indices: &[usize], out: &mut [f64], encode: &E, dims: usize, score: &F)
 where
     E: Fn(usize, &mut Vec<f64>) + Sync,
     F: Fn(&[f64], &mut Vec<f64>, &mut PredictBuffer) + Sync,
 {
-    let mut rows: Vec<f64> = Vec::with_capacity(CHUNK.min(indices.len()) * dims);
-    let mut values: Vec<f64> = Vec::with_capacity(CHUNK.min(indices.len()));
+    let chunk = BLOCK_POINTS.min(indices.len());
+    let mut rows: Vec<f64> = Vec::with_capacity(chunk * dims);
+    let mut values: Vec<f64> = Vec::with_capacity(chunk);
     let mut buf = PredictBuffer::default();
-    for (index_chunk, out_chunk) in indices.chunks(CHUNK).zip(out.chunks_mut(CHUNK)) {
+    for (index_chunk, out_chunk) in indices
+        .chunks(BLOCK_POINTS)
+        .zip(out.chunks_mut(BLOCK_POINTS))
+    {
         rows.clear();
         for &i in index_chunk {
             encode(i, &mut rows);
