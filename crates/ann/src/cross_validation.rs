@@ -15,8 +15,9 @@
 
 use crate::dataset::{fold_ranges, Dataset, Sample};
 use crate::ensemble::Ensemble;
+use crate::network::{transpose, PredictScratch};
 use crate::train::{train_network, TrainConfig};
-use archpredict_stats::describe::Accumulator;
+use archpredict_stats::describe::{percent_error, Accumulator};
 use archpredict_stats::rng::Xoshiro256;
 
 /// Cross-validation estimate of model error over the full design space.
@@ -148,13 +149,19 @@ pub fn fit_ensemble(dataset: &Dataset, folds: usize, config: &TrainConfig, seed:
             fold_config.learning_rate *= REINIT_LR_DECAY;
             model = train_network(&train, &es, &fold_config, &mut model_rng);
         }
-        let mut buf = crate::train::PredictBuffer::default();
-        let errors: Vec<f64> = test
+        // The test fold is scored as one feature-major block.
+        let rows: Vec<f64> = test
             .iter()
-            .map(|s| {
-                let pred = model.predict_with(&s.features, &mut buf);
-                100.0 * (pred - s.target).abs() / s.target.abs().max(1e-12)
-            })
+            .flat_map(|s| s.features.iter().copied())
+            .collect();
+        let errors: Vec<f64> = model
+            .predict_block(
+                &transpose(&rows, model.input_dims()),
+                test.len(),
+                &mut PredictScratch::default(),
+            )
+            .zip(&test)
+            .map(|(predicted, s)| percent_error(predicted, s.target))
             .collect();
         let record = FoldRecord {
             fold: m,
@@ -249,8 +256,7 @@ mod tests {
         let test = dataset(400, 2);
         let mut acc = Accumulator::new();
         for s in test.iter() {
-            let pred = fit.ensemble.predict(&s.features);
-            acc.add(100.0 * (pred - s.target).abs() / s.target);
+            acc.add(percent_error(fit.ensemble.predict(&s.features), s.target));
         }
         let true_mean = acc.mean();
         let est = fit.estimate.mean;
@@ -285,7 +291,7 @@ mod tests {
         let test = dataset(300, 5);
         let mut acc = Accumulator::new();
         for s in test.iter() {
-            acc.add(100.0 * (fit.ensemble.predict(&s.features) - s.target).abs() / s.target);
+            acc.add(percent_error(fit.ensemble.predict(&s.features), s.target));
         }
         assert!(
             acc.mean() <= fit.estimate.mean * 1.25,

@@ -6,7 +6,6 @@
 
 use crate::network::{transpose_into, BLOCK_POINTS};
 use crate::train::{PredictBuffer, TrainedModel};
-use archpredict_stats::describe::Accumulator;
 use archpredict_stats::json::{JsonError, Value};
 
 /// Serialization format version stamped into every artifact header.
@@ -119,25 +118,29 @@ impl Ensemble {
         &self.models
     }
 
-    /// Predicts the raw-scale target by averaging member predictions.
+    /// Predicts the raw-scale target for one row of raw features by
+    /// averaging member predictions: the row runs as a one-point block of
+    /// [`Ensemble::predict_batch_into`] with a fresh buffer. Sweeps should
+    /// batch their rows instead.
     ///
-    /// Convenience wrapper over [`Ensemble::predict_with`] that pays one
-    /// scratch allocation per call; sweeps should hold a [`PredictBuffer`]
-    /// and use `predict_with` / [`Ensemble::predict_batch_into`].
+    /// # Panics
+    ///
+    /// Panics unless `features` is one row ([`Ensemble::input_dims`] wide).
     pub fn predict(&self, features: &[f64]) -> f64 {
-        self.predict_with(features, &mut PredictBuffer::default())
+        self.one_row(features, Self::predict_batch_into)
     }
 
-    /// Predicts the raw-scale target using caller-owned scratch — zero
-    /// allocations per call, bit-for-bit identical to
-    /// [`Ensemble::predict`].
-    pub fn predict_with(&self, features: &[f64], buf: &mut PredictBuffer) -> f64 {
-        let sum: f64 = self
-            .models
-            .iter()
-            .map(|m| m.predict_with(features, buf))
-            .sum();
-        sum / self.models.len() as f64
+    /// Runs one row of raw features through a batch path as a one-point
+    /// block.
+    fn one_row(
+        &self,
+        features: &[f64],
+        batch: fn(&Self, &[f64], &mut Vec<f64>, &mut PredictBuffer),
+    ) -> f64 {
+        assert_eq!(features.len(), self.input_dims(), "dimensionality mismatch");
+        let mut out = Vec::with_capacity(1);
+        batch(self, features, &mut out, &mut PredictBuffer::default());
+        out[0]
     }
 
     /// Width of the raw feature vectors the ensemble consumes.
@@ -154,7 +157,8 @@ impl Ensemble {
     /// that shared block into its network scratch and runs its layers on
     /// it, member-outer so each model's weights stay hot across the block.
     /// Per-row sums still accumulate in member order, so results are
-    /// bit-for-bit identical to per-row [`Ensemble::predict`].
+    /// bit-for-bit identical to the per-row naive reference
+    /// ([`Ensemble::predict_reference`]).
     ///
     /// # Panics
     ///
@@ -206,7 +210,8 @@ impl Ensemble {
     /// honest baseline that `crates/bench/tests/speed_gates.rs` times the
     /// batched sweep against. Its own speed depends on the weight layout,
     /// so the gate's ratio moves with layout changes too. Bit-for-bit
-    /// identical to [`Ensemble::predict`]. Not for production use.
+    /// identical to [`Ensemble::predict`], and the reference the block
+    /// paths are property-tested against. Not for production use.
     #[doc(hidden)]
     pub fn predict_reference(&self, features: &[f64]) -> f64 {
         let mut buf = PredictBuffer::default();
@@ -218,52 +223,37 @@ impl Ensemble {
         sum / self.models.len() as f64
     }
 
-    /// Per-member predictions, exposed for query-by-committee active
-    /// learning (disagreement = informativeness; paper §7 future work).
+    /// Per-member predictions for one row of raw features, in member
+    /// order (each member's [`TrainedModel::predict`]).
     pub fn member_predictions(&self, features: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.models.len());
-        self.member_predictions_into(features, &mut out, &mut PredictBuffer::default());
-        out
+        self.models.iter().map(|m| m.predict(features)).collect()
     }
 
-    /// Per-member predictions appended to `out`, allocation-free given a
-    /// warm [`PredictBuffer`].
-    pub fn member_predictions_into(
-        &self,
-        features: &[f64],
-        out: &mut Vec<f64>,
-        buf: &mut PredictBuffer,
-    ) {
-        out.extend(self.models.iter().map(|m| m.predict_with(features, buf)));
-    }
-
-    /// Sample standard deviation of member predictions — the committee
-    /// disagreement used by the active-learning extension.
+    /// Sample standard deviation of member predictions for one row of raw
+    /// features — the committee disagreement used by the active-learning
+    /// extension (disagreement = informativeness; paper §7 future work).
+    /// The row runs as a one-point block of
+    /// [`Ensemble::disagreement_batch_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `features` is one row ([`Ensemble::input_dims`] wide).
     pub fn disagreement(&self, features: &[f64]) -> f64 {
-        self.disagreement_with(features, &mut PredictBuffer::default())
-    }
-
-    /// Committee disagreement using caller-owned scratch: member
-    /// predictions fold straight into a Welford [`Accumulator`], so scoring
-    /// a candidate allocates nothing.
-    pub fn disagreement_with(&self, features: &[f64], buf: &mut PredictBuffer) -> f64 {
-        let mut acc = Accumulator::new();
-        for model in &self.models {
-            acc.add(model.predict_with(features, buf));
-        }
-        acc.sample_std_dev()
+        self.one_row(features, Self::disagreement_batch_into)
     }
 
     /// Committee disagreement for a row-major matrix of raw feature rows,
-    /// appending one score per row to `out` — the batched counterpart of
-    /// [`Ensemble::disagreement_with`], bit for bit.
+    /// appending one score per row to `out`.
     ///
     /// Blocks run as in [`Ensemble::predict_batch_into`]: one transpose
     /// per block, then each member predicts the whole block, and the
     /// predictions fold into per-row Welford states (running mean and M2,
-    /// updated elementwise in member order — the exact `Accumulator::add`
-    /// recurrence), so the kernel's batch throughput carries over to
-    /// query-by-committee scoring.
+    /// updated elementwise in member order — the exact
+    /// [`archpredict_stats::describe::Accumulator::add`] recurrence), so
+    /// each score is bit for bit the sample standard deviation of an
+    /// `Accumulator` fed each member's naive per-row prediction, and the
+    /// kernel's batch throughput carries over to query-by-committee
+    /// scoring.
     ///
     /// # Panics
     ///

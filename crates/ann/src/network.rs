@@ -60,7 +60,7 @@ pub(crate) fn transpose_into(matrix: &[f64], cols: usize, out: &mut [f64]) {
 }
 
 /// Transposes a row-major matrix of `cols` columns into a new vector.
-fn transpose(matrix: &[f64], cols: usize) -> Vec<f64> {
+pub(crate) fn transpose(matrix: &[f64], cols: usize) -> Vec<f64> {
     let mut out = vec![0.0; matrix.len()];
     transpose_into(matrix, cols, &mut out);
     out
@@ -159,9 +159,11 @@ impl Layer {
         self.weights[o..].iter().step_by(self.outputs)
     }
 
-    /// Forward pass into a caller-provided slice of exactly `outputs`
-    /// elements — no allocation, bit-for-bit the arithmetic of
-    /// [`Self::forward_naive_into`].
+    /// One example's forward pass for a training step
+    /// ([`Network::train_example`]) into a caller-provided slice of exactly
+    /// `outputs` elements — no allocation, bit-for-bit the arithmetic of
+    /// [`Self::forward_naive_into`]. Inference never comes here: it runs
+    /// blocks ([`Self::forward_batch_t`]).
     ///
     /// The net inputs start as a copy of the bias row, then each input
     /// adds its row times its activation: one contiguous multiply-add over
@@ -315,18 +317,18 @@ impl Layer {
 /// Caller-owned scratch for allocation-free forward passes.
 ///
 /// Two flat buffers, ping-ponged between layers, and a block's input
-/// matrix. Single-point passes ([`Network::predict_into`]) use the pair
-/// as activation vectors of the widest layer. Block passes
-/// (`Network::forward_block`) read the feature-major input matrix that
-/// `Network::block_input` sized and the caller filled, and use the pair
+/// matrix. The block pass (`Network::forward_block`, behind every
+/// prediction) reads the feature-major input matrix that
+/// `Network::block_input` sized and the caller filled, and uses the pair
 /// as whole feature-major activation *matrices* of up to
 /// `max_width * BLOCK_POINTS` floats, ping-ponging one full layer of the
 /// block at a time. The input matrix is never written by the layers, so
-/// a block can be run again without refilling it. A scratch grows to the
-/// largest use it has seen and is reused verbatim afterwards, so a long
-/// prediction sweep allocates exactly once per worker. One scratch may be
-/// shared across networks of different topologies (it re-sizes as
-/// needed).
+/// a block can be run again without refilling it. The naive reference
+/// ([`Network::predict_into_naive`]) uses the pair as activation vectors
+/// of the widest layer. A scratch grows to the largest use it has seen
+/// and is reused verbatim afterwards, so a long prediction sweep
+/// allocates exactly once per worker. One scratch may be shared across
+/// networks of different topologies (it re-sizes as needed).
 #[derive(Debug, Clone, Default)]
 pub struct PredictScratch {
     input: Vec<f64>,
@@ -471,43 +473,18 @@ impl Network {
             .max(self.inputs())
     }
 
-    /// Runs the network forward.
-    ///
-    /// Convenience wrapper over [`Self::predict_into`] that allocates a
-    /// fresh scratch per call; hot paths should hold a [`PredictScratch`]
-    /// and call `predict_into` (or [`Self::predict_batch`]) instead.
+    /// Runs one input row forward, as a one-point block of
+    /// [`Self::predict_batch`] with a fresh scratch. Sweeps should batch
+    /// their rows instead.
     ///
     /// # Panics
     ///
     /// Panics if `input.len()` differs from the input layer size.
     pub fn predict(&self, input: &[f64]) -> Vec<f64> {
-        let mut scratch = PredictScratch::default();
-        self.predict_into(input, &mut scratch).to_vec()
-    }
-
-    /// Runs the network forward using caller-owned scratch, returning the
-    /// output activations as a slice into the scratch. Performs zero
-    /// allocations once the scratch has grown to the network's width, and
-    /// is bit-for-bit identical to [`Self::predict`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len()` differs from the input layer size.
-    pub fn predict_into<'s>(&self, input: &[f64], scratch: &'s mut PredictScratch) -> &'s [f64] {
         assert_eq!(input.len(), self.inputs(), "input dimensionality");
-        let width = self.max_width();
-        scratch.a.resize(width, 0.0);
-        scratch.b.resize(width, 0.0);
-        scratch.a[..input.len()].copy_from_slice(input);
-        let PredictScratch { a, b, .. } = scratch;
-        let (mut current, mut next) = (a, b);
-        let mut len = input.len();
-        for layer in &self.layers {
-            layer.forward_into(&current[..len], &mut next[..layer.outputs]);
-            len = layer.outputs;
-            std::mem::swap(&mut current, &mut next);
-        }
-        &current[..len]
+        let mut outputs = Vec::with_capacity(self.outputs());
+        self.predict_batch(input, &mut outputs, &mut PredictScratch::default());
+        outputs
     }
 
     /// Sizes `scratch`'s block input matrix for `n` points and returns it
@@ -526,16 +503,16 @@ impl Network {
     /// Runs the block of `n` points whose feature-major input matrix
     /// `scratch` holds (see [`Self::block_input`]) through every layer and
     /// returns the output matrix, feature-major: `outputs()` rows of `n`
-    /// values. This is the one batched forward pass; every batch path
-    /// (prediction sweeps, ensemble scoring, early-stopping evaluation)
-    /// runs through it.
+    /// values. This is the one fast forward pass: every prediction (one
+    /// row or a sweep), every ensemble score and the early-stopping
+    /// evaluation run through it.
     ///
     /// Whole activation matrices ping-pong between the layers'
     /// register-tiled kernels (`Layer::forward_batch_t`). The lane
     /// dimension of the tiles is the *batch* dimension: each point keeps
     /// its own accumulator chain in the scalar path's exact summation
     /// order, which is what makes the block bit-for-bit identical to
-    /// [`Self::predict_into`] per point, at any `n`, while the chains
+    /// [`Self::predict_into_naive`] per point, at any `n`, while the chains
     /// vectorize. The input matrix is left as it was, so the same block
     /// can be run again (the early-stopping set is, every epoch).
     ///
@@ -566,9 +543,8 @@ impl Network {
 
     /// Runs the network forward over a row-major feature matrix
     /// (`rows.len() / inputs()` rows, each `inputs()` wide), appending each
-    /// row's output activations to `outputs`. Equivalent to calling
-    /// [`Self::predict`] per row, bit for bit, without the per-call
-    /// allocations.
+    /// row's output activations to `outputs`, bit for bit
+    /// [`Self::predict_into_naive`] per row.
     ///
     /// Rows go in blocks of at most [`BLOCK_POINTS`] points: each block is
     /// transposed into the scratch's input matrix, run through
@@ -602,13 +578,15 @@ impl Network {
         }
     }
 
-    /// [`Self::predict_into`] with the textbook one-output-at-a-time layer
-    /// loop instead of the blocked kernel — structurally the pre-kernel
-    /// production forward pass (scratch ping-pong, no per-layer
-    /// allocation), kept as the honest baseline the batched-sweep speed
-    /// gate (`crates/bench/tests/speed_gates.rs`) times the blocked
-    /// kernels against. It reads each output's weights with a stride, so
-    /// its speed, and the gate's ratio, depend on the weight layout.
+    /// One input row through the textbook one-output-at-a-time layer loop
+    /// instead of the blocked kernel, returning the output activations as
+    /// a slice into the scratch — structurally the pre-kernel production
+    /// forward pass (scratch ping-pong, no per-layer allocation). It is
+    /// the reference the block pass is property-tested against, and the
+    /// honest baseline the batched-sweep speed gate
+    /// (`crates/bench/tests/speed_gates.rs`) times the blocked kernels
+    /// against. It reads each output's weights with a stride, so its
+    /// speed, and the gate's ratio, depend on the weight layout.
     /// Bit-for-bit identical results. Not for production use.
     #[doc(hidden)]
     pub fn predict_into_naive<'s>(

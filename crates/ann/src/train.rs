@@ -8,8 +8,9 @@
 //! percentage error on a held-aside set and restores the best weights.
 
 use crate::dataset::Sample;
-use crate::network::{transpose_into, Network, NetworkSnapshot, PredictScratch};
+use crate::network::{transpose, Network, NetworkSnapshot, PredictScratch};
 use crate::scaling::{MinMaxScaler, TargetScaler};
+use archpredict_stats::describe::percent_error;
 use archpredict_stats::json::{JsonError, Value};
 use archpredict_stats::rng::Xoshiro256;
 use archpredict_stats::sampling::WeightedAlias;
@@ -175,13 +176,14 @@ pub struct TrainedModel {
     pub diverged: bool,
 }
 
-/// Caller-owned scratch for allocation-free model and ensemble inference:
-/// a buffer for one scaled input row, the network's scratch (whose input
-/// matrix each member of a batch scales its block into), the ensemble's
-/// shared feature-major block of raw features, and the batched committee
-/// disagreement's running sums. One buffer per worker thread is the
-/// intended usage; it may be shared across models of different widths (it
-/// re-sizes as needed).
+/// Caller-owned scratch for allocation-free ensemble inference: the
+/// network's scratch (whose input matrix each member of a batch scales its
+/// block into), the ensemble's shared feature-major block of raw features,
+/// and the batched committee disagreement's running sums, plus the one
+/// scaled input row of the naive reference
+/// ([`TrainedModel::predict_reference_with`]). One buffer per worker thread
+/// is the intended usage; it may be shared across models of different
+/// widths (it re-sizes as needed).
 #[derive(Debug, Clone, Default)]
 pub struct PredictBuffer {
     scaled: Vec<f64>,
@@ -196,27 +198,14 @@ pub struct PredictBuffer {
 }
 
 impl TrainedModel {
-    /// Predicts the raw-scale target for raw features.
-    ///
-    /// Convenience wrapper over [`TrainedModel::predict_with`] that pays
-    /// one scratch allocation per call; sweeps should hold a
-    /// [`PredictBuffer`] and use `predict_with` or the ensemble's batch
-    /// paths.
+    /// Predicts the raw-scale target for one row of raw features, run as
+    /// a one-point block with a fresh scratch. Sweeps should batch their
+    /// rows through [`crate::Ensemble::predict_batch_into`] instead.
     pub fn predict(&self, features: &[f64]) -> f64 {
-        self.predict_with(features, &mut PredictBuffer::default())
-    }
-
-    /// Predicts the raw-scale target for raw features using caller-owned
-    /// scratch — zero allocations per call once the buffer has grown, and
-    /// bit-for-bit identical to [`TrainedModel::predict`].
-    pub fn predict_with(&self, features: &[f64], buf: &mut PredictBuffer) -> f64 {
-        buf.scaled.clear();
-        self.input_scaler.transform_into(features, &mut buf.scaled);
-        let PredictBuffer {
-            scaled, scratch, ..
-        } = buf;
-        self.target_scaler
-            .unscale(self.network.predict_into(scaled, scratch)[0])
+        // One row is its own feature-major block.
+        self.predict_block(features, 1, &mut PredictScratch::default())
+            .next()
+            .expect("one point")
     }
 
     /// Width of the raw feature vectors this model consumes.
@@ -229,7 +218,7 @@ impl TrainedModel {
     /// point `p`), yielding one prediction per point in point order. The
     /// model scales each feature row straight into the network scratch's
     /// input matrix and runs [`Network::forward_block`]; per point the
-    /// result is bit-for-bit [`TrainedModel::predict`].
+    /// result is bit-for-bit [`TrainedModel::predict_reference_with`].
     pub(crate) fn predict_block<'s>(
         &self,
         raw_t: &[f64],
@@ -245,12 +234,13 @@ impl TrainedModel {
             .map(move |&y| target.unscale(y))
     }
 
-    /// [`TrainedModel::predict_with`] through the textbook per-output
-    /// forward loop instead of the blocked kernel — structurally the
-    /// pre-kernel production path, kept as the per-member step of
-    /// `Ensemble::predict_reference`, the batched-sweep speed gate's
-    /// baseline. Bit-for-bit identical to [`TrainedModel::predict`], just
-    /// slower. Not for production use.
+    /// Predicts one row through the row scaler and the textbook per-output
+    /// forward loop ([`Network::predict_into_naive`]) instead of the
+    /// blocked kernel — structurally the pre-kernel production path. It is
+    /// the reference the block paths are property-tested against and the
+    /// per-member step of `Ensemble::predict_reference`, the batched-sweep
+    /// speed gate's baseline. Bit-for-bit identical to
+    /// [`TrainedModel::predict`], just slower. Not for production use.
     #[doc(hidden)]
     pub fn predict_reference_with(&self, features: &[f64], buf: &mut PredictBuffer) -> f64 {
         buf.scaled.clear();
@@ -292,9 +282,9 @@ impl TrainedModel {
 /// `targets`. The early-stopping loop calls this every epoch, so the block
 /// is scaled and transposed once per training run and each epoch only runs
 /// [`Network::forward_block`] on it: zero allocations and no scalar
-/// forward passes per epoch. Bit-for-bit identical to per-row
-/// `predict_into` evaluation.
-fn percent_error(
+/// forward passes per epoch. Bit-for-bit identical to per-row evaluation
+/// through the naive reference.
+fn mean_percent_error(
     network: &Network,
     target_scaler: &TargetScaler,
     head: usize,
@@ -305,8 +295,7 @@ fn percent_error(
     let out_t = network.forward_block(n, scratch);
     let mut total = 0.0;
     for (&y, &target) in out_t[head * n..(head + 1) * n].iter().zip(targets) {
-        let y = target_scaler.unscale(y);
-        total += 100.0 * (y - target).abs() / target.abs().max(1e-12);
+        total += percent_error(target_scaler.unscale(y), target);
     }
     total / n as f64
 }
@@ -384,45 +373,31 @@ impl MultiTrainedModel {
         self.input_scaler.dims()
     }
 
-    /// Predicts every task's raw-scale target for raw features, appending
-    /// one value per head (in head order) to `out`.
-    pub fn predict_all_into(&self, features: &[f64], buf: &mut PredictBuffer, out: &mut Vec<f64>) {
-        buf.scaled.clear();
-        self.input_scaler.transform_into(features, &mut buf.scaled);
-        let PredictBuffer {
-            scaled, scratch, ..
-        } = buf;
-        let heads = self.network.predict_into(scaled, scratch);
-        out.extend(
-            heads
-                .iter()
-                .zip(&self.target_scalers)
-                .map(|(&y, s)| s.unscale(y)),
-        );
-    }
-
-    /// Predicts every task's raw-scale target for raw features.
+    /// Predicts every task's raw-scale target for one row of raw
+    /// features, in head order.
     pub fn predict_all(&self, features: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.tasks());
-        self.predict_all_into(features, &mut PredictBuffer::default(), &mut out);
-        out
+        let mut scratch = PredictScratch::default();
+        self.heads(features, &mut scratch)
+            .iter()
+            .zip(&self.target_scalers)
+            .map(|(&y, s)| s.unscale(y))
+            .collect()
     }
 
-    /// Predicts the primary task's raw-scale target using caller-owned
-    /// scratch.
-    pub fn predict_primary_with(&self, features: &[f64], buf: &mut PredictBuffer) -> f64 {
-        buf.scaled.clear();
-        self.input_scaler.transform_into(features, &mut buf.scaled);
-        let PredictBuffer {
-            scaled, scratch, ..
-        } = buf;
-        self.target_scalers[self.primary]
-            .unscale(self.network.predict_into(scaled, scratch)[self.primary])
-    }
-
-    /// Predicts the primary task's raw-scale target for raw features.
+    /// Predicts the primary task's raw-scale target for one row of raw
+    /// features.
     pub fn predict_primary(&self, features: &[f64]) -> f64 {
-        self.predict_primary_with(features, &mut PredictBuffer::default())
+        let mut scratch = PredictScratch::default();
+        self.target_scalers[self.primary].unscale(self.heads(features, &mut scratch)[self.primary])
+    }
+
+    /// Every head's scaled output for one row of raw features, run as a
+    /// one-point block: with `n = 1` the feature-major output matrix is
+    /// the head vector.
+    fn heads<'s>(&self, features: &[f64], scratch: &'s mut PredictScratch) -> &'s [f64] {
+        self.input_scaler
+            .transform_block(features, 1, self.network.block_input(1, scratch));
+        self.network.forward_block(1, scratch)
     }
 
     /// Serializes the model (network plus all scalers) to a JSON
@@ -567,8 +542,7 @@ pub fn train_multi_network(
     // it once, as one feature-major block in its own scratch, which every
     // epoch's forward pass reads without refilling.
     let es_rows: Vec<f64> = es.iter().flat_map(|(x, _)| x.iter().copied()).collect();
-    let mut es_raw_t = vec![0.0; es_rows.len()];
-    transpose_into(&es_rows, dims, &mut es_raw_t);
+    let es_raw_t = transpose(&es_rows, dims);
     let mut es_scratch = PredictScratch::default();
     input_scaler.transform_block(
         &es_raw_t,
@@ -597,7 +571,7 @@ pub fn train_multi_network(
                 config.momentum,
             );
         }
-        let es_error = percent_error(
+        let es_error = mean_percent_error(
             &network,
             &target_scalers[primary],
             primary,
@@ -666,7 +640,7 @@ mod tests {
         let test = make_samples(200, 3);
         let mut total = 0.0;
         for s in &test {
-            total += 100.0 * (model.predict(&s.features) - s.target).abs() / s.target;
+            total += percent_error(model.predict(&s.features), s.target);
         }
         let mape = total / test.len() as f64;
         assert!(mape < 5.0, "test MAPE {mape:.2}%");
@@ -723,7 +697,7 @@ mod tests {
             let mut count = 0;
             for s in &samples {
                 if s.target < 0.3 {
-                    total += 100.0 * (model.predict(&s.features) - s.target).abs() / s.target;
+                    total += percent_error(model.predict(&s.features), s.target);
                     count += 1;
                 }
             }
@@ -757,7 +731,7 @@ mod tests {
         let test = make_samples(150, 23);
         let mut total = 0.0;
         for s in &test {
-            total += 100.0 * (model.predict(&s.features) - s.target).abs() / s.target;
+            total += percent_error(model.predict(&s.features), s.target);
         }
         let mape = total / test.len() as f64;
         assert!(mape < 8.0, "two-layer MAPE {mape:.2}%");
@@ -797,8 +771,7 @@ mod tests {
         // out, so restore-on-exit must have rolled weights back.
         let mut total = 0.0;
         for s in &es_refs {
-            let y = model.predict(&s.features);
-            total += 100.0 * (y - s.target).abs() / s.target.abs().max(1e-12);
+            total += percent_error(model.predict(&s.features), s.target);
         }
         assert_eq!(total / es_refs.len() as f64, model.best_es_error);
     }
@@ -894,7 +867,7 @@ mod tests {
         let (test_x, test_y) = make_multi_rows(150, 53);
         let mut primary_mape = 0.0;
         for (x, y) in test_x.iter().zip(&test_y) {
-            primary_mape += 100.0 * (model.predict_primary(x) - y[0]).abs() / y[0];
+            primary_mape += percent_error(model.predict_primary(x), y[0]);
             let all = model.predict_all(x);
             assert_eq!(all.len(), 3);
             // The anti-correlated head mirrors the primary.
@@ -924,7 +897,7 @@ mod tests {
         // must reproduce `best_es_error` bit for bit (restore-on-exit).
         let mut total = 0.0;
         for &(x, y) in es {
-            total += 100.0 * (m1.predict_primary(x) - y[0]).abs() / y[0].abs().max(1e-12);
+            total += percent_error(m1.predict_primary(x), y[0]);
         }
         assert_eq!(total / es.len() as f64, m1.best_es_error);
     }

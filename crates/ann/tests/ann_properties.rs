@@ -4,7 +4,8 @@ use archpredict_ann::dataset::{fold_ranges, Sample};
 use archpredict_ann::network::{Network, NetworkSnapshot, PredictScratch};
 use archpredict_ann::scaling::{MinMaxScaler, TargetScaler};
 use archpredict_ann::train::{train_network, TrainConfig, TrainedModel};
-use archpredict_ann::{Ensemble, PredictBuffer};
+use archpredict_ann::{train_multi_network, Ensemble, MultiTrainedModel, PredictBuffer};
+use archpredict_stats::describe::Accumulator;
 use archpredict_stats::json::Value;
 use archpredict_stats::rng::Xoshiro256;
 use proptest::prelude::*;
@@ -43,19 +44,18 @@ fn trained(topology: &[usize], seed: u64, steps: usize) -> Network {
     net
 }
 
-/// A member of `dims` inputs with hidden layers `hidden` (`hidden.1 == 0`
-/// is one hidden layer), trained for a few epochs on its own seeded data,
-/// so every member's input scaler has its own bounds. With
-/// `constant_feature`, that feature holds one value in every sample, so
-/// the scaler's range for it is degenerate and maps it to 0.5.
-fn member(
+/// 24 seeded rows of `dims` features, each with `heads` (1–3) targets:
+/// an IPC-like primary and smooth transforms of it. With
+/// `constant_feature`, that feature holds one value in every row, so a
+/// scaler fitted on the rows has a degenerate range for it and maps it to
+/// 0.5.
+fn training_rows(
     dims: usize,
-    hidden: (usize, usize),
-    seed: u64,
+    heads: usize,
     constant_feature: Option<usize>,
-) -> TrainedModel {
-    let mut rng = Xoshiro256::seed_from(seed);
-    let samples: Vec<Sample> = (0..24)
+    rng: &mut Xoshiro256,
+) -> Vec<(Vec<f64>, Vec<f64>)> {
+    (0..24)
         .map(|_| {
             let mut x: Vec<f64> = (0..dims).map(|_| rng.next_f64()).collect();
             if let Some(i) = constant_feature {
@@ -64,28 +64,117 @@ fn member(
             // The noise term keeps the target range open when the one
             // feature of a one-input member is the constant one.
             let t = 0.4 + 0.3 * x[0] + 0.2 * x[dims - 1] * x[0] + 0.1 * rng.next_f64();
-            Sample::new(x, t)
+            (x, [t, 2.0 - t, t * t][..heads].to_vec())
         })
-        .collect();
-    let refs: Vec<&Sample> = samples.iter().collect();
-    let (train, es) = refs.split_at(16);
-    let config = TrainConfig {
+        .collect()
+}
+
+/// A few epochs' training with hidden layers `hidden` (`hidden.1 == 0` is
+/// one hidden layer).
+fn short_training(hidden: (usize, usize)) -> TrainConfig {
+    TrainConfig {
         hidden_units: hidden.0,
         second_hidden_units: hidden.1,
         max_epochs: 4,
         ..TrainConfig::default()
-    };
-    train_network(train, es, &config, &mut rng)
+    }
+}
+
+/// A member of `dims` inputs trained briefly on its own seeded
+/// [`training_rows`], so every member's input scaler has its own bounds.
+fn member(
+    dims: usize,
+    hidden: (usize, usize),
+    seed: u64,
+    constant_feature: Option<usize>,
+) -> TrainedModel {
+    let mut rng = Xoshiro256::seed_from(seed);
+    let samples: Vec<Sample> = training_rows(dims, 1, constant_feature, &mut rng)
+        .into_iter()
+        .map(|(x, t)| Sample::new(x, t[0]))
+        .collect();
+    let refs: Vec<&Sample> = samples.iter().collect();
+    let (train, es) = refs.split_at(16);
+    train_network(train, es, &short_training(hidden), &mut rng)
+}
+
+/// A multi-head model with `heads` outputs, trained like [`member`].
+fn multi_member(
+    dims: usize,
+    hidden: (usize, usize),
+    heads: usize,
+    seed: u64,
+    constant_feature: Option<usize>,
+) -> MultiTrainedModel {
+    let mut rng = Xoshiro256::seed_from(seed);
+    let rows = training_rows(dims, heads, constant_feature, &mut rng);
+    let pairs: Vec<(&[f64], &[f64])> = rows
+        .iter()
+        .map(|(x, t)| (x.as_slice(), t.as_slice()))
+        .collect();
+    let (train, es) = pairs.split_at(16);
+    train_multi_network(train, es, 0, &short_training(hidden), &mut rng)
+}
+
+/// An ensemble of one member per `hidden` topology, each of `dims`
+/// inputs; member `constant % len` trains on a constant feature.
+fn ensemble(dims: usize, hidden: &[(usize, usize)], constant: usize, seed: u64) -> Ensemble {
+    let constant_member = constant % hidden.len();
+    let models: Vec<TrainedModel> = hidden
+        .iter()
+        .enumerate()
+        .map(|(k, &h)| {
+            let feature = (k == constant_member).then_some(constant % dims);
+            member(dims, h, seed * 8 + k as u64, feature)
+        })
+        .collect();
+    Ensemble::new(models)
+}
+
+/// Committee disagreement of one row through the naive reference: the
+/// sample standard deviation of an `Accumulator` fed each member's
+/// `predict_reference_with`.
+fn reference_disagreement(ensemble: &Ensemble, row: &[f64], buf: &mut PredictBuffer) -> f64 {
+    let acc: Accumulator = ensemble
+        .models()
+        .iter()
+        .map(|m| m.predict_reference_with(row, buf))
+        .collect();
+    acc.sample_std_dev()
+}
+
+/// Every head's prediction of one row through the naive reference:
+/// `model`'s network, row scaler and head scalers rebuilt from its JSON
+/// value (which carries every weight and bound exactly), the row scaled
+/// by `MinMaxScaler::transform` and run through
+/// `Network::predict_into_naive`.
+fn reference_predict_all(model: &MultiTrainedModel, row: &[f64]) -> Vec<f64> {
+    let value = model.to_json_value();
+    let network = Network::from_json_value(value.get("network").unwrap()).unwrap();
+    let scaler = MinMaxScaler::from_json_value(value.get("input_scaler").unwrap()).unwrap();
+    let heads = value.get("target_scalers").unwrap().as_array().unwrap();
+    network
+        .predict_into_naive(&scaler.transform(row), &mut PredictScratch::default())
+        .iter()
+        .zip(heads)
+        .map(|(&y, head)| TargetScaler::from_json_value(head).unwrap().unscale(y))
+        .collect()
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The ensemble's block paths are bit-for-bit per-row `predict` and
-    /// `disagreement` for 1–5 members of random topologies, one of which
-    /// saw a constant feature (its scaler's 0.5 branch), at row counts on
-    /// both sides of the 8-lane tile and the 256-point block, with one
-    /// buffer reused across every call. Both paths append, never clobber.
+    /// The ensemble's block paths are bit-for-bit the per-row naive
+    /// reference (`predict_reference`, and an `Accumulator` over each
+    /// member's `predict_reference_with` for disagreement) for 1–5 members
+    /// of random topologies, one of which saw a constant feature (its
+    /// scaler's 0.5 branch), at row counts on both sides of the 8-lane
+    /// tile and the 256-point block, with one buffer reused across every
+    /// call. Both paths append, never clobber.
     #[test]
     fn ensemble_block_paths_match_per_row_bit_for_bit(
         dims in 1usize..MAX_INPUTS + 1,
@@ -93,17 +182,9 @@ proptest! {
         constant in 0usize..5 * MAX_INPUTS,
         seed in 0u64..1000,
     ) {
-        let constant_member = constant % hidden.len();
-        let models: Vec<TrainedModel> = hidden
-            .iter()
-            .enumerate()
-            .map(|(k, &h)| {
-                let feature = (k == constant_member).then_some(constant % dims);
-                member(dims, h, seed * 8 + k as u64, feature)
-            })
-            .collect();
-        let ensemble = Ensemble::new(models);
+        let ensemble = ensemble(dims, &hidden, constant, seed);
         let mut buf = PredictBuffer::default();
+        let mut reference_buf = PredictBuffer::default();
         let mut rng = Xoshiro256::seed_from(seed ^ 0xB10C);
         for n_rows in [1, 7, 8, 255, 256, 257, 600] {
             let rows: Vec<f64> = (0..n_rows * dims).map(|_| rng.range_f64(-1.5, 2.5)).collect();
@@ -115,19 +196,60 @@ proptest! {
             prop_assert_eq!(scores.len(), 1 + n_rows);
             prop_assert!(predictions[0].is_nan() && scores[0].is_nan(), "append, not clobber");
             for (p, row) in rows.chunks_exact(dims).enumerate() {
-                let (batch, single) = (predictions[1 + p], ensemble.predict(row));
+                let (batch, reference) = (predictions[1 + p], ensemble.predict_reference(row));
                 prop_assert_eq!(
                     batch.to_bits(),
-                    single.to_bits(),
-                    "prediction of row {} of {}: {} vs {}", p, n_rows, batch, single
+                    reference.to_bits(),
+                    "prediction of row {} of {}: {} vs {}", p, n_rows, batch, reference
                 );
-                let (batch, single) = (scores[1 + p], ensemble.disagreement(row));
+                let reference = reference_disagreement(&ensemble, row, &mut reference_buf);
+                let batch = scores[1 + p];
                 prop_assert_eq!(
                     batch.to_bits(),
-                    single.to_bits(),
-                    "disagreement of row {} of {}: {} vs {}", p, n_rows, batch, single
+                    reference.to_bits(),
+                    "disagreement of row {} of {}: {} vs {}", p, n_rows, batch, reference
                 );
             }
+        }
+    }
+
+    /// One-row predictions are one-point blocks, bit for bit the naive
+    /// per-row reference: `Ensemble::predict` and `disagreement`, each
+    /// member's `TrainedModel::predict`, and a multi-head model's
+    /// `predict_all` and `predict_primary`, on random topologies with one
+    /// member, and the multi-head model, trained on a constant feature
+    /// (its scaler's 0.5 branch).
+    #[test]
+    fn one_row_predictions_match_the_naive_reference(
+        dims in 1usize..MAX_INPUTS + 1,
+        hidden in prop::collection::vec((1usize..12, 0usize..6), 1..4),
+        heads in 1usize..4,
+        constant in 0usize..5 * MAX_INPUTS,
+        seed in 0u64..1000,
+    ) {
+        let ensemble = ensemble(dims, &hidden, constant, seed);
+        let multi = multi_member(dims, hidden[0], heads, seed * 8 + 7, Some(constant % dims));
+        let mut buf = PredictBuffer::default();
+        let mut rng = Xoshiro256::seed_from(seed ^ 0x0E);
+        for _ in 0..8 {
+            let row: Vec<f64> = (0..dims).map(|_| rng.range_f64(-1.5, 2.5)).collect();
+            prop_assert_eq!(
+                ensemble.predict(&row).to_bits(),
+                ensemble.predict_reference(&row).to_bits()
+            );
+            prop_assert_eq!(
+                ensemble.disagreement(&row).to_bits(),
+                reference_disagreement(&ensemble, &row, &mut buf).to_bits()
+            );
+            for model in ensemble.models() {
+                prop_assert_eq!(
+                    model.predict(&row).to_bits(),
+                    model.predict_reference_with(&row, &mut buf).to_bits()
+                );
+            }
+            let reference = reference_predict_all(&multi, &row);
+            prop_assert_eq!(bits(&multi.predict_all(&row)), bits(&reference));
+            prop_assert_eq!(multi.predict_primary(&row).to_bits(), reference[0].to_bits());
         }
     }
 }
@@ -184,32 +306,10 @@ proptest! {
         prop_assert_eq!(net.predict(&[x, y]), net.predict(&[x, y]));
     }
 
-    /// The allocation-free kernel is bit-for-bit the allocating path, on
-    /// any random topology — including scratch reuse across topologies.
-    #[test]
-    fn predict_into_matches_predict_bit_for_bit(
-        topology in arb_topology(),
-        other in arb_topology(),
-        seed in 0u64..1000,
-        raw in prop::collection::vec(0.0f64..1.0, MAX_INPUTS),
-    ) {
-        let mut rng = Xoshiro256::seed_from(seed);
-        let net = Network::new(&topology, &mut rng);
-        let input = &raw[..topology[0]];
-        let mut scratch = PredictScratch::default();
-        // Dirty the scratch with a different topology first: buffers must
-        // be reusable across networks of any shape.
-        let other_net = Network::new(&other, &mut rng);
-        let _ = other_net.predict_into(&raw[..other[0]], &mut scratch);
-        prop_assert_eq!(
-            net.predict_into(input, &mut scratch).to_vec(),
-            net.predict(input)
-        );
-    }
-
-    /// Batch prediction over a row-major matrix equals row-by-row predict,
-    /// bit for bit, and appends (never clobbers) the output vector — for
-    /// fresh networks and after a few training steps.
+    /// Batch prediction over a row-major matrix equals row-by-row
+    /// `predict` (a one-point block) and the naive reference, bit for bit,
+    /// and appends (never clobbers) the output vector — for fresh networks
+    /// and after a few training steps.
     #[test]
     fn predict_batch_matches_predict_bit_for_bit(
         topology in arb_topology(),
@@ -227,8 +327,10 @@ proptest! {
         let outputs_per_row = *topology.last().unwrap();
         prop_assert_eq!(outputs.len(), 1 + n_rows * outputs_per_row);
         prop_assert!(outputs[0].is_nan(), "batch must append, not clobber");
+        let mut naive_scratch = PredictScratch::default();
         for (row, out) in rows.chunks_exact(dims).zip(outputs[1..].chunks_exact(outputs_per_row)) {
-            prop_assert_eq!(net.predict(row), out.to_vec());
+            prop_assert_eq!(bits(&net.predict(row)), bits(out));
+            prop_assert_eq!(bits(net.predict_into_naive(row, &mut naive_scratch)), bits(out));
         }
     }
 
@@ -269,10 +371,13 @@ proptest! {
     /// random topologies and batch sizes, fresh and after a few training
     /// steps. Batch sizes up to 40 exercise ragged lane tails
     /// (n % 8 != 0) and the topology strategy's hidden widths of 1–11
-    /// exercise ragged unit tiles (units % 4 != 0).
+    /// exercise ragged unit tiles (units % 4 != 0). The scratch is first
+    /// dirtied by a block of another topology: it must be reusable across
+    /// networks of any shape and block size.
     #[test]
     fn blocked_batch_matches_naive_bit_for_bit(
         topology in arb_topology(),
+        other in arb_topology(),
         seed in 0u64..1000,
         steps in 0usize..8,
         n_rows in 0usize..41,
@@ -282,6 +387,9 @@ proptest! {
         let dims = topology[0];
         let rows: Vec<f64> = raw.iter().copied().take(n_rows * dims).collect();
         let mut scratch = PredictScratch::default();
+        let other_net = trained(&other, seed ^ 1, 1);
+        let other_rows = &raw[..(41 - n_rows) * other[0]];
+        other_net.predict_batch(other_rows, &mut Vec::new(), &mut scratch);
         let mut outputs = Vec::new();
         net.predict_batch(&rows, &mut outputs, &mut scratch);
         let width = *topology.last().unwrap();

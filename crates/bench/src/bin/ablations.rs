@@ -18,7 +18,7 @@ use archpredict::studies::Study;
 use archpredict_ann::train::train_network;
 use archpredict_ann::{fit_ensemble, Dataset, Sample, TrainConfig};
 use archpredict_bench::ExperimentOpts;
-use archpredict_stats::describe::Accumulator;
+use archpredict_stats::describe::{percent_error, Accumulator};
 use archpredict_stats::json::Value;
 use archpredict_stats::linear::LinearModel;
 use archpredict_stats::rng::Xoshiro256;
@@ -64,7 +64,7 @@ fn main() {
     let mape = |predict: &dyn Fn(&[f64]) -> f64| -> (f64, f64) {
         let mut acc = Accumulator::new();
         for (x, t) in &test {
-            acc.add(100.0 * (predict(x) - t).abs() / t);
+            acc.add(percent_error(predict(x), *t));
         }
         (acc.mean(), acc.population_std_dev())
     };
@@ -167,7 +167,7 @@ fn main() {
         let mut acc = Accumulator::new();
         for (&i, (x, t)) in test_idx.iter().zip(&test) {
             if !trained.contains(&i) {
-                acc.add(100.0 * (outcome.model.predict(x) - t).abs() / t);
+                acc.add(percent_error(outcome.model.predict(x), *t));
             }
         }
         println!(

@@ -9,15 +9,14 @@
 //! [`Registry::fits_performed`]).
 
 use archpredict::campaign::{seed_stream, Encoder, PlainEncoder};
-use archpredict::explorer::{Explorer, ExplorerConfig, TrueError};
+use archpredict::explorer::{Explorer, ExplorerConfig};
 use archpredict::registry::{ModelKey, Registry};
 use archpredict::report::LearningCurve;
 use archpredict::simulate::{
-    CachedEvaluator, Oracle, PointEvaluator, SimBudget, SimPointEvaluator, SimStats, StudyEvaluator,
+    CachedEvaluator, Oracle, PointEvaluator, SimBudget, SimPointEvaluator, StudyEvaluator,
 };
 use archpredict::studies::Study;
 use archpredict_ann::{Ensemble, Parallelism, TrainConfig};
-use archpredict_stats::describe::Accumulator;
 use archpredict_stats::json::{JsonError, Value};
 use archpredict_stats::rng::Xoshiro256;
 use archpredict_workloads::{Benchmark, TraceGenerator};
@@ -354,17 +353,25 @@ fn run_curve<E: Oracle, T: Oracle>(
         explorer_set_train(explorer, TrainConfig::scaled_to(n));
         explorer.step();
         let record = explorer.history().last().expect("stepped").clone();
-        let true_error = if eval_set.is_empty() {
-            None
-        } else {
-            Some(measure_true_error(
-                explorer.ensemble().expect("trained"),
-                &space,
-                truth,
-                eval_set,
-                explorer.sampled_indices(),
-            ))
-        };
+        // Truth is measured on the evaluation points the explorer has not
+        // trained on and `truth` can evaluate; with none left the round
+        // records no measurement.
+        let trained: std::collections::HashSet<usize> =
+            explorer.sampled_indices().iter().copied().collect();
+        let held_out: Vec<usize> = eval_set
+            .iter()
+            .copied()
+            .filter(|i| !trained.contains(i))
+            .collect();
+        let true_error = archpredict::infer::true_error(
+            explorer.ensemble().expect("trained"),
+            &space,
+            &PlainEncoder,
+            truth,
+            &held_out,
+            Parallelism::Auto,
+        )
+        .ok();
         curve.push(&record, true_error);
         save_caches();
         eprintln!(
@@ -383,39 +390,6 @@ fn run_curve<E: Oracle, T: Oracle>(
 
 fn explorer_set_train<E: Oracle>(explorer: &mut Explorer<'_, E>, train: TrainConfig) {
     explorer.set_train_config(train);
-}
-
-/// True error of `ensemble` against `truth` on `eval_set`, excluding any
-/// points that ended up in the training set.
-pub fn measure_true_error<T: Oracle>(
-    ensemble: &Ensemble,
-    space: &archpredict::DesignSpace,
-    truth: &T,
-    eval_set: &[usize],
-    trained: &[usize],
-) -> TrueError {
-    let trained: std::collections::HashSet<usize> = trained.iter().copied().collect();
-    let held_out: Vec<usize> = eval_set
-        .iter()
-        .copied()
-        .filter(|i| !trained.contains(i))
-        .collect();
-    let mut stats = SimStats::default();
-    let actuals = truth.evaluate_batch(space, &held_out, &mut stats);
-    let predictions =
-        archpredict::infer::predict_indices(ensemble, space, &held_out, Parallelism::Auto);
-    let mut acc = Accumulator::new();
-    for (&predicted, actual) in predictions.iter().zip(&actuals) {
-        // Held-out points whose truth evaluation failed are skipped; the
-        // error is measured over the surviving points.
-        let Ok(actual) = actual else { continue };
-        acc.add(100.0 * (predicted - actual).abs() / actual.abs().max(1e-12));
-    }
-    TrueError {
-        mean: acc.mean(),
-        std_dev: acc.population_std_dev(),
-        points: acc.count(),
-    }
 }
 
 /// One row of the Fig. 5.6/5.7 reduction analysis.

@@ -62,7 +62,6 @@ use crate::space::DesignSpace;
 use crate::telemetry;
 use archpredict_ann::cross_validation::{fit_ensemble, ErrorEstimate, FoldRecord};
 use archpredict_ann::{Dataset, Ensemble, Parallelism, Sample, TrainConfig};
-use archpredict_stats::describe::Accumulator;
 use archpredict_stats::rng::Xoshiro256;
 use archpredict_stats::sampling::IncrementalSampler;
 use std::collections::BTreeSet;
@@ -463,14 +462,7 @@ impl<'a, O: Oracle, C: Encoder> Campaign<'a, O, C> {
     /// [`Campaign::predict`] per index, at any thread count. Errors with
     /// [`ExploreError::NoEnsemble`] before the first round.
     pub fn try_predict_indices(&self, indices: &[usize]) -> Result<Vec<f64>, ExploreError> {
-        let ensemble = self.require_ensemble()?;
-        Ok(crate::infer::sweep_encoded(
-            ensemble,
-            indices,
-            self.parallelism(),
-            |index, rows| self.encoder.encode_into(self.space, index, rows),
-            self.encoder.width(self.space),
-        ))
+        self.sweep(indices, self.parallelism())
     }
 
     /// Infallible [`Campaign::try_predict_indices`].
@@ -507,14 +499,19 @@ impl<'a, O: Oracle, C: Encoder> Campaign<'a, O, C> {
         &self,
         parallelism: Parallelism,
     ) -> Result<Vec<f64>, ExploreError> {
-        let ensemble = self.require_ensemble()?;
         let indices: Vec<usize> = (0..self.space.size()).collect();
-        Ok(crate::infer::sweep_encoded(
-            ensemble,
-            &indices,
+        self.sweep(&indices, parallelism)
+    }
+
+    /// The prediction sweep over `indices` through this campaign's
+    /// encoder ([`crate::infer::predict_encoded`]).
+    fn sweep(&self, indices: &[usize], parallelism: Parallelism) -> Result<Vec<f64>, ExploreError> {
+        Ok(crate::infer::predict_encoded(
+            self.require_ensemble()?,
+            self.space,
+            &self.encoder,
+            indices,
             parallelism,
-            |index, rows| self.encoder.encode_into(self.space, index, rows),
-            self.encoder.width(self.space),
         ))
     }
 
@@ -572,18 +569,15 @@ impl<'a, O: Oracle, C: Encoder> Campaign<'a, O, C> {
         let parallelism = self.parallelism();
         let batch = match self.config.strategy {
             Strategy::Random => self.sampler.next_batch(self.config.batch),
-            Strategy::Active { pool_factor } => {
-                let (space, encoder) = (self.space, &self.encoder);
-                crate::sampling::active_batch(
-                    &mut self.sampler,
-                    self.ensemble.as_ref(),
-                    self.config.batch,
-                    pool_factor,
-                    parallelism,
-                    |index, rows| encoder.encode_into(space, index, rows),
-                    encoder.width(space),
-                )
-            }
+            Strategy::Active { pool_factor } => crate::sampling::active_batch(
+                &mut self.sampler,
+                self.ensemble.as_ref(),
+                self.config.batch,
+                pool_factor,
+                parallelism,
+                self.space,
+                &self.encoder,
+            ),
         };
         drop(select_span);
         let prediction_seconds = if scoring {
@@ -709,37 +703,24 @@ impl<'a, O: Oracle, C: Encoder> Campaign<'a, O, C> {
     }
 
     /// Measures the model's *true* error on `held_out` point indices
-    /// (simulating any that were never simulated — callers typically pass a
-    /// fixed random evaluation set disjoint from the training set).
+    /// through the campaign's own oracle ([`crate::infer::true_error`]),
+    /// simulating any that were never simulated — callers typically pass a
+    /// fixed random evaluation set disjoint from the training set.
     /// Held-out points whose evaluation fails are skipped — the error is
     /// measured over the surviving points, reported in
     /// [`TrueError::points`].
     ///
-    /// Errors if `held_out` is empty, every evaluation failed, or no round
-    /// has run yet.
+    /// Errors if no round has run yet, `held_out` is empty, or every
+    /// evaluation failed.
     pub fn try_true_error(&self, held_out: &[usize]) -> Result<TrueError, ExploreError> {
-        if held_out.is_empty() {
-            return Err(ExploreError::EmptyHeldOut);
-        }
-        let mut stats = SimStats::default();
-        let actuals = self
-            .evaluator
-            .evaluate_batch(self.space, held_out, &mut stats);
-        let predictions = self.try_predict_indices(held_out)?;
-        let mut acc = Accumulator::new();
-        for (&predicted, actual) in predictions.iter().zip(&actuals) {
-            if let Ok(actual) = actual {
-                acc.add(100.0 * (predicted - actual).abs() / actual.abs().max(1e-12));
-            }
-        }
-        if acc.count() == 0 {
-            return Err(ExploreError::EmptyHeldOut);
-        }
-        Ok(TrueError {
-            mean: acc.mean(),
-            std_dev: acc.population_std_dev(),
-            points: acc.count(),
-        })
+        crate::infer::true_error(
+            self.require_ensemble()?,
+            self.space,
+            &self.encoder,
+            self.evaluator,
+            held_out,
+            self.parallelism(),
+        )
     }
 
     /// Infallible [`Campaign::try_true_error`].

@@ -10,7 +10,9 @@
 //! primitive ([`crate::campaign::collect_batch`]), and a single
 //! cross-validation ensemble models them all — reducing the
 //! per-application sampling requirement when response surfaces share
-//! structure.
+//! structure. [`CrossAppModel::encoder`] hands out one application's
+//! encoder, so predictions, sweeps and true error run through the same
+//! [`crate::infer`] functions as every other driver.
 //!
 //! Seeds follow the audited [`seed_stream`] map: application slot `s`
 //! samples from stream [`seed_stream::APP_SAMPLER_BASE`]` + s`, and the
@@ -21,7 +23,6 @@ use crate::simulate::{Oracle, SimStats};
 use crate::space::DesignSpace;
 use archpredict_ann::cross_validation::{fit_ensemble, ErrorEstimate, FoldRecord};
 use archpredict_ann::{Dataset, Ensemble, Parallelism, Sample, TrainConfig};
-use archpredict_stats::describe::Accumulator;
 use archpredict_stats::rng::Xoshiro256;
 use archpredict_stats::sampling::IncrementalSampler;
 use archpredict_workloads::Benchmark;
@@ -130,7 +131,7 @@ impl CrossAppModel {
 
     /// The pooled ensemble itself — the persistable artifact (the rest of
     /// the struct is fit telemetry). [`crate::registry`] callers store
-    /// this and rebuild predictions with [`encode_with_app`].
+    /// this and rebuild predictions with [`CrossAppModel::encoder`].
     pub fn ensemble(&self) -> &Ensemble {
         &self.ensemble
     }
@@ -152,31 +153,30 @@ impl CrossAppModel {
         }
     }
 
-    /// The one-hot slot of `benchmark`, panicking like the predict paths.
-    fn slot(&self, benchmark: Benchmark) -> usize {
-        self.apps
-            .iter()
-            .position(|&b| b == benchmark)
-            .unwrap_or_else(|| panic!("{benchmark} was not in the training set"))
-    }
-
-    /// Predicts the metric for `benchmark` at design-point `index`.
+    /// The pooled model's encoder for `benchmark`: design-point features
+    /// with `benchmark`'s one-hot application id appended, the exact §7
+    /// construction (the application is a *nominal* parameter). Predict
+    /// through it with [`crate::infer::predict_encoded`] or
+    /// [`crate::infer::true_error`] on [`CrossAppModel::ensemble`].
     ///
     /// # Panics
     ///
     /// Panics if `benchmark` was not part of the training set.
-    pub fn predict(&self, space: &DesignSpace, index: usize, benchmark: Benchmark) -> f64 {
-        let encoder = AppEncoder {
-            slot: self.slot(benchmark),
+    pub fn encoder(&self, benchmark: Benchmark) -> AppEncoder {
+        let slot = self
+            .apps
+            .iter()
+            .position(|&b| b == benchmark)
+            .unwrap_or_else(|| panic!("{benchmark} was not in the training set"));
+        AppEncoder {
+            slot,
             apps: self.apps.len(),
-        };
-        self.ensemble.predict(&encoder.encode(space, index))
+        }
     }
 
     /// Predicts the metric for `benchmark` at each design-point index via
-    /// the batched inference path, parallelized per `parallelism`.
-    /// Bit-for-bit identical to per-index [`CrossAppModel::predict`] at
-    /// every thread count.
+    /// the batched inference path, parallelized per `parallelism`; the
+    /// result is bit-for-bit identical at every thread count.
     ///
     /// # Panics
     ///
@@ -188,68 +188,14 @@ impl CrossAppModel {
         benchmark: Benchmark,
         parallelism: Parallelism,
     ) -> Vec<f64> {
-        let encoder = AppEncoder {
-            slot: self.slot(benchmark),
-            apps: self.apps.len(),
-        };
-        crate::infer::sweep_encoded(
+        crate::infer::predict_encoded(
             &self.ensemble,
+            space,
+            &self.encoder(benchmark),
             indices,
             parallelism,
-            |index, features| encoder.encode_into(space, index, features),
-            encoder.width(space),
         )
     }
-
-    /// Predicts the metric for `benchmark` over the **entire** design
-    /// space, in index order — the cross-application full-space sweep.
-    pub fn predict_space(
-        &self,
-        space: &DesignSpace,
-        benchmark: Benchmark,
-        parallelism: Parallelism,
-    ) -> Vec<f64> {
-        let indices: Vec<usize> = (0..space.size()).collect();
-        self.predict_indices(space, &indices, benchmark, parallelism)
-    }
-
-    /// Measures true percentage error for one application on held-out
-    /// design-point indices (predictions run through the batched sweep).
-    /// Held-out points whose evaluation fails are skipped.
-    pub fn true_error<E: Oracle>(
-        &self,
-        space: &DesignSpace,
-        benchmark: Benchmark,
-        evaluator: &E,
-        held_out: &[usize],
-    ) -> (f64, f64) {
-        let mut stats = SimStats::default();
-        let actuals = evaluator.evaluate_batch(space, held_out, &mut stats);
-        let predictions = self.predict_indices(space, held_out, benchmark, Parallelism::Auto);
-        let mut acc = Accumulator::new();
-        for (&predicted, actual) in predictions.iter().zip(&actuals) {
-            if let Ok(actual) = actual {
-                acc.add(100.0 * (predicted - actual).abs() / actual.abs().max(1e-12));
-            }
-        }
-        (acc.mean(), acc.population_std_dev())
-    }
-}
-
-/// Design-point encoding with a one-hot application identifier appended —
-/// the exact §7 construction (the application is a *nominal* parameter).
-/// Equivalent to [`AppEncoder`]`{ slot: app_slot, apps: n_apps }`.
-pub fn encode_with_app(
-    space: &DesignSpace,
-    index: usize,
-    app_slot: usize,
-    n_apps: usize,
-) -> Vec<f64> {
-    AppEncoder {
-        slot: app_slot,
-        apps: n_apps,
-    }
-    .encode(space, index)
 }
 
 #[cfg(test)]
@@ -322,7 +268,16 @@ mod tests {
         assert!((model.fraction_sampled - 80.0 / 200.0).abs() < 1e-12);
         let held_out: Vec<usize> = (0..space.size()).step_by(7).collect();
         for (benchmark, evaluator) in &evaluators {
-            let (mean, _) = model.true_error(&space, *benchmark, evaluator, &held_out);
+            let mean = crate::infer::true_error(
+                model.ensemble(),
+                &space,
+                &model.encoder(*benchmark),
+                evaluator,
+                &held_out,
+                Parallelism::Auto,
+            )
+            .unwrap()
+            .mean;
             assert!(mean < 5.0, "{benchmark}: pooled error {mean:.2}%");
         }
     }
@@ -332,8 +287,11 @@ mod tests {
         let space = space();
         let evaluators = apps(&space);
         let model = CrossAppModel::fit(&space, &evaluators, 40, &TrainConfig::scaled_to(80), 8);
-        let gzip = model.predict(&space, 50, Benchmark::Gzip);
-        let mcf = model.predict(&space, 50, Benchmark::Mcf);
+        let predict = |benchmark| {
+            let features = model.encoder(benchmark).encode(&space, 50);
+            model.ensemble().predict(&features)
+        };
+        let (gzip, mcf) = (predict(Benchmark::Gzip), predict(Benchmark::Mcf));
         assert!(
             (gzip - mcf).abs() > 0.1,
             "one-hot app id must separate the surfaces: {gzip} vs {mcf}"
@@ -355,15 +313,16 @@ mod tests {
             },
             9,
         );
-        model.predict(&space, 0, Benchmark::Twolf);
+        model.encoder(Benchmark::Twolf);
     }
 
     #[test]
     fn encode_appends_one_hot() {
         let space = space();
         let base = space.encode(&space.point(3));
-        let with = encode_with_app(&space, 3, 1, 3);
+        let with = AppEncoder { slot: 1, apps: 3 }.encode(&space, 3);
         assert_eq!(with.len(), base.len() + 3);
+        assert_eq!(&with[..base.len()], &base[..]);
         assert_eq!(&with[base.len()..], &[0.0, 1.0, 0.0]);
     }
 

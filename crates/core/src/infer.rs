@@ -1,16 +1,21 @@
 //! Batched, parallel inference over design-point indices.
 //!
 //! The paper's payoff step is predicting the metric over the *entire*
-//! exponential design space from a model trained on 1–4 % of it. This
-//! module is the engine for that sweep: indices are encoded into row-major
-//! feature matrices of [`BLOCK_POINTS`] points and pushed through the
-//! ensemble's blocked matrix-matrix batch kernels
-//! ([`Ensemble::predict_batch_into`], [`Ensemble::disagreement_batch_into`]
-//! for query-by-committee scores), with spans of chunks fanned out across
-//! scoped worker threads per the existing [`Parallelism`] knob. Each chunk
-//! is one block of the ensemble's kernel: it is transposed once, and every
-//! member scales that block into its own network scratch and runs its
-//! layers on it.
+//! exponential design space from a model trained on 1–4 % of it, and
+//! measuring the model's true error on points it never trained on. This
+//! module is the engine for both. It has one prediction sweep
+//! ([`predict_encoded`]) and one committee-disagreement sweep
+//! ([`disagreement_encoded`], the query-by-committee score), both generic
+//! over the campaign's [`Encoder`]; [`predict_indices`] is the plain
+//! encoding's case, and [`true_error`] runs the prediction sweep against
+//! an oracle's answers. A sweep encodes indices into row-major feature
+//! matrices of [`BLOCK_POINTS`] points and pushes them through the
+//! ensemble's blocked batch kernels ([`Ensemble::predict_batch_into`],
+//! [`Ensemble::disagreement_batch_into`]), with spans of chunks fanned out
+//! across scoped worker threads per the existing [`Parallelism`] knob.
+//! Each chunk is one block of the ensemble's kernel: it is transposed
+//! once, and every member scales that block into its own network scratch
+//! and runs its layers on it.
 //!
 //! # Determinism contract
 //!
@@ -21,98 +26,108 @@
 //! `Parallelism` setting — the same contract parallel fold training
 //! established for `fit_ensemble`.
 
+use crate::campaign::{Encoder, ExploreError, PlainEncoder, TrueError};
+use crate::simulate::{Oracle, SimStats};
 use crate::space::DesignSpace;
 use crate::telemetry;
 use archpredict_ann::{Ensemble, Parallelism, PredictBuffer, BLOCK_POINTS};
+use archpredict_stats::describe::{percent_error, Accumulator};
 
-/// Predicts the metric at each design-point index, in input order.
-///
-/// Work is split into contiguous spans across up to
-/// `parallelism.worker_count(..)` scoped threads; each worker owns one
-/// [`PredictBuffer`] and one feature-matrix buffer for its whole span, so
-/// the steady-state sweep performs no per-point allocation.
+/// Predicts the metric at each design-point index under the paper's plain
+/// encoding, in input order — [`predict_encoded`] with [`PlainEncoder`].
 pub fn predict_indices(
     ensemble: &Ensemble,
     space: &DesignSpace,
     indices: &[usize],
     parallelism: Parallelism,
 ) -> Vec<f64> {
-    sweep(
-        indices,
-        parallelism,
-        |index, rows| space.encode_index_into(index, rows),
-        space.encoded_width(),
-        |rows, out, buf| ensemble.predict_batch_into(rows, out, buf),
-    )
+    predict_encoded(ensemble, space, &PlainEncoder, indices, parallelism)
 }
 
-/// Full sweep with a caller-supplied encoder appending exactly `dims`
-/// features per index — used by extensions whose feature vectors extend
-/// the plain design-point encoding (e.g. the cross-application model's
-/// one-hot application id).
-pub(crate) fn sweep_encoded<E>(
+/// Predicts the metric at each design-point index, in input order, with
+/// feature rows from `encoder`.
+///
+/// Work is split into contiguous spans across up to
+/// `parallelism.worker_count(..)` scoped threads; each worker owns one
+/// [`PredictBuffer`] and one feature-matrix buffer for its whole span, so
+/// the steady-state sweep performs no per-point allocation.
+pub fn predict_encoded<C: Encoder + ?Sized>(
     ensemble: &Ensemble,
+    space: &DesignSpace,
+    encoder: &C,
     indices: &[usize],
     parallelism: Parallelism,
-    encode: E,
-    dims: usize,
-) -> Vec<f64>
-where
-    E: Fn(usize, &mut Vec<f64>) + Sync,
-{
-    sweep(indices, parallelism, encode, dims, |rows, out, buf| {
+) -> Vec<f64> {
+    sweep(space, encoder, indices, parallelism, |rows, out, buf| {
         ensemble.predict_batch_into(rows, out, buf)
     })
 }
 
 /// Committee disagreement (member-prediction standard deviation) at each
-/// design-point index, in input order — the query-by-committee score used
-/// by active learning, batched and parallelized like [`predict_indices`].
-pub fn disagreement_indices(
+/// design-point index, in input order, with feature rows from `encoder` —
+/// the query-by-committee score used by active learning, batched and
+/// parallelized like [`predict_encoded`].
+pub fn disagreement_encoded<C: Encoder + ?Sized>(
     ensemble: &Ensemble,
     space: &DesignSpace,
+    encoder: &C,
     indices: &[usize],
     parallelism: Parallelism,
 ) -> Vec<f64> {
-    disagreement_encoded(
-        ensemble,
-        indices,
-        parallelism,
-        |index, rows| space.encode_index_into(index, rows),
-        space.encoded_width(),
-    )
-}
-
-/// Committee disagreement with a caller-supplied encoder — the
-/// query-by-committee sweep for campaigns whose feature rows extend the
-/// plain design-point encoding (see [`crate::campaign::Encoder`]).
-pub(crate) fn disagreement_encoded<E>(
-    ensemble: &Ensemble,
-    indices: &[usize],
-    parallelism: Parallelism,
-    encode: E,
-    dims: usize,
-) -> Vec<f64>
-where
-    E: Fn(usize, &mut Vec<f64>) + Sync,
-{
-    sweep(indices, parallelism, encode, dims, |rows, out, buf| {
+    sweep(space, encoder, indices, parallelism, |rows, out, buf| {
         ensemble.disagreement_batch_into(rows, out, buf)
     })
 }
 
-/// Shared sweep skeleton: `encode` appends `dims` features per index into
-/// a row-major chunk matrix, `score` appends exactly one value per row.
-/// Spans are contiguous and joined in index order.
-fn sweep<E, F>(
+/// The model's *true* error on the `held_out` design-point indices: the
+/// oracle evaluates them in one batch (simulating any it has not cached),
+/// [`predict_encoded`] predicts them, and each surviving point's
+/// [`percent_error`] goes into one [`Accumulator`]. Held-out points whose
+/// evaluation fails are skipped; [`TrueError::points`] counts the rest.
+///
+/// Errors with [`ExploreError::EmptyHeldOut`] if `held_out` is empty or
+/// every evaluation failed.
+pub fn true_error<O: Oracle + ?Sized, C: Encoder + ?Sized>(
+    ensemble: &Ensemble,
+    space: &DesignSpace,
+    encoder: &C,
+    oracle: &O,
+    held_out: &[usize],
+    parallelism: Parallelism,
+) -> Result<TrueError, ExploreError> {
+    if held_out.is_empty() {
+        return Err(ExploreError::EmptyHeldOut);
+    }
+    let actuals = oracle.evaluate_batch(space, held_out, &mut SimStats::default());
+    let predictions = predict_encoded(ensemble, space, encoder, held_out, parallelism);
+    let mut acc = Accumulator::new();
+    for (&predicted, actual) in predictions.iter().zip(&actuals) {
+        if let Ok(actual) = actual {
+            acc.add(percent_error(predicted, *actual));
+        }
+    }
+    if acc.count() == 0 {
+        return Err(ExploreError::EmptyHeldOut);
+    }
+    Ok(TrueError {
+        mean: acc.mean(),
+        std_dev: acc.population_std_dev(),
+        points: acc.count(),
+    })
+}
+
+/// Shared sweep skeleton: `encoder` appends its width of features per
+/// index into a row-major chunk matrix, `score` appends exactly one value
+/// per row. Spans are contiguous and joined in index order.
+fn sweep<C, F>(
+    space: &DesignSpace,
+    encoder: &C,
     indices: &[usize],
     parallelism: Parallelism,
-    encode: E,
-    dims: usize,
     score: F,
 ) -> Vec<f64>
 where
-    E: Fn(usize, &mut Vec<f64>) + Sync,
+    C: Encoder + ?Sized,
     F: Fn(&[f64], &mut Vec<f64>, &mut PredictBuffer) + Sync,
 {
     // Telemetry: counters are deterministic (sweep and point counts do
@@ -123,13 +138,13 @@ where
     let mut out = vec![0.0; indices.len()];
     let workers = parallelism.worker_count(indices.len().div_ceil(BLOCK_POINTS));
     if workers <= 1 {
-        sweep_span(indices, &mut out, &encode, dims, &score);
+        sweep_span(space, encoder, indices, &mut out, &score);
     } else {
         let span = indices.len().div_ceil(workers);
         std::thread::scope(|scope| {
             for (index_span, out_span) in indices.chunks(span).zip(out.chunks_mut(span)) {
-                let (encode, score) = (&encode, &score);
-                scope.spawn(move || sweep_span(index_span, out_span, encode, dims, score));
+                let score = &score;
+                scope.spawn(move || sweep_span(space, encoder, index_span, out_span, score));
             }
         });
     }
@@ -138,11 +153,12 @@ where
 
 /// One worker's contiguous span, processed in [`BLOCK_POINTS`]-sized
 /// chunks with buffers reused across the whole span.
-fn sweep_span<E, F>(indices: &[usize], out: &mut [f64], encode: &E, dims: usize, score: &F)
+fn sweep_span<C, F>(space: &DesignSpace, encoder: &C, indices: &[usize], out: &mut [f64], score: &F)
 where
-    E: Fn(usize, &mut Vec<f64>) + Sync,
+    C: Encoder + ?Sized,
     F: Fn(&[f64], &mut Vec<f64>, &mut PredictBuffer) + Sync,
 {
+    let dims = encoder.width(space);
     let chunk = BLOCK_POINTS.min(indices.len());
     let mut rows: Vec<f64> = Vec::with_capacity(chunk * dims);
     let mut values: Vec<f64> = Vec::with_capacity(chunk);
@@ -153,7 +169,7 @@ where
     {
         rows.clear();
         for &i in index_chunk {
-            encode(i, &mut rows);
+            encoder.encode_into(space, i, &mut rows);
         }
         // Hard asserts, not debug_asserts: a mis-sized encoder or scorer in
         // a release build must abort, not silently misalign the chunk
@@ -198,6 +214,7 @@ mod tests {
         fit_ensemble(&data, 5, &config, 11).ensemble
     }
 
+    /// The sweep is bit for bit the naive point-at-a-time reference.
     #[test]
     fn batched_sweep_matches_point_at_a_time_bit_for_bit() {
         let space = space();
@@ -205,8 +222,8 @@ mod tests {
         let indices: Vec<usize> = (0..space.size()).collect();
         let batched = predict_indices(&ensemble, &space, &indices, Parallelism::Fixed(1));
         for (&i, &b) in indices.iter().zip(&batched) {
-            let sequential = ensemble.predict(&space.encode(&space.point(i)));
-            assert_eq!(sequential, b, "index {i}");
+            let reference = ensemble.predict_reference(&space.encode(&space.point(i)));
+            assert_eq!(reference.to_bits(), b.to_bits(), "index {i}");
         }
     }
 
@@ -227,21 +244,34 @@ mod tests {
         }
     }
 
+    /// The disagreement sweep is bit for bit the sample standard
+    /// deviation of an `Accumulator` fed each member's naive prediction.
     #[test]
     fn disagreement_sweep_matches_scalar_path() {
         let space = space();
         let ensemble = ensemble(&space);
         let indices: Vec<usize> = (0..space.size()).step_by(3).collect();
-        let reference: Vec<f64> = indices
+        let mut buf = PredictBuffer::default();
+        let reference: Vec<u64> = indices
             .iter()
-            .map(|&i| ensemble.disagreement(&space.encode(&space.point(i))))
+            .map(|&i| {
+                let features = space.encode(&space.point(i));
+                let acc: Accumulator = ensemble
+                    .models()
+                    .iter()
+                    .map(|m| m.predict_reference_with(&features, &mut buf))
+                    .collect();
+                acc.sample_std_dev().to_bits()
+            })
             .collect();
         for parallelism in [
             Parallelism::Fixed(1),
             Parallelism::Fixed(3),
             Parallelism::Auto,
         ] {
-            let scores = disagreement_indices(&ensemble, &space, &indices, parallelism);
+            let scores =
+                disagreement_encoded(&ensemble, &space, &PlainEncoder, &indices, parallelism);
+            let scores: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
             assert_eq!(reference, scores, "{parallelism:?}");
         }
     }

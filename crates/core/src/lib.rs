@@ -49,7 +49,7 @@
 //!   sweeps by group commit.
 //! * [`sampling`] — random (paper) and active-learning (§7) strategies.
 //! * [`infer`] — the batched, allocation-free, parallel inference engine
-//!   behind full-space sweeps and committee scoring.
+//!   behind full-space sweeps, committee scoring and held-out true error.
 //! * [`multitask`] — the §7 multi-task extension (IPC + auxiliary
 //!   metrics through a shared hidden layer).
 //! * [`crossapp`] — the §7 cross-application extension (one pooled model

@@ -6,7 +6,9 @@
 //! metric can exploit their correlation with IPC through the shared hidden
 //! layer. This module trains such a network: the **primary** head (IPC) is
 //! what early stopping and prediction use; the auxiliary heads act as an
-//! inductive bias.
+//! inductive bias. The trained model is the ann crate's
+//! [`MultiTrainedModel`], which carries the single-output trainer's
+//! snapshot/restore best-epoch bookkeeping and divergence detection.
 //!
 //! Training data comes in through the same batch-first [`Oracle`] stack as
 //! every other driver ([`fit_multitask_oracles`]): one oracle per metric
@@ -146,64 +148,6 @@ impl PointEvaluator for MetricsEvaluator {
     }
 }
 
-/// A trained multi-output network with its scalers — a thin wrapper over
-/// the ann crate's [`MultiTrainedModel`], which carries the snapshot/
-/// restore best-epoch bookkeeping and divergence detection the
-/// single-output trainer has.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiTaskModel {
-    model: MultiTrainedModel,
-    /// Index of the primary task among the outputs.
-    pub primary: usize,
-    /// Epochs actually run.
-    pub epochs: usize,
-}
-
-impl MultiTaskModel {
-    /// Wraps a trained multi-output network loaded from elsewhere (e.g. a
-    /// [`crate::registry`] artifact); the primary-head index and epoch
-    /// count ride inside the model itself.
-    pub fn from_trained(model: MultiTrainedModel) -> Self {
-        Self {
-            primary: model.primary,
-            epochs: model.epochs,
-            model,
-        }
-    }
-
-    /// The underlying trained network — the persistable artifact that
-    /// [`crate::registry`] stores and [`Self::from_trained`] restores.
-    pub fn trained(&self) -> &MultiTrainedModel {
-        &self.model
-    }
-
-    /// Predicts the primary metric (raw scale) for raw features.
-    pub fn predict_primary(&self, features: &[f64]) -> f64 {
-        self.model.predict_primary(features)
-    }
-
-    /// Predicts all metrics (raw scale).
-    pub fn predict_all(&self, features: &[f64]) -> Vec<f64> {
-        self.model.predict_all(features)
-    }
-
-    /// Number of output heads.
-    pub fn tasks(&self) -> usize {
-        self.model.tasks()
-    }
-
-    /// Whether training diverged (non-finite early-stopping error); the
-    /// weights are still the best finite snapshot.
-    pub fn diverged(&self) -> bool {
-        self.model.diverged
-    }
-
-    /// Best primary-head percentage error seen on the early-stopping set.
-    pub fn best_es_error(&self) -> f64 {
-        self.model.best_es_error
-    }
-}
-
 /// Trains a multi-task network on raw feature rows and metric-vector
 /// targets. The final 20 % of the (shuffled) data is the early-stopping
 /// set; stopping tracks percentage error on the `primary` head only.
@@ -218,7 +162,7 @@ pub fn fit_multitask(
     primary: usize,
     config: &TrainConfig,
     seed: u64,
-) -> MultiTaskModel {
+) -> MultiTrainedModel {
     assert!(!features.is_empty(), "no training data");
     assert_eq!(features.len(), targets.len(), "feature/target mismatch");
 
@@ -233,20 +177,16 @@ pub fn fit_multitask(
             .map(|&i| (features[i].as_slice(), targets[i].as_slice()))
             .collect()
     };
-    let model = train_multi_network(&pairs(train_ids), &pairs(es_ids), primary, config, &mut rng);
-    MultiTaskModel {
-        primary: model.primary,
-        epochs: model.epochs,
-        model,
-    }
+    train_multi_network(&pairs(train_ids), &pairs(es_ids), primary, config, &mut rng)
 }
 
 /// Everything a multi-task oracle fit produces: the model plus the
 /// sampling outcome and the accumulated simulation telemetry.
 #[derive(Debug)]
 pub struct MultiTaskFit {
-    /// The trained multi-output model.
-    pub model: MultiTaskModel,
+    /// The trained multi-output model — the persistable artifact
+    /// [`crate::registry`] stores.
+    pub model: MultiTrainedModel,
     /// Design-point indices whose full metric rows made it into training,
     /// in evaluation order.
     pub indices: Vec<usize>,
@@ -390,7 +330,7 @@ mod tests {
         let (test_x, test_y) = make_data(150, 3);
         let mut total = 0.0;
         for (x, y) in test_x.iter().zip(&test_y) {
-            total += 100.0 * (model.predict_primary(x) - y[0]).abs() / y[0];
+            total += archpredict_stats::describe::percent_error(model.predict_primary(x), y[0]);
         }
         let mape = total / test_x.len() as f64;
         assert!(mape < 6.0, "primary MAPE {mape:.2}%");

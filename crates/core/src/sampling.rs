@@ -8,6 +8,8 @@
 //! cross-validation ensemble's member networks, and the most contentious
 //! candidates are simulated first.
 
+use crate::campaign::Encoder;
+use crate::space::DesignSpace;
 use archpredict_ann::{Ensemble, Parallelism};
 use archpredict_stats::sampling::IncrementalSampler;
 
@@ -30,26 +32,22 @@ pub enum Strategy {
 /// Falls back to plain random sampling for the first round (no ensemble
 /// exists to disagree yet). A pool of `batch * pool_factor` fresh
 /// candidates is drawn from the sampler, encoded through the campaign's
-/// [`crate::campaign::Encoder`] (as the `encode` closure appending `dims`
-/// features per index), and scored by committee disagreement through the
-/// batched inference path, parallelized per `parallelism`; the top
-/// `batch` are simulated. Scores are bit-for-bit identical at every
-/// thread count, so the selected batch is too. Rejected candidates are
-/// permanently skipped (never simulated), trading a little coverage for
-/// informativeness — acceptable because the pool is a vanishing fraction
-/// of the space.
-pub(crate) fn active_batch<E>(
+/// [`Encoder`], and scored by committee disagreement through the batched
+/// inference path ([`crate::infer::disagreement_encoded`]), parallelized
+/// per `parallelism`; the top `batch` are simulated. Scores are
+/// bit-for-bit identical at every thread count, so the selected batch is
+/// too. Rejected candidates are permanently skipped (never simulated),
+/// trading a little coverage for informativeness — acceptable because the
+/// pool is a vanishing fraction of the space.
+pub(crate) fn active_batch<C: Encoder + ?Sized>(
     sampler: &mut IncrementalSampler,
     ensemble: Option<&Ensemble>,
     batch: usize,
     pool_factor: usize,
     parallelism: Parallelism,
-    encode: E,
-    dims: usize,
-) -> Vec<usize>
-where
-    E: Fn(usize, &mut Vec<f64>) + Sync,
-{
+    space: &DesignSpace,
+    encoder: &C,
+) -> Vec<usize> {
     let Some(ensemble) = ensemble else {
         return sampler.next_batch(batch);
     };
@@ -57,7 +55,7 @@ where
     if pool.len() <= batch {
         return pool;
     }
-    let scores = crate::infer::disagreement_encoded(ensemble, &pool, parallelism, encode, dims);
+    let scores = crate::infer::disagreement_encoded(ensemble, space, encoder, &pool, parallelism);
     let mut scored: Vec<(f64, usize)> = scores.into_iter().zip(pool).collect();
     // Highest disagreement first; the sort is stable, so ties keep the
     // pool's (random) draw order.
@@ -68,13 +66,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::PlainEncoder;
     use crate::param::Param;
-    use crate::space::DesignSpace;
     use archpredict_stats::rng::Xoshiro256;
-
-    fn plain_encode(space: &DesignSpace) -> impl Fn(usize, &mut Vec<f64>) + Sync + '_ {
-        |index, rows| space.encode_into(&space.point(index), rows)
-    }
 
     fn space() -> DesignSpace {
         DesignSpace::new(vec![
@@ -94,8 +88,8 @@ mod tests {
             10,
             4,
             Parallelism::Auto,
-            plain_encode(&space),
-            space.encoded_width(),
+            &space,
+            &PlainEncoder,
         );
         assert_eq!(batch.len(), 10);
     }
@@ -123,8 +117,8 @@ mod tests {
             8,
             3,
             Parallelism::Auto,
-            plain_encode(&space),
-            space.encoded_width(),
+            &space,
+            &PlainEncoder,
         );
         assert_eq!(batch.len(), 8);
         let unique: std::collections::HashSet<_> = batch.iter().collect();
@@ -154,8 +148,8 @@ mod tests {
                 8,
                 3,
                 parallelism,
-                plain_encode(&space),
-                space.encoded_width(),
+                &space,
+                &PlainEncoder,
             )
         };
         let reference = run(Parallelism::Fixed(1));

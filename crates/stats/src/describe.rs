@@ -169,37 +169,16 @@ pub fn quantile(data: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Mean absolute percentage error (in percent) between predictions and
-/// true values: `mean(|pred - actual| / |actual|) * 100`.
+/// Absolute percentage error (in percent) of one prediction:
+/// `100 · |predicted − actual| / max(|actual|, 1e-12)`.
 ///
-/// This is the error metric the paper reports throughout its evaluation.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or are empty.
-pub fn mean_absolute_percentage_error(predicted: &[f64], actual: &[f64]) -> f64 {
-    percentage_errors(predicted, actual).mean()
-}
-
-/// Accumulates the per-point absolute percentage errors (in percent).
-///
-/// Returns the filled [`Accumulator`], from which both the mean and the
-/// standard deviation of percentage error — the two series in every figure of
-/// the paper — can be read.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths, are empty, or any `actual`
-/// value is zero.
-pub fn percentage_errors(predicted: &[f64], actual: &[f64]) -> Accumulator {
-    assert_eq!(predicted.len(), actual.len(), "length mismatch");
-    assert!(!predicted.is_empty(), "empty inputs");
-    let mut acc = Accumulator::new();
-    for (&p, &a) in predicted.iter().zip(actual) {
-        assert!(a != 0.0, "actual value is zero; percentage error undefined");
-        acc.add(100.0 * (p - a).abs() / a.abs());
-    }
-    acc
+/// This is the error metric the paper reports throughout its evaluation:
+/// its mean and standard deviation over a set of points, accumulated in an
+/// [`Accumulator`], are the two series in every figure. The `1e-12` floor
+/// keeps a zero actual from dividing by zero; simulated IPC is positive,
+/// so it never binds on real data.
+pub fn percent_error(predicted: f64, actual: f64) -> f64 {
+    100.0 * (predicted - actual).abs() / actual.abs().max(1e-12)
 }
 
 #[cfg(test)]
@@ -262,23 +241,29 @@ mod tests {
 
     #[test]
     fn mape_matches_hand_computation() {
-        let pred = [110.0, 90.0];
-        let act = [100.0, 100.0];
-        assert!((mean_absolute_percentage_error(&pred, &act) - 10.0).abs() < 1e-12);
+        let acc: Accumulator = [(110.0, 100.0), (90.0, 100.0)]
+            .into_iter()
+            .map(|(p, a)| percent_error(p, a))
+            .collect();
+        assert!((acc.mean() - 10.0).abs() < 1e-12);
     }
 
     #[test]
     fn percentage_errors_std_dev() {
-        let pred = [102.0, 98.0, 100.0];
-        let act = [100.0, 100.0, 100.0];
-        let acc = percentage_errors(&pred, &act);
+        let acc: Accumulator = [102.0, 98.0, 100.0]
+            .into_iter()
+            .map(|p| percent_error(p, 100.0))
+            .collect();
         // errors: 2, 2, 0 -> mean 4/3, pop var = (2*(2-4/3)^2 + (4/3)^2)/3
         assert!((acc.mean() - 4.0 / 3.0).abs() < 1e-12);
+        assert!((acc.population_variance() - 8.0 / 9.0).abs() < 1e-12);
     }
 
     #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn mape_length_mismatch_panics() {
-        mean_absolute_percentage_error(&[1.0], &[1.0, 2.0]);
+    fn percent_error_uses_magnitudes_and_guards_a_zero_actual() {
+        assert_eq!(percent_error(-0.5, -1.0), 50.0);
+        assert_eq!(percent_error(1.5, 1.0), 50.0);
+        assert_eq!(percent_error(0.5, 0.0), 100.0 * 0.5 / 1e-12);
+        assert_eq!(percent_error(0.0, 0.0), 0.0);
     }
 }

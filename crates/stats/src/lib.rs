@@ -9,7 +9,8 @@
 //!   initialization) draws from these so that experiments are bit-reproducible
 //!   across runs and platforms.
 //! * [`describe`] — online (Welford) accumulators and summaries for mean,
-//!   variance, standard deviation and extrema.
+//!   variance, standard deviation and extrema, and the paper's error metric
+//!   ([`describe::percent_error`]).
 //! * [`sampling`] — shuffling and sampling without replacement, including the
 //!   incremental batch sampler that backs the paper's "collect 50 more
 //!   simulations" refinement loop.

@@ -7,11 +7,12 @@
 //!
 //! Run with: `cargo run --release --example active_learning`
 
-use archpredict::campaign::CampaignConfig;
+use archpredict::campaign::{CampaignConfig, PlainEncoder};
+use archpredict::infer::true_error;
 use archpredict::registry::{Registry, StudyFitSpec};
 use archpredict::sampling::Strategy;
 use archpredict::studies::Study;
-use archpredict_stats::describe::Accumulator;
+use archpredict_ann::Parallelism;
 use archpredict_stats::rng::Xoshiro256;
 use archpredict_stats::sampling::sample_without_replacement;
 use archpredict_workloads::Benchmark;
@@ -46,14 +47,15 @@ fn main() {
             },
         );
         let outcome = registry.get_or_fit_study(&spec).expect("fit or load");
-        let mut err = Accumulator::new();
-        for &i in &probe {
-            let actual = evaluator
-                .evaluate(&space.point(i))
-                .expect("fault-free evaluator");
-            let predicted = outcome.model.predict(&space.encode(&space.point(i)));
-            err.add(100.0 * (predicted - actual).abs() / actual);
-        }
+        let err = true_error(
+            &outcome.model,
+            &space,
+            &PlainEncoder,
+            &evaluator,
+            &probe,
+            Parallelism::Auto,
+        )
+        .expect("fault-free evaluator");
         let estimated = outcome
             .payload
             .get("estimated_error")
@@ -62,8 +64,8 @@ fn main() {
             .unwrap();
         println!(
             "{label:16} {budget} sims: true error {:.2}% ± {:.2} (estimated {:.2}%){}",
-            err.mean(),
-            err.population_std_dev(),
+            err.mean,
+            err.std_dev,
             estimated,
             if outcome.warm { "  [warm]" } else { "" },
         );

@@ -9,14 +9,14 @@
 //!
 //! Run with: `cargo run --release --example cross_application`
 
-use archpredict::campaign::{Encoder, PlainEncoder};
-use archpredict::crossapp::{encode_with_app, CrossAppModel};
+use archpredict::campaign::{AppEncoder, Encoder, PlainEncoder};
+use archpredict::crossapp::CrossAppModel;
 use archpredict::explorer::{Explorer, ExplorerConfig};
+use archpredict::infer::true_error;
 use archpredict::registry::{ModelKey, Registry};
 use archpredict::simulate::{CachedEvaluator, SimBudget, StudyEvaluator};
 use archpredict::studies::Study;
-use archpredict_ann::{Ensemble, TrainConfig};
-use archpredict_stats::describe::Accumulator;
+use archpredict_ann::{Ensemble, Parallelism, TrainConfig};
 use archpredict_stats::json::Value;
 use archpredict_stats::rng::Xoshiro256;
 use archpredict_stats::sampling::sample_without_replacement;
@@ -113,18 +113,19 @@ fn main() {
 
     let mut rng = Xoshiro256::seed_from(77);
     let held_out = sample_without_replacement(space.size(), 150, &mut rng);
-    let error_on = |model: &Ensemble,
-                    encode: &dyn Fn(usize) -> Vec<f64>,
-                    evaluator: &CachedEvaluator<StudyEvaluator>| {
-        let mut err = Accumulator::new();
-        for &i in &held_out {
-            let actual = evaluator
-                .evaluate(&space.point(i))
-                .expect("fault-free evaluator");
-            err.add(100.0 * (model.predict(&encode(i)) - actual).abs() / actual);
-        }
-        (err.mean(), err.population_std_dev())
-    };
+    let error_on =
+        |model: &Ensemble, encoder: &dyn Encoder, evaluator: &CachedEvaluator<StudyEvaluator>| {
+            let err = true_error(
+                model,
+                &space,
+                encoder,
+                evaluator,
+                &held_out,
+                Parallelism::Auto,
+            )
+            .expect("fault-free evaluator");
+            (err.mean, err.std_dev)
+        };
 
     for (slot, (benchmark, evaluator)) in evaluators.iter().enumerate() {
         // Per-app baseline on the identical budget, through the registry.
@@ -150,13 +151,15 @@ fn main() {
                 Ok((ensemble, Value::Null))
             })
             .expect("fit or load");
-        let (solo_mean, solo_sd) =
-            error_on(&solo.model, &|i| space.encode(&space.point(i)), evaluator);
-        let (pooled_mean, pooled_sd) = error_on(
-            &outcome.model,
-            &|i| encode_with_app(&space, i, slot, apps.len()),
-            evaluator,
-        );
+        let (solo_mean, solo_sd) = error_on(&solo.model, &PlainEncoder, evaluator);
+        // A warm run loads only the pooled ensemble, so the pooled model's
+        // encoder for this application is built from its slot directly
+        // (what `CrossAppModel::encoder` returns after a fit).
+        let pooled_encoder = AppEncoder {
+            slot,
+            apps: apps.len(),
+        };
+        let (pooled_mean, pooled_sd) = error_on(&outcome.model, &pooled_encoder, evaluator);
         println!(
             "{:6}: per-app model {solo_mean:.2}% ± {solo_sd:.2} | pooled model {pooled_mean:.2}% ± {pooled_sd:.2}",
             benchmark.name(),

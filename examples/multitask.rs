@@ -13,14 +13,12 @@
 //! Run with: `cargo run --release --example multitask`
 
 use archpredict::campaign::{Encoder, PlainEncoder};
-use archpredict::multitask::{
-    fit_multitask_oracles, MetricsEvaluator, MultiTaskModel, TargetMetric,
-};
+use archpredict::multitask::{fit_multitask_oracles, MetricsEvaluator, TargetMetric};
 use archpredict::registry::{ModelKey, Registry};
 use archpredict::simulate::{CachedEvaluator, Oracle, SimBudget, SimStats};
 use archpredict::studies::Study;
 use archpredict_ann::{train::train_network, Sample, TrainConfig};
-use archpredict_stats::describe::Accumulator;
+use archpredict_stats::describe::{percent_error, Accumulator};
 use archpredict_stats::json::Value;
 use archpredict_stats::rng::Xoshiro256;
 use archpredict_stats::sampling::sample_without_replacement;
@@ -81,10 +79,10 @@ fn main() {
                 ("indices".into(), indices),
                 ("dropped".into(), Value::num(fit.dropped as f64)),
             ]);
-            Ok((fit.model.trained().clone(), payload))
+            Ok((fit.model, payload))
         })
         .expect("fit or load");
-    let model = MultiTaskModel::from_trained(outcome.model.clone());
+    let model = &outcome.model;
     let indices: Vec<usize> = outcome
         .payload
         .get("indices")
@@ -135,8 +133,8 @@ fn main() {
     for (&i, actual) in test_idx.iter().zip(&actuals) {
         let Ok(ipc) = actual else { continue };
         let x = space.encode(&space.point(i));
-        multi_err.add(100.0 * (model.predict_primary(&x) - ipc).abs() / ipc);
-        single_err.add(100.0 * (single.predict(&x) - ipc).abs() / ipc);
+        multi_err.add(percent_error(model.predict_primary(&x), *ipc));
+        single_err.add(percent_error(single.predict(&x), *ipc));
         probe.get_or_insert(x);
     }
 

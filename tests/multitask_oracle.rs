@@ -154,7 +154,7 @@ fn faulted_fit_is_survivable_and_deterministic() {
     );
     assert!(reference.dropped > 0, "no auxiliary head dropped a row");
     assert!(reference.indices.len() >= 40, "dropped too many rows");
-    assert!(!reference.model.diverged());
+    assert!(!reference.model.diverged);
     let probe = space.encode(&space.point(7_890));
     assert!(reference.model.predict_primary(&probe).is_finite());
 

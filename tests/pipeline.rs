@@ -6,6 +6,7 @@ use archpredict::explorer::{Explorer, ExplorerConfig};
 use archpredict::simulate::{CachedEvaluator, SimBudget, StudyEvaluator};
 use archpredict::studies::Study;
 use archpredict_ann::TrainConfig;
+use archpredict_stats::describe::percent_error;
 use archpredict_workloads::{Benchmark, TraceGenerator};
 
 fn quick_evaluator(study: Study, benchmark: Benchmark) -> CachedEvaluator<StudyEvaluator> {
@@ -128,11 +129,8 @@ fn prediction_beats_mean_baseline() {
         })
         .collect();
     let mean: f64 = actuals.iter().sum::<f64>() / actuals.len() as f64;
-    let baseline: f64 = actuals
-        .iter()
-        .map(|a| 100.0 * (mean - a).abs() / a)
-        .sum::<f64>()
-        / actuals.len() as f64;
+    let baseline: f64 =
+        actuals.iter().map(|&a| percent_error(mean, a)).sum::<f64>() / actuals.len() as f64;
     let model = explorer.true_error(&held_out);
     assert!(
         model.mean < baseline * 0.7,

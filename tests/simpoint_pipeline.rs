@@ -5,7 +5,7 @@ use archpredict::explorer::{Explorer, ExplorerConfig};
 use archpredict::simulate::{PointEvaluator, SimBudget, SimPointEvaluator, StudyEvaluator};
 use archpredict::studies::Study;
 use archpredict_ann::TrainConfig;
-use archpredict_stats::describe::Accumulator;
+use archpredict_stats::describe::{percent_error, Accumulator};
 use archpredict_stats::rng::Xoshiro256;
 use archpredict_stats::sampling::sample_without_replacement;
 use archpredict_workloads::{Benchmark, TraceGenerator};
@@ -53,7 +53,7 @@ fn ann_tolerates_simpoint_noise() {
     for i in sample_without_replacement(space.size(), 25, &mut rng) {
         let actual = full.evaluate(&space.point(i));
         let predicted = explorer.predict(i);
-        err.add(100.0 * (predicted - actual).abs() / actual);
+        err.add(percent_error(predicted, actual));
     }
     assert!(
         err.mean() < 8.0,
@@ -76,7 +76,7 @@ fn simpoint_estimator_is_cheaper_and_close() {
         let p = space.point(i);
         let e = simpoint.evaluate(&p);
         let f = full.evaluate(&p);
-        err.add(100.0 * (e - f).abs() / f);
+        err.add(percent_error(e, f));
     }
     assert!(err.mean() < 10.0, "SimPoint noise {:.2}%", err.mean());
 }
